@@ -26,12 +26,10 @@ or via pytest (CI smoke step)::
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import os
 import random
 import sys
-import time
 
 from repro import faults, units
 from repro.cxl.device import MediaController, Type3Device
@@ -47,6 +45,11 @@ from repro.pmdk.pool import PmemObjPool
 from repro.stream.config import StreamConfig
 from repro.stream.pmem_stream import StreamPmem
 from repro.streamer.runner import StreamerRunner
+
+try:
+    from benchmarks._timing import iters_per_sample, paired_overhead
+except ImportError:                                   # CLI: script-dir import
+    from _timing import iters_per_sample, paired_overhead
 
 RESULTS_DIR = os.path.abspath(
     os.path.join(os.path.dirname(__file__), os.pardir, "results"))
@@ -91,73 +94,19 @@ def _workloads(smoke: bool) -> dict:
     return {"cxl": cxl, "pmem": pmem, "sweep": sweep}
 
 
-#: minimum seconds one timing sample must span
-MIN_SAMPLE_S = 0.1
-
-
-def _time_once(fn, iters: int = 1) -> float:
-    t0 = time.perf_counter()
-    for _ in range(iters):
-        fn()
-    return time.perf_counter() - t0
-
-
-def _calibrate(fn) -> int:
-    single = _time_once(fn)
-    if single >= MIN_SAMPLE_S:
-        return 1
-    return max(1, int(MIN_SAMPLE_S / max(single, 1e-6)) + 1)
-
-
-def _measure(fn, repeat: int, iters: int) -> tuple[float, float, float]:
-    """``(bypassed_s, hooked_s, overhead_ratio)`` for one workload.
-
-    Variants are paired within each repetition in alternating order and
-    timed from a collected heap with the collector parked; the gated
-    overhead is the median of per-repetition hooked/bypassed ratios
-    (paired samples share machine drift — see ``bench_obs_overhead``).
-    """
-    best = {"bypassed": float("inf"), "hooked": float("inf")}
-    ratios: list[float] = []
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for i in range(repeat):
-            order = (("bypassed", "hooked") if i % 2 == 0
-                     else ("hooked", "bypassed"))
-            pair = {}
-            for variant in order:
-                gc.collect()
-                if variant == "bypassed":
-                    with faults.bypassed():
-                        t = _time_once(fn, iters)
-                else:
-                    t = _time_once(fn, iters)
-                pair[variant] = t
-                best[variant] = min(best[variant], t)
-            ratios.append(pair["hooked"] / pair["bypassed"])
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    ratios.sort()
-    mid = len(ratios) // 2
-    median = (ratios[mid] if len(ratios) % 2
-              else (ratios[mid - 1] + ratios[mid]) / 2.0)
-    return best["bypassed"] / iters, best["hooked"] / iters, median
-
-
 def run_overhead(repeat: int, smoke: bool) -> tuple[dict, float, bool]:
     faults.clear()
     workloads = _workloads(smoke)
     results: dict[str, dict] = {}
     for name, fn in workloads.items():
         fn()                                    # warm caches / plan pools
-        iters = _calibrate(fn)
+        iters = iters_per_sample(fn)
         # the fault-free cost is a handful of None checks (~0%); noisy
         # runners can still spike, so an over-gate measurement retries —
         # genuine regressions fail every attempt
         for attempt in range(3):
-            bypassed_s, hooked_s, ratio = _measure(fn, repeat, iters)
+            bypassed_s, hooked_s, ratio = paired_overhead(
+                fn, faults.bypassed, repeat, iters)
             if (ratio - 1.0) * 100.0 <= GATE_PCT:
                 break
         results[name] = {

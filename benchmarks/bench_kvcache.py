@@ -28,15 +28,18 @@ or via pytest (CI smoke step)::
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import os
 import sys
-import time
 
 from repro import faults, obs
 from repro.workloads.kvcache import KvWorkloadSpec, kill_worker_drill, \
     run_kvcache
+
+try:
+    from benchmarks._timing import iters_per_sample, paired_overhead
+except ImportError:                                   # CLI: script-dir import
+    from _timing import iters_per_sample, paired_overhead
 
 RESULTS_DIR = os.path.abspath(
     os.path.join(os.path.dirname(__file__), os.pardir, "results"))
@@ -84,45 +87,6 @@ def bench_kill_recovery(spec: KvWorkloadSpec = DRILL_SPEC) -> dict:
 # gate 2: fault-free hook overhead on the decode loop
 # ---------------------------------------------------------------------------
 
-def _time_once(fn, iters: int = 1) -> float:
-    t0 = time.perf_counter()
-    for _ in range(iters):
-        fn()
-    return time.perf_counter() - t0
-
-
-def _measure(fn, repeat: int, iters: int) -> tuple[float, float, float]:
-    """``(bypassed_s, hooked_s, median_ratio)`` — paired alternating
-    repetitions from a collected heap (shared drift cancels)."""
-    best = {"bypassed": float("inf"), "hooked": float("inf")}
-    ratios: list[float] = []
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for i in range(repeat):
-            order = (("bypassed", "hooked") if i % 2 == 0
-                     else ("hooked", "bypassed"))
-            pair = {}
-            for variant in order:
-                gc.collect()
-                if variant == "bypassed":
-                    with faults.bypassed():
-                        t = _time_once(fn, iters)
-                else:
-                    t = _time_once(fn, iters)
-                pair[variant] = t
-                best[variant] = min(best[variant], t)
-            ratios.append(pair["hooked"] / pair["bypassed"])
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    ratios.sort()
-    mid = len(ratios) // 2
-    median = (ratios[mid] if len(ratios) % 2
-              else (ratios[mid - 1] + ratios[mid]) / 2.0)
-    return best["bypassed"] / iters, best["hooked"] / iters, median
-
-
 def bench_fault_free_overhead(repeat: int) -> dict:
     faults.clear()
 
@@ -130,16 +94,15 @@ def bench_fault_free_overhead(repeat: int) -> dict:
         run_kvcache(OVERHEAD_SPEC)
 
     serve_once()                        # warm imports and caches
-    single = _time_once(serve_once)
-    iters = (1 if single >= MIN_SAMPLE_S
-             else max(1, int(MIN_SAMPLE_S / max(single, 1e-6)) + 1))
+    iters = iters_per_sample(serve_once, MIN_SAMPLE_S)
     # a handful of None-checks (~0%); noisy runners can spike, so an
     # over-gate measurement retries, and the best-of-sample ratio (each
     # variant's fastest rep — the least-perturbed observation) is
     # accepted alongside the median — real regressions fail both,
     # every attempt
     for _ in range(3):
-        bypassed_s, hooked_s, median = _measure(serve_once, repeat, iters)
+        bypassed_s, hooked_s, median = paired_overhead(
+            serve_once, faults.bypassed, repeat, iters)
         ratio = min(median, hooked_s / bypassed_s)
         if (ratio - 1.0) * 100.0 <= GATE_PCT:
             break

@@ -25,11 +25,9 @@ or via pytest (CI smoke step)::
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import os
 import sys
-import time
 
 from repro import obs
 from repro.machine.affinity import place_threads
@@ -39,6 +37,12 @@ from repro.memsim.des import simulate_stream_des
 from repro.stream.config import StreamConfig
 from repro.stream.pmem_stream import StreamPmem
 from repro.streamer.runner import StreamerRunner
+
+try:
+    from benchmarks._timing import iters_per_sample, paired_overhead, \
+        time_once
+except ImportError:                                   # CLI: script-dir import
+    from _timing import iters_per_sample, paired_overhead, time_once
 
 RESULTS_DIR = os.path.abspath(
     os.path.join(os.path.dirname(__file__), os.pardir, "results"))
@@ -72,69 +76,6 @@ def _workloads(smoke: bool) -> dict:
     return {"des": des, "pmem": pmem, "sweep": sweep}
 
 
-#: minimum seconds one timing sample must span — sub-ms samples (warm
-#: plan caches make repeat sweeps nearly free) are pure jitter
-MIN_SAMPLE_S = 0.1
-
-
-def _time_once(fn, iters: int = 1) -> float:
-    t0 = time.perf_counter()
-    for _ in range(iters):
-        fn()
-    return time.perf_counter() - t0
-
-
-def _calibrate(fn) -> int:
-    """Iterations per sample so one sample spans >= MIN_SAMPLE_S."""
-    single = _time_once(fn)
-    if single >= MIN_SAMPLE_S:
-        return 1
-    return max(1, int(MIN_SAMPLE_S / max(single, 1e-6)) + 1)
-
-
-def _measure(fn, repeat: int, iters: int) -> tuple[float, float, float]:
-    """``(bypassed_s, disabled_s, overhead_ratio)`` for one workload.
-
-    The two variants are paired within each repetition — in alternating
-    order, so neither side systematically runs on a fresher heap — and
-    every sample starts from a collected heap with the collector parked,
-    keeping GC passes out of the measured window.
-
-    Absolute times are best-of mins; the gated overhead is the *median*
-    of the per-repetition disabled/bypassed ratios.  Paired samples are
-    adjacent in time and share whatever drift the machine is under, so
-    their ratio is far more stable than a difference of independent
-    minima — which matters on noisy shared CI runners.
-    """
-    best = {"bypassed": float("inf"), "disabled": float("inf")}
-    ratios: list[float] = []
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for i in range(repeat):
-            order = (("bypassed", "disabled") if i % 2 == 0
-                     else ("disabled", "bypassed"))
-            pair = {}
-            for variant in order:
-                gc.collect()
-                if variant == "bypassed":
-                    with obs.bypassed():
-                        t = _time_once(fn, iters)
-                else:
-                    t = _time_once(fn, iters)
-                pair[variant] = t
-                best[variant] = min(best[variant], t)
-            ratios.append(pair["disabled"] / pair["bypassed"])
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    ratios.sort()
-    mid = len(ratios) // 2
-    median = (ratios[mid] if len(ratios) % 2
-              else (ratios[mid - 1] + ratios[mid]) / 2.0)
-    return best["bypassed"] / iters, best["disabled"] / iters, median
-
-
 def run_bench(repeat: int = FULL_REPEAT, smoke: bool = False) -> dict:
     """Measure every workload; return the ``BENCH_obs.json`` document."""
     obs.disable()
@@ -144,17 +85,18 @@ def run_bench(repeat: int = FULL_REPEAT, smoke: bool = False) -> dict:
     results: dict[str, dict] = {}
     for name, fn in workloads.items():
         fn()                                    # warm caches / plan pools
-        iters = _calibrate(fn)
+        iters = iters_per_sample(fn)
         # the true disabled-mode cost is a handful of flag checks (~0%);
         # a shared runner can still throw multi-percent noise spikes, so
         # a measurement over the gate is retried — genuine regressions
         # (hot-path work outside the flag check) fail every attempt
         for attempt in range(3):
-            bypassed_s, disabled_s, ratio = _measure(fn, repeat, iters)
+            bypassed_s, disabled_s, ratio = paired_overhead(
+                fn, obs.bypassed, repeat, iters)
             if (ratio - 1.0) * 100.0 <= GATE_PCT:
                 break
         obs.enable()
-        enabled_s = min(_time_once(fn, iters)
+        enabled_s = min(time_once(fn, iters)
                         for _ in range(max(2, repeat // 2))) / iters
         obs.disable()
         obs.reset()

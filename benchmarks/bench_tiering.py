@@ -31,11 +31,9 @@ or via pytest (CI smoke step)::
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import os
 import sys
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -47,9 +45,11 @@ from repro.tiering.evaluate import TieringSpec, evaluate_policy
 from repro.tiering.heat import HeatTracker
 
 try:
-    from benchmarks._timing import best_of as _best_of
+    from benchmarks._timing import best_of as _best_of, iters_per_sample, \
+        paired_overhead
 except ImportError:                      # standalone execution
-    from _timing import best_of as _best_of
+    from _timing import best_of as _best_of, iters_per_sample, \
+        paired_overhead
 
 RESULTS_DIR = os.path.abspath(
     os.path.join(os.path.dirname(__file__), os.pardir, "results"))
@@ -186,24 +186,6 @@ def bench_crossover() -> dict:
 # gate 5: tiering-disabled sweep overhead
 # ---------------------------------------------------------------------------
 
-#: minimum seconds one timing sample must span
-MIN_SAMPLE_S = 0.1
-
-
-def _time_once(fn, iters: int = 1) -> float:
-    t0 = time.perf_counter()
-    for _ in range(iters):
-        fn()
-    return time.perf_counter() - t0
-
-
-def _calibrate(fn) -> int:
-    single = _time_once(fn)
-    if single >= MIN_SAMPLE_S:
-        return 1
-    return max(1, int(MIN_SAMPLE_S / max(single, 1e-6)) + 1)
-
-
 def bench_disabled_overhead(repeat: int, smoke: bool) -> dict:
     """A no-tiering sweep vs the same sweep with every fault hook
     bypassed.
@@ -212,7 +194,7 @@ def bench_disabled_overhead(repeat: int, smoke: bool) -> dict:
     check per series plus the (never-called) ``on_migration`` hook;
     pairing each repetition's two variants in alternating order and
     gating the *median* per-pair ratio keeps shared-runner noise out
-    (same technique as ``bench_obs_overhead``).
+    (:func:`benchmarks._timing.paired_overhead`).
     """
     cfg = StreamConfig(array_size=100_000 if smoke else 400_000, ntimes=3)
     runner = StreamerRunner(config=cfg)
@@ -221,42 +203,17 @@ def bench_disabled_overhead(repeat: int, smoke: bool) -> dict:
         return runner.run_group("1a", kernels=("triad",))
 
     sweep()                                     # warm placement caches
-    iters = _calibrate(sweep)
-    best = {"bypassed": float("inf"), "normal": float("inf")}
-    ratios: list[float] = []
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for attempt in range(3):
-            ratios.clear()
-            for i in range(repeat):
-                order = (("bypassed", "normal") if i % 2 == 0
-                         else ("normal", "bypassed"))
-                pair = {}
-                for variant in order:
-                    gc.collect()
-                    if variant == "bypassed":
-                        with faults.bypassed():
-                            t = _time_once(sweep, iters)
-                    else:
-                        t = _time_once(sweep, iters)
-                    pair[variant] = t
-                    best[variant] = min(best[variant], t)
-                ratios.append(pair["normal"] / pair["bypassed"])
-            ratios.sort()
-            mid = len(ratios) // 2
-            median = (ratios[mid] if len(ratios) % 2
-                      else (ratios[mid - 1] + ratios[mid]) / 2.0)
-            overhead_pct = (median - 1.0) * 100.0
-            if overhead_pct <= OVERHEAD_GATE_PCT:
-                break                           # noise spikes retry
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    iters = iters_per_sample(sweep)
+    for attempt in range(3):
+        bypassed_s, normal_s, median = paired_overhead(
+            sweep, faults.bypassed, repeat, iters)
+        overhead_pct = (median - 1.0) * 100.0
+        if overhead_pct <= OVERHEAD_GATE_PCT:
+            break                               # noise spikes retry
     return {
         "iters_per_sample": iters,
-        "bypassed_s": round(best["bypassed"] / iters, 6),
-        "normal_s": round(best["normal"] / iters, 6),
+        "bypassed_s": round(bypassed_s, 6),
+        "normal_s": round(normal_s, 6),
         "overhead_pct": round(overhead_pct, 3),
         "gate_pct": OVERHEAD_GATE_PCT,
         "ok": overhead_pct <= OVERHEAD_GATE_PCT,

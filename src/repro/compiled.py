@@ -1,14 +1,14 @@
 """Compiled-kernel tier: detection, dispatch plumbing, warm-up.
 
-PRs 1 and 3 vectorized the wide regimes with NumPy; the remaining floor
-is Python-loop overhead on the *narrow* hot paths — the scalar DES event
-loop at small closed-loop windows, per-message flit packing with mixed
-header sizes, and the undo-log CRC.  This module adds an optional third
-``compiled`` tier behind the same ``auto/scalar/vector`` dispatch
-pattern those PRs established.  Full-system CXL simulators (CXL-DMSim,
-CXL-ClusterSim) run compiled event cores for exactly this reason; here
-the compiled tier is strictly optional and the pure-Python / NumPy
-backends remain the always-available reference.
+The NumPy tiers vectorize the wide regimes; the remaining floor is
+Python-loop overhead on the *narrow* hot paths — the scalar DES event
+loop and per-message flit packing with mixed header sizes.  This module
+adds an optional third ``compiled`` tier behind the same
+``auto/scalar/vector`` dispatch pattern the NumPy tiers use.
+Full-system CXL simulators (CXL-DMSim, CXL-ClusterSim) run compiled
+event cores for exactly this reason; here the compiled tier is strictly
+optional and the pure-Python / NumPy backends remain the
+always-available reference.
 
 Two providers, probed in order at first use:
 
@@ -276,12 +276,10 @@ def warmup() -> dict[str, str | None]:
     """
     from repro.cxl import flit_jit
     from repro.memsim import des_jit
-    from repro.pmdk import tx_jit
 
     providers = {
         "des": des_jit.provider(),
         "flit": flit_jit.provider(),
-        "tx": tx_jit.provider(),
     }
     obs.gauge("compiled.available",
               int(any(p is not None for p in providers.values())))

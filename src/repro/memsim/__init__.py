@@ -23,7 +23,6 @@ from repro.memsim.des import (
     DES_BACKENDS,
     DES_VECTORIZE_THRESHOLD,
     DesResult,
-    des_threshold,
     simulate_stream_des,
 )
 from repro.memsim.concurrency import thread_bandwidth_cap
@@ -42,7 +41,6 @@ __all__ = [
     "DES_BACKENDS",
     "DES_VECTORIZE_THRESHOLD",
     "DesResult",
-    "des_threshold",
     "Flow",
     "FlowAllocation",
     "KERNEL_TRAFFIC",

@@ -21,31 +21,33 @@ The DES reproduces, from first principles:
   and the home-agent ``snoop_caps`` clamp on mixed local+remote
   controllers.
 
-Two backends produce *identical* results (``des_backend=``):
+Three backends produce *identical* results (``des_backend=``):
 
 * ``"scalar"`` — the reference heapq event loop, one event at a time;
 * ``"vector"`` — :mod:`repro.memsim.des_fast`, which advances the whole
   closed-loop window per epoch with closed-form NumPy FIFO admission;
-* ``"auto"`` (default) — picks the vector path once the primed request
-  count reaches :data:`DES_VECTORIZE_THRESHOLD`, mirroring the ≥8-flow
-  dispatch of :func:`repro.memsim.bwmodel.solve_max_min`.
+  single-route setups only (BIND / LOCAL policies);
+* ``"compiled"`` — :mod:`repro.memsim.des_jit`, the scalar event loop
+  compiled, degrading to ``"scalar"`` without a provider;
+* ``"auto"`` (default) — the vector path for single-route setups whose
+  primed request count reaches :data:`DES_VECTORIZE_THRESHOLD`, the
+  compiled loop otherwise.
 
-Identical means identical: both backends advance time in an integer tick
-domain (:data:`TICKS_PER_NS` per nanosecond), where FIFO admission is
-exact integer arithmetic, so the closed-form scan equals the sequential
-recurrence bit for bit and every :class:`DesResult` field matches
-(`tests/property/test_prop_des.py`).
+Identical means identical: every backend advances time in an integer
+tick domain (:data:`TICKS_PER_NS` per nanosecond), where FIFO admission
+is exact integer arithmetic, so the closed-form scan equals the
+sequential recurrence bit for bit and every :class:`DesResult` field
+matches (`tests/property/test_prop_des.py`).
 
 `benchmarks/bench_model_validation.py` sweeps both models across the
 paper's configurations and reports the deviation;
-`benchmarks/bench_des_perf.py` gates the vector path's speedup.
+`benchmarks/bench_des_perf.py` gates the fast backends' speedups.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -70,38 +72,14 @@ LINE = CACHELINE
 #: error ~1e-6 relative while leaving int64 headroom for multi-ms runs.
 TICKS_PER_NS = 1 << 20
 
-#: ``des_backend="auto"`` switches to the vectorized engine once the
-#: primed closed-loop window (sum of per-thread MLP) reaches this many
-#: requests — the point where NumPy's fixed per-batch overhead wins.
-#: This is the *default*; :func:`des_threshold` consults the
-#: ``REPRO_DES_THRESHOLD`` env var at dispatch time.
+#: ``des_backend="auto"`` switches a single-route setup to the
+#: vectorized engine once the primed closed-loop window (sum of
+#: per-thread MLP) reaches this many requests — the point where NumPy's
+#: fixed per-batch overhead wins.
 DES_VECTORIZE_THRESHOLD = 64
-
-#: env var overriding :data:`DES_VECTORIZE_THRESHOLD` at dispatch time
-DES_THRESHOLD_ENV = "REPRO_DES_THRESHOLD"
 
 #: valid ``des_backend=`` values
 DES_BACKENDS = ("auto", "scalar", "vector", "compiled")
-
-
-def des_threshold() -> int:
-    """The auto-dispatch window threshold, honoring
-    ``REPRO_DES_THRESHOLD`` (read per call so tests and operators can
-    retune dispatch without reimporting)."""
-    raw = os.environ.get(DES_THRESHOLD_ENV)
-    if raw is None:
-        return DES_VECTORIZE_THRESHOLD
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SimulationError(
-            f"${DES_THRESHOLD_ENV} must be an integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise SimulationError(
-            f"${DES_THRESHOLD_ENV} must be >= 1, got {value}"
-        )
-    return value
 
 
 def _ticks(ns: float) -> int:
@@ -123,9 +101,9 @@ def _route_pattern(fracs: tuple[float, ...], n: int) -> np.ndarray:
     route ``pattern[k]``.  The schedule is smooth weighted round-robin:
     choice ``k`` goes to the route minimizing ``(count + 1) / frac`` (ties
     to the lowest index), which interleaves routes as evenly as possible
-    while matching each fraction exactly in the long run.  Both DES
-    backends read the same cached pattern, so their route choices agree
-    by construction.
+    while matching each fraction exactly in the long run.  The scalar
+    oracle reads this cached pattern; the compiled loop re-runs the same
+    recurrence, so their route choices agree by construction.
     """
     pat = _PATTERN_CACHE.get(fracs)
     if pat is None or len(pat) < n:
@@ -162,7 +140,7 @@ class _Flow:
 
 @dataclass
 class _Setup:
-    """Everything both backends need, precomputed once."""
+    """Everything every backend needs, precomputed once."""
 
     station_names: list[str]
     flows: list[_Flow]
@@ -387,7 +365,7 @@ def _run_scalar(setup: _Setup) -> _Counts:
 
 
 # ---------------------------------------------------------------------------
-# result conversion (single code path → identical floats for both backends)
+# result conversion (single code path → identical floats for every backend)
 # ---------------------------------------------------------------------------
 
 def _finalize(setup: _Setup, c: _Counts) -> DesResult:
@@ -433,19 +411,21 @@ def simulate_stream_des(machine: Machine, kernel_name: str,
     just the core mechanics.
 
     ``des_backend`` selects the engine: ``"scalar"`` (reference event
-    loop), ``"vector"`` (batched NumPy epochs), ``"compiled"`` (the
-    JIT/C event loop of :mod:`repro.memsim.des_jit`, silently degrading
-    to ``"scalar"`` when no compiled provider exists), or ``"auto"`` —
-    vector once the closed-loop window holds ≥ :func:`des_threshold`
-    requests, the compiled event loop below that when available, the
-    interpreted scalar loop otherwise.  ``REPRO_BACKEND`` (see
-    :mod:`repro.compiled`) overrides the ``"auto"`` resolution; an
-    explicit ``des_backend`` argument always wins.  All backends return
-    identical results.
+    loop), ``"vector"`` (batched NumPy epochs, single-route setups
+    only), ``"compiled"`` (the JIT/C event loop of
+    :mod:`repro.memsim.des_jit`, silently degrading to ``"scalar"`` when
+    no compiled provider exists), or ``"auto"`` — vector for a
+    single-route setup whose closed-loop window holds ≥
+    :data:`DES_VECTORIZE_THRESHOLD` requests, the compiled event loop
+    otherwise.  ``REPRO_BACKEND`` (see :mod:`repro.compiled`) overrides
+    the ``"auto"`` resolution; an explicit ``des_backend`` argument
+    always wins.  All backends return identical results.
 
     Raises:
         SimulationError: empty placement, no usable targets, warmup not
-            shorter than the simulation, or an unknown backend.
+            shorter than the simulation, an unknown backend, or
+            ``"vector"`` for a multi-target (interleaved / weighted)
+            policy.
     """
     if des_backend not in DES_BACKENDS:
         raise SimulationError(
@@ -458,13 +438,10 @@ def simulate_stream_des(machine: Machine, kernel_name: str,
     if backend == "auto":
         backend = compiled.backend_override() or "auto"
     if backend == "auto":
-        from repro.memsim import des_jit
-        if sum(setup.mlp) >= des_threshold():
-            backend = "vector"
-        elif des_jit.available():
-            backend = "compiled"
-        else:
-            backend = "scalar"
+        single_route = all(fracs is None for fracs in setup.thread_fracs)
+        backend = ("vector" if single_route
+                   and sum(setup.mlp) >= DES_VECTORIZE_THRESHOLD
+                   else "compiled")
     if backend == "compiled":
         from repro.memsim import des_jit
         if not des_jit.available():

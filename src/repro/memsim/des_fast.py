@@ -2,7 +2,10 @@
 
 The scalar DES in :mod:`repro.memsim.des` pops one heapq event per
 completed cacheline.  This module advances the *whole closed-loop
-window* per epoch with NumPy, producing bit-identical integer state:
+window* per epoch with NumPy, producing bit-identical integer state
+when every thread keeps to one route (BIND / LOCAL policies;
+interleaved and weighted policies run on the compiled or scalar event
+loop, which schedule routes per request):
 
 1. **Safe epoch window.**  Every pending completion in
    ``[t_min, horizon)`` can be processed as one batch, provided no
@@ -74,8 +77,13 @@ def run_vector(setup) -> "object":
 
     Returns the same :class:`repro.memsim.des._Counts` the scalar
     backend produces — identical integers, by construction.
+
+    Raises:
+        SimulationError: a thread splits its requests over several
+            routes (interleaved / weighted policy), or station levels
+            are not strictly increasing along a route.
     """
-    from repro.memsim.des import _Counts, _route_pattern
+    from repro.memsim.des import _Counts
 
     flows = setup.flows
     n_threads = len(setup.thread_flows)
@@ -85,6 +93,12 @@ def run_vector(setup) -> "object":
     warm_t = setup.warmup_ticks
 
     # --- static tables ----------------------------------------------------
+    if any(len(tf) > 1 for tf in setup.thread_flows):
+        raise SimulationError(
+            "the vector DES backend runs single-route setups only; "
+            "interleaved and weighted policies need des_backend="
+            "'compiled' or 'scalar'"
+        )
     level = [0] * n_stations
     for f in flows:
         for pos, s in enumerate(f.stations):
@@ -135,13 +149,8 @@ def run_vector(setup) -> "object":
     lat_const = (int(flow_latency[0])
                  if int(flow_latency.min()) == int(flow_latency.max())
                  else None)
-    thread_flow0 = np.array([tf[0] for tf in setup.thread_flows],
-                            dtype=np.int64)
-    multi = [t for t, tf in enumerate(setup.thread_flows) if len(tf) > 1]
-    max_routes = max(len(tf) for tf in setup.thread_flows)
-    flow_of = np.zeros((n_threads, max_routes), dtype=np.int64)
-    for t, tf in enumerate(setup.thread_flows):
-        flow_of[t, :len(tf)] = tf
+    thread_flow = np.array([tf[0] for tf in setup.thread_flows],
+                           dtype=np.int64)
 
     # --- mutable state ----------------------------------------------------
     next_free = np.zeros(n_stations, dtype=np.int64)
@@ -169,36 +178,13 @@ def run_vector(setup) -> "object":
                 counts: np.ndarray | None = None) -> np.ndarray:
         """Issue one request per (thread, time) pair, in batch order.
 
-        Performs route scheduling, station admission and busy
-        accounting; bumps per-thread issue counters (``counts`` is the
-        precomputed per-thread event count when the caller knows it);
-        returns the new completion times.
+        Performs station admission and busy accounting; bumps per-thread
+        issue counters (``counts`` is the precomputed per-thread event
+        count when the caller knows it); returns the new completion
+        times.
         """
         nonlocal issued
-        n = len(btid)
-        if multi:
-            # per-event issue ordinal: events of one thread take
-            # consecutive ordinals in batch order (stable grouping)
-            order = np.argsort(btid, kind="stable")
-            sorted_tid = btid[order]
-            starts = np.flatnonzero(
-                np.r_[True, sorted_tid[1:] != sorted_tid[:-1]])
-            reps = np.diff(np.append(starts, n))
-            ranks = np.empty(n, dtype=np.int64)
-            ranks[order] = np.arange(n, dtype=np.int64) - np.repeat(starts,
-                                                                    reps)
-            kk = issued[btid] + ranks
-            route_local = np.zeros(n, dtype=np.int64)
-            for t in multi:
-                sel = btid == t
-                cnt = int(np.count_nonzero(sel))
-                if cnt:
-                    pat = _route_pattern(setup.thread_fracs[t],
-                                         int(issued[t]) + cnt)
-                    route_local[sel] = pat[kk[sel]]
-            flow = flow_of[btid, route_local]
-        else:
-            flow = thread_flow0[btid]
+        flow = thread_flow[btid]
         issued += (np.bincount(btid, minlength=n_threads)
                    if counts is None else counts)
 
@@ -244,15 +230,14 @@ def run_vector(setup) -> "object":
     seq_next = n_out
 
     # --- uniform closed-loop fast path ------------------------------------
-    # Single-route threads, one shared station per level, one distinct
-    # (stations, service, latency) profile: FIFO departures are
-    # non-decreasing in batch order, so a whole-window epoch *provably*
-    # stays sorted in slot order — no sort, no gathers, scalar service
-    # costs, and telescoping latency sums.  Ends at the first window the
-    # simulation horizon cuts; the general loop below finishes the tail.
+    # One shared station per level, one distinct (stations, service,
+    # latency) profile: FIFO departures are non-decreasing in batch
+    # order, so a whole-window epoch *provably* stays sorted in slot
+    # order — no sort, no gathers, scalar service costs, and telescoping
+    # latency sums.  Ends at the first window the simulation horizon
+    # cuts; the general loop below finishes the tail.
     uniform_fast = (
-        not multi
-        and n_levels > 0
+        n_levels > 0
         and all(uniform_level)
         and len({(f.stations, f.service, f.latency) for f in flows}) == 1
     )

@@ -1,13 +1,14 @@
 """Compiled backend of the *scalar* DES event loop.
 
-The vectorized backend (:mod:`repro.memsim.des_fast`) wins once the
-closed-loop window is wide enough to amortize NumPy's per-batch
-overhead; below :func:`repro.memsim.des.des_threshold` requests the
-scalar heapq loop is faster — and pays ~1 µs of interpreter overhead
-per event.  This module compiles that exact event loop: station
+The vectorized backend (:mod:`repro.memsim.des_fast`) wins on
+single-route setups once the closed-loop window is wide enough to
+amortize NumPy's per-batch overhead; below
+:data:`repro.memsim.des.DES_VECTORIZE_THRESHOLD` requests, and on every
+multi-route setup, the event loop runs — and pays ~1 µs of interpreter
+overhead per event.  This module compiles that exact event loop: station
 advance, FIFO admission, smooth-WRR route selection and the
 (time, seq)-ordered completion heap, over flat int64 arrays built from
-the same :class:`repro.memsim.des._Setup` both existing backends share.
+the same :class:`repro.memsim.des._Setup` the other backends share.
 
 Bit-for-bit equality with ``_run_scalar`` holds by construction:
 

@@ -30,13 +30,13 @@ Allocation/free atomicity:
 from __future__ import annotations
 
 import struct
+import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import CrashInjected, TransactionAborted, TransactionError
 from repro.pmdk.alloc import HEADER_SIZE as _HEAP_HEADER_SIZE, PersistentHeap
 from repro.pmdk.dirty import coalesce_ranges, fast_persist_enabled
-from repro.pmdk import tx_jit
 from repro import obs
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -67,19 +67,18 @@ LOG_CHUNK = 1 << 20
 
 
 def _ctrl_crc(tail: int, state: int) -> int:
-    return tx_jit.crc32(struct.pack("<QI", tail, state))
+    return zlib.crc32(struct.pack("<QI", tail, state))
 
 
 def _entry_crc(etype: int, target: int, length: int,
                data: bytes | memoryview) -> int:
     # streaming CRC: crc32(hdr+data) == crc32(data, crc32(hdr)), so the
     # on-media entry format is byte-identical to the concatenating form
-    # while never materializing hdr+data; every tx_jit tier emits
-    # zlib-compatible bits, so on-media entries are backend-invariant
+    # while never materializing hdr+data
     if fast_persist_enabled():
-        return tx_jit.crc32(
-            data, tx_jit.crc32(struct.pack("<IQQ", etype, target, length)))
-    return tx_jit.crc32(
+        return zlib.crc32(
+            data, zlib.crc32(struct.pack("<IQQ", etype, target, length)))
+    return zlib.crc32(
         struct.pack("<IQQ", etype, target, length) + bytes(data))
 
 

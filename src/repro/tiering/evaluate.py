@@ -27,6 +27,7 @@ what lets benchmark gates compare policies without timing noise.
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -357,10 +358,11 @@ def _tier_nodes(machine: Machine, src_socket: int) -> tuple[int, int]:
     return near.node_id, far.node_id
 
 
-#: (machine id, spec, src_socket) -> (machine ref, policy, result);
-#: the machine reference pins the id() so keys cannot alias
-_SWEEP_POLICY_CACHE: dict[tuple, tuple[Machine, NumaPolicy,
-                                       TieringResult]] = {}
+#: machine -> {(spec, src_socket): (policy, result)}; weakly keyed, so a
+#: machine's memo goes with it
+_SWEEP_POLICY_CACHE: weakref.WeakKeyDictionary[
+    Machine, dict[tuple, tuple[NumaPolicy, TieringResult]]
+] = weakref.WeakKeyDictionary()
 
 
 def effective_sweep_policy(machine: Machine, spec: TieringSpec,
@@ -376,10 +378,11 @@ def effective_sweep_policy(machine: Machine, spec: TieringSpec,
     ``simulate_stream``.  Memoized per (machine, spec, socket): one
     evaluation serves a whole thread sweep.
     """
-    key = (id(machine), spec, src_socket)
-    cached = _SWEEP_POLICY_CACHE.get(key)
+    memo = _SWEEP_POLICY_CACHE.setdefault(machine, {})
+    key = (spec, src_socket)
+    cached = memo.get(key)
     if cached is not None:
-        return cached[1], cached[2]
+        return cached
     result = evaluate_policy(spec, machine=machine, src_socket=src_socket)
     near_node, far_node = _tier_nodes(machine, src_socket)
     h = result.near_access_fraction
@@ -389,6 +392,6 @@ def effective_sweep_policy(machine: Machine, spec: TieringSpec,
         policy = NumaPolicy.bind(far_node)
     else:
         policy = NumaPolicy.weighted({near_node: h, far_node: 1.0 - h})
-    _SWEEP_POLICY_CACHE[key] = (machine, policy, result)
+    memo[key] = (policy, result)
     obs.inc("tiering.sweep_policy.evaluations")
     return policy, result

@@ -22,10 +22,8 @@ Two backends produce **bit-identical** results (``backend=``):
 * ``"auto"`` (default) — the vector path once the page count reaches
   :data:`HEAT_VECTORIZE_THRESHOLD`, mirroring the DES/flit dispatch
   convention; ``$REPRO_BACKEND`` / :func:`repro.compiled.set_backend`
-  override the resolution;
-* ``"compiled"`` — reserved for a future JIT kernel (no provider ships
-  one yet); resolves to the vector path today, exactly like the DES
-  backend falls back when no compiled provider exists.
+  override the resolution, and a global ``compiled`` force resolves to
+  the vector path (there is no heat kernel).
 
 ``benchmarks/bench_tiering.py`` gates the vector path at >= 10x over
 the scalar reference at >= 64k pages.
@@ -50,7 +48,7 @@ __all__ = [
 HEAT_VECTORIZE_THRESHOLD = 64
 
 #: valid ``backend=`` values
-HEAT_BACKENDS = ("auto", "scalar", "vector", "compiled")
+HEAT_BACKENDS = ("auto", "scalar", "vector")
 
 
 class HeatTracker:
@@ -85,18 +83,14 @@ class HeatTracker:
     # ------------------------------------------------------------------
 
     def resolve_backend(self) -> str:
-        """The backend one ``record``/``end_epoch`` pair will use.
-
-        ``"compiled"`` resolves to ``"vector"`` (the compiled hook is
-        reserved — no provider ships a heat kernel yet).
-        """
+        """The backend one ``record``/``end_epoch`` pair will use."""
         backend = self.backend
         if backend == "auto":
             backend = compiled.backend_override() or "auto"
         if backend == "auto":
             backend = ("vector" if self.n_pages >= HEAT_VECTORIZE_THRESHOLD
                        else "scalar")
-        if backend == "compiled":
+        if backend == "compiled":      # forced globally; no heat kernel
             backend = "vector"
         return backend
 

@@ -2,10 +2,12 @@
 
 Two families:
 
-* end-to-end — on random small topologies, placements, policies and
-  window lengths, the vectorized backend's :class:`DesResult` (per-thread
-  rates, mean latency, station utilizations, accounting counters) equals
-  the scalar oracle's *exactly*;
+* end-to-end — on random small topologies, placements, single-route
+  (BIND) policies and window lengths, the vectorized backend's
+  :class:`DesResult` (per-thread rates, mean latency, station
+  utilizations, accounting counters) equals the scalar oracle's
+  *exactly* (multi-route policies run on the event loops; see
+  ``test_prop_compiled.py``);
 * admission algebra — the closed-form FIFO scan the vector backend uses
   (:func:`repro.memsim.des_fast.fifo_departures`) matches the sequential
   recurrence bit for bit, and batch admission of tied arrivals is stable
@@ -30,29 +32,17 @@ _NODES = {"setup1": (0, 1, 2), "setup2": (0, 1)}
 
 
 # ---------------------------------------------------------------------------
-# end-to-end: vector backend == scalar oracle
+# end-to-end: vector backend == scalar oracle (single-route)
 # ---------------------------------------------------------------------------
 
 @st.composite
 def _configs(draw):
     tb_key = draw(st.sampled_from(sorted(_MACHINES)))
-    nodes = _NODES[tb_key]
-    kind = draw(st.sampled_from(["bind", "interleave", "weighted"]))
-    if kind == "bind":
-        policy = NumaPolicy.bind(draw(st.sampled_from(nodes)))
-    else:
-        subset = draw(st.lists(st.sampled_from(nodes), min_size=2,
-                               max_size=len(nodes), unique=True))
-        if kind == "interleave":
-            policy = NumaPolicy.interleave(*subset)
-        else:
-            policy = NumaPolicy.weighted(
-                {n: draw(st.integers(1, 4)) for n in subset})
+    policy = NumaPolicy.bind(draw(st.sampled_from(_NODES[tb_key])))
     n_threads = draw(st.integers(1, 6))
     sockets = draw(st.sampled_from([[0], [1], [0, 1]]))
     kernel = draw(st.sampled_from(["copy", "scale", "add", "triad"]))
-    app_direct = (tb_key == "setup1" and kind == "bind"
-                  and draw(st.booleans()))
+    app_direct = tb_key == "setup1" and draw(st.booleans())
     sim_ns = draw(st.floats(5_000.0, 40_000.0))
     warmup_ns = sim_ns * draw(st.floats(0.0, 0.8))
     return (tb_key, policy, n_threads, sockets, kernel, app_direct,

@@ -22,9 +22,10 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro import compiled
 from repro.core.tiering import PageCache
 from repro.tiering.evaluate import TieringSpec, evaluate_policy
-from repro.tiering.heat import HeatTracker
+from repro.tiering.heat import HEAT_VECTORIZE_THRESHOLD, HeatTracker
 from repro.tiering.migrate import (
     FAR,
     NEAR,
@@ -65,16 +66,24 @@ def test_heat_scalar_vector_bit_identical(batches, decay):
 @given(batches=epoch_batches)
 @settings(max_examples=50, deadline=None)
 def test_heat_compiled_backend_falls_back_to_vector(batches):
-    vector = HeatTracker(97, backend="vector")
-    reserved = HeatTracker(97, backend="compiled")
-    assert reserved.resolve_backend() == "vector"
-    for batch in batches:
-        arr = np.asarray(batch, dtype=np.int64)
-        vector.record(arr)
-        reserved.record(arr)
-        vector.end_epoch()
-        reserved.end_epoch()
-    assert vector.heat.tobytes() == reserved.heat.tobytes()
+    """A global ``compiled`` force (``REPRO_BACKEND=compiled``) finds no
+    heat kernel and runs the vector fold, even below the size at which
+    ``auto`` would pick the scalar loop."""
+    n_pages = HEAT_VECTORIZE_THRESHOLD - 1
+    vector = HeatTracker(n_pages, backend="vector")
+    forced = HeatTracker(n_pages)
+    prev = compiled.set_backend("compiled")
+    try:
+        assert forced.resolve_backend() == "vector"
+        for batch in batches:
+            arr = np.asarray(batch, dtype=np.int64) % n_pages
+            vector.record(arr)
+            forced.record(arr)
+            vector.end_epoch()
+            forced.end_epoch()
+    finally:
+        compiled.set_backend(prev)
+    assert vector.heat.tobytes() == forced.heat.tobytes()
 
 
 # ---------------------------------------------------------------------------

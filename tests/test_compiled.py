@@ -13,19 +13,13 @@ from repro.machine.affinity import place_threads
 from repro.machine.numa import NumaPolicy
 from repro.machine.presets import setup1
 from repro.memsim import des_jit
-from repro.memsim.des import (
-    DES_THRESHOLD_ENV,
-    DES_VECTORIZE_THRESHOLD,
-    des_threshold,
-    simulate_stream_des,
-)
+from repro.memsim.des import simulate_stream_des
 
 
 @pytest.fixture(autouse=True)
 def _clean_override(monkeypatch):
     """Each test starts from automatic dispatch with a pristine env."""
     monkeypatch.delenv(compiled.BACKEND_ENV, raising=False)
-    monkeypatch.delenv(DES_THRESHOLD_ENV, raising=False)
     compiled.refresh()
     yield
     compiled.refresh()
@@ -38,37 +32,45 @@ def _small_des(**kwargs):
                                **kwargs)
 
 
-class TestThresholdEnv:
-    def test_default_matches_constant(self):
-        assert des_threshold() == DES_VECTORIZE_THRESHOLD
+#: the perf ledger's des cases: triad on setup #1's socket 0
+LEDGER_THREADS = (1, 2, 4, 8, 10)
+LEDGER_POLICIES = {"bind0": NumaPolicy.bind(0), "bind2": NumaPolicy.bind(2),
+                   "interleave02": NumaPolicy.interleave(0, 2)}
 
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv(DES_THRESHOLD_ENV, "7")
-        assert des_threshold() == 7
 
-    @pytest.mark.parametrize("bad", ["zero", "", "1.5", "-3", "0"])
-    def test_invalid_values_rejected(self, monkeypatch, bad):
-        monkeypatch.setenv(DES_THRESHOLD_ENV, bad)
-        with pytest.raises(SimulationError):
-            des_threshold()
+def _des(threads, policy, **kwargs):
+    m = setup1().machine
+    cores = place_threads(m, threads, sockets=[0])
+    return simulate_stream_des(m, "triad", cores, policy, sim_ns=5_000.0,
+                               warmup_ns=1_000.0, **kwargs)
 
-    def test_dispatch_honors_threshold(self, monkeypatch):
-        """Two threads sit far below the default threshold (auto never
-        vectorizes); dropping the threshold to 1 must flip the same
-        workload to the vector backend."""
-        _small_des()
-        assert compiled.selected()["des"] in ("scalar", "compiled")
-        monkeypatch.setenv(DES_THRESHOLD_ENV, "1")
-        _small_des()
-        assert compiled.selected()["des"] == "vector"
 
-    def test_dispatch_restores_after_env_removed(self, monkeypatch):
-        monkeypatch.setenv(DES_THRESHOLD_ENV, "1")
-        _small_des()
-        assert compiled.selected()["des"] == "vector"
-        monkeypatch.delenv(DES_THRESHOLD_ENV)
-        _small_des()
-        assert compiled.selected()["des"] in ("scalar", "compiled")
+class TestAutoDispatch:
+    @pytest.mark.parametrize("threads", LEDGER_THREADS)
+    @pytest.mark.parametrize("policy", sorted(LEDGER_POLICIES))
+    def test_ledger_cases(self, policy, threads):
+        """Each thread primes 26 requests: bind at 4+ threads reaches the
+        vectorization threshold; 1-2 threads and every interleaved case
+        run the event loop."""
+        _des(threads, LEDGER_POLICIES[policy])
+        event_loop = "compiled" if des_jit.available() else "scalar"
+        vector = threads >= 4 and policy != "interleave02"
+        assert compiled.selected()["des"] == (
+            "vector" if vector else event_loop)
+
+
+class TestVectorRejectsMultiRoute:
+    @pytest.mark.parametrize("policy", [
+        NumaPolicy.interleave(0, 2), NumaPolicy.weighted({0: 3, 2: 1})])
+    def test_as_argument(self, policy):
+        with pytest.raises(SimulationError, match="'compiled' or 'scalar'"):
+            _des(4, policy, des_backend="vector")
+
+    def test_under_backend_env(self, monkeypatch):
+        monkeypatch.setenv(compiled.BACKEND_ENV, "vector")
+        compiled.refresh()
+        with pytest.raises(SimulationError, match="'compiled' or 'scalar'"):
+            _des(4, NumaPolicy.interleave(0, 2))
 
 
 class TestBackendForcing:
@@ -134,7 +136,7 @@ class TestTierReporting:
 
     def test_warmup_reports_every_family(self):
         providers = compiled.warmup()
-        assert set(providers) == {"des", "flit", "tx"}
+        assert set(providers) == {"des", "flit"}
         for provider in providers.values():
             assert provider in (None, "numba", "cc")
 

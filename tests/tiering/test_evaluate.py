@@ -1,6 +1,8 @@
 """Unit tests for the trace-driven evaluation harness and its bridge
 into the streamer sweep (policy as a sweepable axis)."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +10,11 @@ import pytest
 
 from repro.errors import TieringError
 from repro.machine.numa import PolicyKind
+from repro.machine.presets import setup1
 from repro.stream.config import StreamConfig
 from repro.streamer.configs import TIERING_GROUP_ID, tiering_group
 from repro.streamer.runner import StreamerRunner
+from repro.tiering import evaluate
 from repro.tiering.evaluate import (
     DEFAULT_FAR_NS,
     DEFAULT_NEAR_NS,
@@ -158,6 +162,19 @@ class TestEffectiveSweepPolicy:
         assert r1 is r2
         p3, _ = effective_sweep_policy(tb1.machine, replace(SMALL, seed=9))
         assert p3 is not p1
+
+    def test_memo_is_dropped_with_its_machine(self):
+        gc.collect()
+        before = len(evaluate._SWEEP_POLICY_CACHE)
+        refs = []
+        for _ in range(50):
+            machine = setup1().machine
+            effective_sweep_policy(machine, SMALL)
+            refs.append(weakref.ref(machine))
+        del machine
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert len(evaluate._SWEEP_POLICY_CACHE) == before
 
     def test_split_mirrors_near_fraction(self, tb1):
         policy, result = effective_sweep_policy(

@@ -23,11 +23,12 @@ class TestConstruction:
             HeatTracker(16, decay=decay)
 
     def test_rejects_unknown_backend(self):
-        with pytest.raises(TieringError, match="unknown heat backend"):
-            HeatTracker(16, backend="gpu")
+        for backend in ("gpu", "compiled"):
+            with pytest.raises(TieringError, match="unknown heat backend"):
+                HeatTracker(16, backend=backend)
 
     def test_backend_registry_is_closed(self):
-        assert HEAT_BACKENDS == ("auto", "scalar", "vector", "compiled")
+        assert HEAT_BACKENDS == ("auto", "scalar", "vector")
 
 
 class TestDispatch:
@@ -44,8 +45,9 @@ class TestDispatch:
         assert HeatTracker(10_000,
                            backend="scalar").resolve_backend() == "scalar"
 
-    def test_compiled_reserved_resolves_to_vector(self):
-        assert HeatTracker(4, backend="compiled").resolve_backend() == "vector"
+    def test_global_compiled_override_resolves_to_vector(self, monkeypatch):
+        monkeypatch.setattr(compiled, "backend_override", lambda: "compiled")
+        assert HeatTracker(4).resolve_backend() == "vector"
 
     def test_auto_honours_global_backend_override(self, monkeypatch):
         monkeypatch.setattr(compiled, "backend_override", lambda: "scalar")
@@ -119,5 +121,5 @@ class TestQueries:
         assert t.hottest(100).size == 4
 
     def test_describe_names_the_resolved_backend(self):
-        t = HeatTracker(4, backend="compiled")
-        assert "backend vector" in t.describe()
+        t = HeatTracker(4)
+        assert "backend scalar" in t.describe()
