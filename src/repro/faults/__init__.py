@@ -1,13 +1,17 @@
 """The fault-injection plane: one process-wide plan, cheap layer hooks.
 
-Mirrors :mod:`repro.obs`: instrumented layers call the module-level
-hooks below at their batch boundaries — :func:`on_cxl_op` before a host
-port touches the device, :func:`on_persist` at the top of every
+Mirrors :mod:`repro.obs`: instrumented layers call one module-level
+hook per *site* at their batch boundaries — :func:`on_cxl_op` before a
+host port touches the device, :func:`on_persist` at the top of every
 :meth:`~repro.pmdk.pmem.PmemRegion.persist`, :func:`on_sweep_task`
-before the runner executes one series sweep — and each hook is a **true
-no-op while no plan is installed**: one module-global ``None`` check,
-then return.  ``benchmarks/bench_fault_recovery.py`` gates that
-fault-free cost at <= 2% against a :class:`bypassed` baseline.
+before the runner executes one series sweep, :func:`on_serve_request`
+at the sweep service's admission, :func:`on_migration` mid-copy of a
+tiering page move, :func:`on_fabric_step` and :func:`on_decode_step` at
+fabric and KV-cache round boundaries.  Each hook is a **true no-op
+while no plan is installed** (one module-global ``None`` check) and
+returns after one set probe when the plan targets no spec at its site.
+``benchmarks/bench_fault_recovery.py`` gates that fault-free cost at
+<= 2% against a :class:`bypassed` baseline.
 
 Typical use (the streamer CLI does this for ``--faults plan.json``)::
 
@@ -26,7 +30,9 @@ Power-loss specs need their target registered first::
 
 Injection is deterministic: triggers match seeded RNG draws and
 per-scope operation counters kept on the plan, so the same plan over
-the same workload fires at the same points every run.
+the same workload fires at the same points every run.  Every injection
+bumps ``faults.injected.<kind>`` and records a ``fault.<kind>`` trace
+instant.
 """
 
 from __future__ import annotations
@@ -36,13 +42,14 @@ import contextlib
 from repro import obs
 from repro.errors import (
     BenchmarkError,
+    CrashInjected,
     CxlDeviceTimeoutError,
     CxlLinkDownError,
     FaultPlanError,
+    MigrationAbortError,
     PowerLossInjected,
+    ServiceOverloadError,
 )
-from repro.errors import ServiceOverloadError
-from repro.errors import MigrationAbortError
 from repro.faults.plan import (
     KNOWN_FAULT_KINDS,
     DeviceTimeoutSpec,
@@ -65,8 +72,8 @@ __all__ = [
     "ServeShedSpec", "MigrationAbortSpec", "HostDetachSpec",
     "WorkerKillSpec", "KNOWN_FAULT_KINDS",
     "SweepFaultInjected",
-    "install", "clear", "active", "enabled", "use_plan", "load_plan",
-    "export_active", "bind_domain", "domains", "unbind_domains",
+    "install", "clear", "active", "enabled", "use_plan", "export_active",
+    "bind_domain", "unbind_domains",
     "on_cxl_op", "on_persist", "on_sweep_task", "on_serve_request",
     "on_migration", "on_fabric_step", "on_decode_step", "bypassed",
 ]
@@ -120,21 +127,16 @@ def enabled() -> bool:
 
 @contextlib.contextmanager
 def use_plan(plan: FaultPlan):
-    """Scoped :func:`install` / :func:`clear` (restores the prior plan)."""
+    """Scoped :func:`install`.  On exit the prior plan (or none) is back
+    exactly as it was — not rewound, so its one-shot specs that already
+    fired stay spent and its counters carry on."""
+    global _plan
     prev = _plan
     install(plan)
     try:
         yield plan
     finally:
-        if prev is None:
-            clear()
-        else:
-            install(prev)
-
-
-def load_plan(path: str) -> FaultPlan:
-    """Load (but do not install) a JSON plan file."""
-    return FaultPlan.load(path)
+        _plan = prev
 
 
 def export_active() -> str | None:
@@ -149,10 +151,6 @@ def bind_domain(domain) -> None:
     _domains[domain.name] = domain
 
 
-def domains() -> dict[str, object]:
-    return dict(_domains)
-
-
 def unbind_domains() -> None:
     """Drop every domain binding (test isolation / teardown)."""
     _domains.clear()
@@ -161,6 +159,15 @@ def unbind_domains() -> None:
 # ---------------------------------------------------------------------------
 # layer hooks — the only API instrumented code calls
 # ---------------------------------------------------------------------------
+
+def _fired(spec: FaultSpec, **meta) -> None:
+    """Account one injection by ``spec`` — the only code that bumps its
+    ``fires``, counts ``faults.injected.<kind>`` and records the
+    ``fault.<kind>`` trace instant (carrying ``meta``)."""
+    spec.fires += 1
+    obs.inc(f"faults.injected.{spec.kind}")
+    obs.instant(f"fault.{spec.kind}", meta=meta)
+
 
 def on_cxl_op(op: str, device: str, link: str, dpa: int, nlines: int,
               inject_poison=None) -> None:
@@ -178,33 +185,27 @@ def on_cxl_op(op: str, device: str, link: str, dpa: int, nlines: int,
         CxlLinkDownError: the op landed in a link-retrain window.
     """
     plan = _plan
-    if plan is None:
+    if plan is None or "cxl_op" not in plan.sites:
         return
-    dev_op = plan.next_cxl_op(f"dev:{device}")
-    link_op = plan.next_cxl_op(f"link:{link}")
+    dev_op = plan.tick(f"dev:{device}")
+    link_op = plan.tick(f"link:{link}")
     for spec in plan.specs("poison"):
         if spec.device == device and dev_op == spec.at_op:
-            spec._fire()
+            _fired(spec, device=device, dpa=spec.dpa, lines=spec.lines)
             if inject_poison is not None:
                 for i in range(spec.lines):
                     inject_poison(spec.dpa + i * 64)
-            obs.inc("faults.injected.poison")
-            obs.instant("fault.poison",
-                        meta={"device": device, "dpa": spec.dpa,
-                              "lines": spec.lines})
     for spec in plan.specs("link_flap"):
         if (spec.link == link
                 and spec.at_op <= link_op < spec.at_op + spec.retrain_ops):
-            spec._fire()
-            obs.inc("faults.injected.link_flap")
+            _fired(spec, link=link, op=link_op)
             raise CxlLinkDownError(
                 f"link {link} retraining (op {link_op} in flap window "
                 f"[{spec.at_op}, {spec.at_op + spec.retrain_ops}))"
             )
     for spec in plan.specs("device_timeout"):
         if spec.device == device and plan.rng.random() < spec.p:
-            spec._fire()
-            obs.inc("faults.injected.device_timeout")
+            _fired(spec, device=device, op=dev_op)
             raise CxlDeviceTimeoutError(
                 f"device {device} timed out on {op} of {nlines} line(s) "
                 f"at DPA {dpa:#x} (op {dev_op})"
@@ -221,13 +222,12 @@ def on_persist(region) -> None:
             region has already dropped its store buffer).
     """
     plan = _plan
-    if plan is None:
+    if plan is None or "persist" not in plan.sites:
         return
-    n = plan.next_persist_op()
+    n = plan.tick("persist")
     for spec in plan.specs("power_loss"):
         if n == spec.at_persist:
-            spec._fire()
-            obs.inc("faults.injected.power_loss")
+            _fired(spec, domain=spec.domain, persist=n)
             domain = _domains.get(spec.domain)
             if domain is None:
                 raise FaultPlanError(
@@ -247,12 +247,10 @@ def on_persist(region) -> None:
             raise err
     for spec in plan.specs("tx_crash"):
         if n == spec.at_persist:
-            spec._fire()
-            obs.inc("faults.injected.tx_crash")
+            _fired(spec, persist=n)
             crash = getattr(region, "crash", None)
             if crash is not None:
                 crash(spec.survivor_prob, plan.rng)
-            from repro.errors import CrashInjected
             raise CrashInjected(
                 f"injected tx crash at persist #{n} "
                 f"(survivor_prob={spec.survivor_prob})"
@@ -267,14 +265,12 @@ def on_sweep_task(series: str, kernel: str, attempt: int) -> None:
             (``deterministic`` set when the spec fails *every* attempt).
     """
     plan = _plan
-    if plan is None:
+    if plan is None or "sweep_task" not in plan.sites:
         return
     for spec in plan.specs("sweep_fail"):
-        if not spec.matches(series, kernel):
-            continue
-        if spec.attempts is None or attempt < spec.attempts:
-            spec._fire()
-            obs.inc("faults.injected.sweep_fail")
+        if spec.matches(series, kernel) and (
+                spec.attempts is None or attempt < spec.attempts):
+            _fired(spec, series=series, kernel=kernel, attempt=attempt)
             raise SweepFaultInjected(
                 f"injected sweep failure for {series}/{kernel} "
                 f"(attempt {attempt})",
@@ -294,16 +290,12 @@ def on_migration(page: int, direction: str) -> None:
             move — the engine leaves the page fully in its source tier.
     """
     plan = _plan
-    if plan is None:
+    if plan is None or "migration" not in plan.sites:
         return
-    n = plan.next_migration_op()
+    n = plan.tick("migration")
     for spec in plan.specs("migration_abort"):
         if n == spec.at_move and spec.matches(direction):
-            spec._fire()
-            obs.inc("faults.injected.migration_abort")
-            obs.instant("fault.migration_abort",
-                        meta={"page": page, "direction": direction,
-                              "move": n})
+            _fired(spec, page=page, direction=direction, move=n)
             raise MigrationAbortError(
                 f"injected migration abort: {direction} of page {page} "
                 f"killed mid-copy (move #{n})",
@@ -323,15 +315,12 @@ def on_fabric_step(detach=None) -> None:
             still fires (and counts) without it.
     """
     plan = _plan
-    if plan is None:
+    if plan is None or "fabric_step" not in plan.sites:
         return
-    n = plan.next_fabric_step()
+    n = plan.tick("fabric_step")
     for spec in plan.specs("host_detach"):
         if n == spec.at_step:
-            spec._fire()
-            obs.inc("faults.injected.host_detach")
-            obs.instant("fault.host_detach",
-                        meta={"host": spec.host, "step": n})
+            _fired(spec, host=spec.host, step=n)
             if detach is not None:
                 detach(spec.host)
 
@@ -349,15 +338,12 @@ def on_decode_step(kill=None) -> None:
             fires (and counts) without it.
     """
     plan = _plan
-    if plan is None:
+    if plan is None or "decode_step" not in plan.sites:
         return
-    n = plan.next_decode_step()
+    n = plan.tick("decode_step")
     for spec in plan.specs("worker_kill"):
         if n == spec.at_step:
-            spec._fire()
-            obs.inc("faults.injected.worker_kill")
-            obs.instant("fault.worker_kill",
-                        meta={"worker": spec.worker, "step": n})
+            _fired(spec, worker=spec.worker, step=n)
             if kill is not None:
                 kill(spec.worker)
 
@@ -371,12 +357,11 @@ def on_serve_request(tenant: str) -> None:
             queue were full (chaos-testing client backoff paths).
     """
     plan = _plan
-    if plan is None:
+    if plan is None or "serve_request" not in plan.sites:
         return
     for spec in plan.specs("serve_shed"):
         if spec.matches(tenant):
-            spec._fire()
-            obs.inc("faults.injected.serve_shed")
+            _fired(spec, tenant=tenant)
             raise ServiceOverloadError(
                 f"injected load shed for tenant {tenant!r}")
 

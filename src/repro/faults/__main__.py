@@ -111,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
     if len(argv) != 1 or argv[0] in ("-h", "--help"):
         print(__doc__)
         return 2
-    plan = faults.load_plan(argv[0])
+    plan = faults.FaultPlan.load(argv[0])
     print(plan.describe())
     print()
 

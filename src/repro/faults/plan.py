@@ -1,13 +1,19 @@
 """Fault plans: declarative, seedable fault schedules.
 
 A :class:`FaultPlan` is a list of scoped injector specs plus one RNG
-seed.  Each spec targets one layer's batch boundary — the CXL datapath
-(:class:`PoisonSpec`, :class:`LinkFlapSpec`, :class:`DeviceTimeoutSpec`),
-the pmdk persist path (:class:`TxCrashSpec`, :class:`PowerLossSpec`) or
-the sweep runner (:class:`SweepFailSpec`) — and fires when its trigger
-matches the layer's deterministic operation counter.  The same plan over
-the same workload therefore injects the same faults at the same points,
-every run, which is what makes chaos sweeps reproducible.
+seed.  Each spec kind belongs to one *site*, the layer hook in
+:mod:`repro.faults` that consults it: the CXL datapath (``cxl_op``:
+:class:`PoisonSpec`, :class:`LinkFlapSpec`, :class:`DeviceTimeoutSpec`),
+the pmdk persist path (``persist``: :class:`PowerLossSpec`,
+:class:`TxCrashSpec`), the sweep runner (``sweep_task``:
+:class:`SweepFailSpec`), the sweep service's admission (``serve_request``:
+:class:`ServeShedSpec`), tiering page moves (``migration``:
+:class:`MigrationAbortSpec`), fabric workload steps (``fabric_step``:
+:class:`HostDetachSpec`) and KV-cache decode rounds (``decode_step``:
+:class:`WorkerKillSpec`).  A spec fires when its trigger matches the
+site's deterministic operation counter or the plan's seeded RNG, so the
+same plan over the same workload injects the same faults at the same
+points, every run, which is what makes chaos sweeps reproducible.
 
 Plans round-trip through JSON (``examples/faultplans/`` ships runnable
 ones)::
@@ -34,28 +40,61 @@ __all__ = [
 ]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_COUNT = ("a 1-based integer (>= 1)", lambda v: _is_int(v) and v >= 1)
+_INDEX = ("an integer >= 0", lambda v: _is_int(v) and v >= 0)
+_PROB = ("a number in [0, 1]",
+         lambda v: (_is_int(v) or isinstance(v, float)) and 0 <= v <= 1)
+
+#: The shared spec validator: field name -> (requirement, test).  Every
+#: value a hook compares, counts with or indexes by is checked here, so a
+#: plan that parses cannot fail or silently never fire inside a hook.
+_FIELD_RULES = {
+    **dict.fromkeys(("at_op", "at_persist", "at_move", "at_step", "lines",
+                     "retrain_ops", "attempts", "max_fires"), _COUNT),
+    **dict.fromkeys(("dpa", "host", "worker"), _INDEX),
+    **dict.fromkeys(("p", "survivor_prob"), _PROB),
+    "direction": ("'promote', 'demote' or null",
+                  lambda v: v in ("promote", "demote")),
+}
+
+
 @dataclass
 class FaultSpec:
     """Base injector spec: shared bookkeeping for all fault kinds.
 
     ``fires`` counts how many times this spec has injected (mutable run
     state, excluded from equality-relevant plan content); ``max_fires``
-    caps it (``None`` = unlimited).
+    caps it (``None`` = unlimited, which one-shot kinds default to 1).
+    ``site`` names the :mod:`repro.faults` hook that consults the kind.
     """
 
     kind = "abstract"
+    site = "abstract"
+    one_shot = False
 
     max_fires: int | None = None
     fires: int = field(default=0, compare=False)
 
+    def __post_init__(self) -> None:
+        if self.max_fires is None and self.one_shot:
+            self.max_fires = 1
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # a field annotated ``X | None`` takes null for "no limit/any"
+            if f.name not in _FIELD_RULES or (
+                    value is None and f.type.endswith("| None")):
+                continue
+            need, ok = _FIELD_RULES[f.name]
+            if not ok(value):
+                raise FaultPlanError(
+                    f"{self.kind} {f.name} must be {need}, got {value!r}")
+
     def _spent(self) -> bool:
         return self.max_fires is not None and self.fires >= self.max_fires
-
-    def _fire(self) -> None:
-        self.fires += 1
-
-    def reset(self) -> None:
-        self.fires = 0
 
 
 @dataclass
@@ -65,17 +104,12 @@ class PoisonSpec(FaultSpec):
     host-port reads/writes reaching that device)."""
 
     kind = "poison"
+    site = "cxl_op"
 
     device: str = ""
     dpa: int = 0
     lines: int = 1
     at_op: int = 1
-
-    def __post_init__(self) -> None:
-        if self.at_op < 1:
-            raise FaultPlanError("poison at_op is 1-based")
-        if self.lines < 1:
-            raise FaultPlanError("poison needs at least one line")
 
 
 @dataclass
@@ -86,16 +120,11 @@ class LinkFlapSpec(FaultSpec):
     (transient — the port's retry policy rides them out)."""
 
     kind = "link_flap"
+    site = "cxl_op"
 
     link: str = ""
     at_op: int = 1
     retrain_ops: int = 1
-
-    def __post_init__(self) -> None:
-        if self.at_op < 1:
-            raise FaultPlanError("link_flap at_op is 1-based")
-        if self.retrain_ops < 1:
-            raise FaultPlanError("retrain window must cover >= 1 op")
 
 
 @dataclass
@@ -106,13 +135,10 @@ class DeviceTimeoutSpec(FaultSpec):
     (transient)."""
 
     kind = "device_timeout"
+    site = "cxl_op"
 
     device: str = ""
     p: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise FaultPlanError("timeout probability must be in [0, 1]")
 
 
 @dataclass
@@ -123,15 +149,11 @@ class PowerLossSpec(FaultSpec):
     :class:`~repro.errors.PowerLossInjected`."""
 
     kind = "power_loss"
+    site = "persist"
+    one_shot = True
 
     domain: str = ""
     at_persist: int = 1
-
-    def __post_init__(self) -> None:
-        if self.at_persist < 1:
-            raise FaultPlanError("power_loss at_persist is 1-based")
-        if self.max_fires is None:
-            self.max_fires = 1          # power loss is one-shot by nature
 
 
 @dataclass
@@ -143,17 +165,11 @@ class TxCrashSpec(FaultSpec):
     :class:`~repro.errors.CrashInjected` so recovery runs at reopen."""
 
     kind = "tx_crash"
+    site = "persist"
+    one_shot = True
 
     at_persist: int = 1
     survivor_prob: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.at_persist < 1:
-            raise FaultPlanError("tx_crash at_persist is 1-based")
-        if not 0.0 <= self.survivor_prob <= 1.0:
-            raise FaultPlanError("survivor_prob must be in [0, 1]")
-        if self.max_fires is None:
-            self.max_fires = 1
 
 
 @dataclass
@@ -163,14 +179,11 @@ class SweepFailSpec(FaultSpec):
     deterministic failer the runner must quarantine."""
 
     kind = "sweep_fail"
+    site = "sweep_task"
 
     series: str = ""
     kernel: str | None = None
     attempts: int | None = 1
-
-    def __post_init__(self) -> None:
-        if self.attempts is not None and self.attempts < 1:
-            raise FaultPlanError("sweep_fail attempts must be >= 1 or None")
 
     def matches(self, series: str, kernel: str) -> bool:
         return (series == self.series
@@ -189,6 +202,7 @@ class ServeShedSpec(FaultSpec):
     """
 
     kind = "serve_shed"
+    site = "serve_request"
 
     tenant: str | None = None
 
@@ -210,17 +224,10 @@ class MigrationAbortSpec(FaultSpec):
     """
 
     kind = "migration_abort"
+    site = "migration"
 
     at_move: int = 1
     direction: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.at_move < 1:
-            raise FaultPlanError("migration_abort at_move is 1-based")
-        if self.direction not in (None, "promote", "demote"):
-            raise FaultPlanError(
-                "migration_abort direction must be 'promote', 'demote' "
-                "or null")
 
     def matches(self, direction: str) -> bool:
         return self.direction is None or direction == self.direction
@@ -240,17 +247,11 @@ class HostDetachSpec(FaultSpec):
     """
 
     kind = "host_detach"
+    site = "fabric_step"
+    one_shot = True
 
     host: int = 0
     at_step: int = 1
-
-    def __post_init__(self) -> None:
-        if self.host < 0:
-            raise FaultPlanError("host_detach host must be >= 0")
-        if self.at_step < 1:
-            raise FaultPlanError("host_detach at_step is 1-based")
-        if self.max_fires is None:
-            self.max_fires = 1          # a detach is one-shot by nature
 
 
 @dataclass
@@ -268,17 +269,11 @@ class WorkerKillSpec(FaultSpec):
     """
 
     kind = "worker_kill"
+    site = "decode_step"
+    one_shot = True
 
     worker: int = 0
     at_step: int = 1
-
-    def __post_init__(self) -> None:
-        if self.worker < 0:
-            raise FaultPlanError("worker_kill worker must be >= 0")
-        if self.at_step < 1:
-            raise FaultPlanError("worker_kill at_step is 1-based")
-        if self.max_fires is None:
-            self.max_fires = 1          # a process death is one-shot
 
 
 _SPEC_KINDS: dict[str, type[FaultSpec]] = {
@@ -310,40 +305,29 @@ class FaultPlan:
     # -- run state ------------------------------------------------------
 
     def reset(self) -> None:
-        """Rewind counters and the RNG stream to the start of the plan."""
+        """Rewind counters, fire counts and the RNG stream to the start of
+        the plan, and bucket its specs by kind and site."""
         self.rng = random.Random(self.seed)
-        self.cxl_ops: dict[str, int] = {}       # scope key -> op count
-        self.persist_ops = 0
-        self.migration_ops = 0
-        self.fabric_steps = 0
-        self.decode_steps = 0
+        self.counts: dict[str, int] = {}        # scope -> 1-based op count
+        self._by_kind: dict[str, list[FaultSpec]] = {}
         for spec in self.faults:
-            spec.reset()
+            spec.fires = 0
+            self._by_kind.setdefault(spec.kind, []).append(spec)
+        #: the hook sites this plan targets; every other hook returns
+        #: after one probe of this set
+        self.sites = frozenset(spec.site for spec in self.faults)
 
-    def specs(self, kind: str) -> list[FaultSpec]:
-        return [s for s in self.faults if s.kind == kind and not s._spent()]
-
-    def next_cxl_op(self, scope: str) -> int:
-        """Advance and return the 1-based op counter for ``scope``."""
-        n = self.cxl_ops.get(scope, 0) + 1
-        self.cxl_ops[scope] = n
+    def tick(self, scope: str) -> int:
+        """Advance and return the 1-based operation counter for ``scope``
+        (``dev:<device>``, ``link:<link>``, ``persist``, ``migration``,
+        ``fabric_step`` or ``decode_step``)."""
+        n = self.counts.get(scope, 0) + 1
+        self.counts[scope] = n
         return n
 
-    def next_persist_op(self) -> int:
-        self.persist_ops += 1
-        return self.persist_ops
-
-    def next_migration_op(self) -> int:
-        self.migration_ops += 1
-        return self.migration_ops
-
-    def next_fabric_step(self) -> int:
-        self.fabric_steps += 1
-        return self.fabric_steps
-
-    def next_decode_step(self) -> int:
-        self.decode_steps += 1
-        return self.decode_steps
+    def specs(self, kind: str) -> list[FaultSpec]:
+        """The plan's ``kind`` specs that may still fire, in plan order."""
+        return [s for s in self._by_kind.get(kind, ()) if not s._spent()]
 
     # -- JSON round trip ------------------------------------------------
 
@@ -382,11 +366,7 @@ class FaultPlan:
                 raise FaultPlanError(
                     f"fault #{i} ({kind}): unknown fields {sorted(unknown)}"
                 )
-            try:
-                specs.append(spec_cls(**kwargs))
-            except TypeError as exc:
-                raise FaultPlanError(
-                    f"fault #{i} ({kind}): {exc}") from exc
+            specs.append(spec_cls(**kwargs))
         try:
             seed = int(doc.get("seed", 0))
         except (TypeError, ValueError) as exc:

@@ -253,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
         obs.reset()     # one CLI invocation = one snapshot/trace
         obs.enable(metrics=want_metrics, trace=want_trace)
     if args.faults:
-        plan = faults.load_plan(args.faults)
+        plan = faults.FaultPlan.load(args.faults)
         faults.install(plan)
         print(f"fault plan installed: {plan.describe()}", file=sys.stderr)
     prev_backend = (compiled.set_backend(args.backend)
@@ -295,9 +295,11 @@ def _dispatch(args) -> int:
                         else [args.tiering_policy])
             group = tiering_group(policies, trace=args.tiering_trace)
             runner.groups[group.group_id] = group
-            results = runner.run_group(group)
+            results = runner.run_group(
+                group, max_retries=args.max_retries)
         elif args.group:
-            results = runner.run_group(args.group)
+            results = runner.run_group(
+                args.group, max_retries=args.max_retries)
         elif args.figure:
             results = runner.run_figure(args.figure, parallel=parallel,
                                         max_retries=args.max_retries,

@@ -80,6 +80,11 @@ def _series_records(group: TestGroup, series: TestSeries, kernel: str,
     ]
 
 
+def _check_max_retries(max_retries: int) -> None:
+    if max_retries < 0:
+        raise BenchmarkError(f"max_retries must be >= 0, got {max_retries}")
+
+
 class StreamerRunner:
     """Runs the paper's evaluation matrix on the modelled testbeds.
 
@@ -196,41 +201,35 @@ class StreamerRunner:
 
     def run_group(self, group: TestGroup | str,
                   kernels: Iterable[str] = _KERNELS_DEFAULT,
-                  ) -> ResultSet:
-        """Run one test group for the given kernels."""
+                  max_retries: int = 2) -> ResultSet:
+        """Run one test group for the given kernels, serially, with the
+        same retries and quarantine as :meth:`run_all`."""
         group = self._resolve_group(group)
+        _check_max_retries(max_retries)
         out = ResultSet()
+        quarantine: dict[str, str] = {}
         with obs.span("sweep.run_group", meta={"group": group.group_id}):
-            for kernel in kernels:
-                for series in group.series:
-                    tb = self._testbed(series.testbed)
-                    start = obs.clock()
-                    with obs.span("sweep.series",
-                                  meta={"series": series.key,
-                                        "kernel": kernel}):
-                        results = simulate_sweep(
-                            tb.machine, kernel, series.spec,
-                            group.thread_counts, self.config)
-                    obs.observe_since("sweep.series_wall_s", start)
-                    obs.inc("sweep.series_runs")
-                    out.extend(
-                        _series_records(group, series, kernel, results))
+            for _, series, kernel in self._tasks(kernels, group):
+                self._run_task_healed(group, series, kernel, max_retries,
+                                      out, quarantine)
         return out
 
     # ------------------------------------------------------------------
     # full-matrix execution
     # ------------------------------------------------------------------
 
-    def _tasks(self, kernels: Sequence[str]
+    def _tasks(self, kernels: Sequence[str], group: TestGroup | None = None
                ) -> list[tuple[TestGroup, TestSeries, str]]:
-        """Every (group, series, kernel) sweep, in serial record order."""
+        """Every (group, series, kernel) sweep of ``group`` (default: of
+        every group), in serial record order."""
+        groups = ([group] if group is not None
+                  else [self.groups[gid] for gid in sorted(self.groups)])
         tasks: list[tuple[TestGroup, TestSeries, str]] = []
-        for gid in sorted(self.groups):
-            group = self.groups[gid]
+        for g in groups:
             for kernel in kernels:
-                for series in group.series:
+                for series in g.series:
                     self._testbed(series.testbed)   # fail like the serial path
-                    tasks.append((group, series, kernel))
+                    tasks.append((g, series, kernel))
         return tasks
 
     @staticmethod
@@ -341,9 +340,7 @@ class StreamerRunner:
                 (``None`` waits forever).
         """
         kernels = tuple(kernels)
-        if max_retries < 0:
-            raise BenchmarkError(
-                f"max_retries must be >= 0, got {max_retries}")
+        _check_max_retries(max_retries)
         cache_key = None
         if self.cache_dir is not None and use_cache:
             cache_key = self.sweep_cache_key(kernels)

@@ -1,9 +1,15 @@
 """Fault plans: validation, JSON round trip, deterministic run state."""
 
+from pathlib import Path
+
 import pytest
 
 from repro import faults
-from repro.errors import FaultPlanError, UnknownFaultKindError
+from repro.errors import (
+    CxlDeviceTimeoutError,
+    FaultPlanError,
+    UnknownFaultKindError,
+)
 from repro.faults.plan import (
     KNOWN_FAULT_KINDS,
     DeviceTimeoutSpec,
@@ -16,6 +22,10 @@ from repro.faults.plan import (
     TxCrashSpec,
     WorkerKillSpec,
 )
+
+SHIPPED_PLANS = sorted(
+    (Path(__file__).resolve().parents[2] / "examples" / "faultplans")
+    .glob("*.json"))
 
 
 class TestSpecValidation:
@@ -56,6 +66,19 @@ class TestSpecValidation:
         with pytest.raises(FaultPlanError):
             WorkerKillSpec(worker=0, at_step=0)
 
+    @pytest.mark.parametrize("raw", [
+        {"kind": "device_timeout", "device": "d", "max_fires": "1"},
+        {"kind": "poison", "device": "d", "lines": 2.5},
+        {"kind": "poison", "device": "d", "at_op": 1.5},
+        {"kind": "device_timeout", "device": "d", "max_fires": 0},
+        {"kind": "device_timeout", "device": "d", "max_fires": -2},
+        {"kind": "poison", "device": "d", "dpa": -64},
+    ], ids=["max_fires-str", "lines-float", "at_op-float", "max_fires-0",
+            "max_fires-negative", "dpa-negative"])
+    def test_plan_json_rejects_values_hooks_cannot_use(self, raw):
+        with pytest.raises(FaultPlanError):
+            FaultPlan.from_doc({"faults": [raw]})
+
 
 class TestJsonRoundTrip:
     def _plan(self) -> FaultPlan:
@@ -81,14 +104,19 @@ class TestJsonRoundTrip:
 
     def test_fires_is_run_state_not_content(self):
         plan = self._plan()
-        plan.faults[0]._fire()
+        plan.faults[0].fires = 1
         assert "fires" not in plan.to_doc()["faults"][0]
         assert FaultPlan.from_json(plan.to_json()).faults[0].fires == 0
 
-    def test_load_file(self, tmp_path):
-        p = tmp_path / "plan.json"
-        p.write_text(self._plan().to_json())
-        assert faults.load_plan(str(p)).to_doc() == self._plan().to_doc()
+    @pytest.mark.parametrize("path", SHIPPED_PLANS, ids=lambda p: p.name)
+    def test_load_file(self, path):
+        plan = FaultPlan.load(str(path))
+        assert plan.faults
+        text = plan.to_json()
+        assert FaultPlan.from_json(text).to_json() == text
+        described = plan.describe()
+        for spec in plan.faults:
+            assert f"- {spec.kind}:" in described
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(FaultPlanError):
@@ -134,36 +162,41 @@ class TestJsonRoundTrip:
 class TestRunState:
     def test_counters_are_per_scope(self):
         plan = FaultPlan()
-        assert plan.next_cxl_op("dev:a") == 1
-        assert plan.next_cxl_op("dev:a") == 2
-        assert plan.next_cxl_op("dev:b") == 1
-        assert plan.next_persist_op() == 1
+        assert plan.tick("dev:a") == 1
+        assert plan.tick("dev:a") == 2
+        assert plan.tick("dev:b") == 1
+        assert plan.tick("persist") == 1
+        assert plan.counts == {"dev:a": 2, "dev:b": 1, "persist": 1}
 
     def test_reset_rewinds_everything(self):
         plan = FaultPlan(seed=3, faults=[DeviceTimeoutSpec(device="d", p=1.0)])
-        plan.next_cxl_op("dev:d")
-        plan.next_persist_op()
-        plan.faults[0]._fire()
+        plan.tick("dev:d")
+        plan.tick("persist")
+        plan.faults[0].fires = 1
         first_draw = None
         plan.reset()
         first_draw = plan.rng.random()
         plan.reset()
         assert plan.rng.random() == first_draw
-        assert plan.cxl_ops == {} and plan.persist_ops == 0
+        assert plan.counts == {}
         assert plan.faults[0].fires == 0
 
     def test_spent_specs_drop_out(self):
         plan = FaultPlan(faults=[DeviceTimeoutSpec(device="d", p=1.0,
                                                    max_fires=1)])
         assert plan.specs("device_timeout")
-        plan.faults[0]._fire()
+        faults.install(plan)
+        with pytest.raises(CxlDeviceTimeoutError):
+            faults.on_cxl_op("read", "d", "l", 0, 1)
+        assert plan.faults[0].fires == 1
         assert plan.specs("device_timeout") == []
+        faults.on_cxl_op("read", "d", "l", 0, 1)     # spent: no raise
 
 
 class TestInstallation:
     def test_install_rewinds_and_enables(self):
         plan = FaultPlan(faults=[TxCrashSpec(at_persist=1)])
-        plan.faults[0]._fire()
+        plan.faults[0].fires = 1
         faults.install(plan)
         assert faults.enabled() and faults.active() is plan
         assert plan.faults[0].fires == 0
@@ -180,6 +213,18 @@ class TestInstallation:
         with faults.use_plan(inner):
             assert faults.active() is inner
         assert faults.active() is outer
+
+    def test_use_plan_resumes_outer_plan_without_rewinding(self):
+        faults.install(FaultPlan(faults=[
+            WorkerKillSpec(worker=1, at_step=2)]))
+        killed: list[int] = []
+        for _ in range(3):
+            faults.on_decode_step(killed.append)
+        with faults.use_plan(FaultPlan()):
+            pass
+        for _ in range(3):
+            faults.on_decode_step(killed.append)
+        assert killed == [1]
 
     def test_export_active_round_trips(self):
         assert faults.export_active() is None

@@ -64,6 +64,20 @@ class TestTransientHealing:
         with pytest.raises(BenchmarkError):
             _runner().run_all(kernels=KERNELS, max_retries=-1)
 
+    def test_run_group_heals_and_quarantines_like_run_all(self, baseline):
+        faults.install(FaultPlan(faults=[
+            SweepFailSpec(series="1a.ddr4", attempts=1),
+            SweepFailSpec(series="1a.ddr5", attempts=None)]))
+        rs = _runner().run_group("1a", kernels=KERNELS, max_retries=1)
+        [failure] = rs.failures
+        assert (failure.series, failure.error_type) == (
+            "1a.ddr5", "SweepFaultInjected")
+        expect = [r for r in baseline
+                  if r.group == "1a" and r.series != "1a.ddr5"]
+        assert list(rs) == expect
+        with pytest.raises(BenchmarkError):
+            _runner().run_group("1a", kernels=KERNELS, max_retries=-1)
+
 
 class TestDeterministicQuarantine:
     def test_partial_resultset_with_surviving_records_identical(self,
