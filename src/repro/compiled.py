@@ -1,10 +1,10 @@
 """Compiled-kernel tier: detection, dispatch plumbing, warm-up.
 
 The NumPy tiers vectorize the wide regimes; the remaining floor is
-Python-loop overhead on the *narrow* hot paths — the scalar DES event
-loop and per-message flit packing with mixed header sizes.  This module
-adds an optional third ``compiled`` tier behind the same
-``auto/scalar/vector`` dispatch pattern the NumPy tiers use.
+Python-loop overhead on the *narrow* hot path — the scalar DES event
+loop.  This module adds an optional third ``compiled`` tier behind the
+same ``auto/scalar/vector`` dispatch pattern the NumPy tiers use; its
+one kernel family today is :mod:`repro.memsim.des_jit` (``"des"``).
 Full-system CXL simulators (CXL-DMSim, CXL-ClusterSim) run compiled
 event cores for exactly this reason; here the compiled tier is strictly
 optional and the pure-Python / NumPy backends remain the
@@ -269,18 +269,15 @@ def warmup() -> dict[str, str | None]:
 
     Triggers each family's lazy provider resolution (numba → cc → pure)
     including the self-checks, so later calls never pay JIT latency.
-    Returns ``{family: provider_or_None}`` and publishes gauge
-    ``compiled.available`` (1 when any family has a compiled kernel).
+    Returns ``{family: provider_or_None}`` (today ``{"des": ...}``) and
+    publishes gauge ``compiled.available`` (1 when any family has a
+    compiled kernel).
     Benchmarks call this once before timing; production callers may but
     need not — first use warms implicitly.
     """
-    from repro.cxl import flit_jit
     from repro.memsim import des_jit
 
-    providers = {
-        "des": des_jit.provider(),
-        "flit": flit_jit.provider(),
-    }
+    providers = {"des": des_jit.provider()}
     obs.gauge("compiled.available",
               int(any(p is not None for p in providers.values())))
     return providers

@@ -211,6 +211,23 @@ class TierProfile:
                 f"{self.accesses} accesses ({self.evictions} evictions)")
 
 
+def near_far_policy(near_node: int, far_node: int,
+                    near_fraction: float) -> NumaPolicy:
+    """A near/far traffic split as a NUMA policy.
+
+    ``near_fraction`` of the accesses go to ``near_node`` and the rest
+    to ``far_node``: a weighted interleave that degenerates to
+    BIND(near) at 1 and BIND(far) at 0.  Memory Mode's hit rate and a
+    tiering policy's near-access fraction both map through here.
+    """
+    if near_fraction >= 1.0:
+        return NumaPolicy.bind(near_node)
+    if near_fraction <= 0.0:
+        return NumaPolicy.bind(far_node)
+    return NumaPolicy.weighted({near_node: near_fraction,
+                                far_node: 1.0 - near_fraction})
+
+
 class MemoryModeTier:
     """DRAM (near) caching a CXL node (far), at page granularity."""
 
@@ -251,17 +268,9 @@ class MemoryModeTier:
     # -- translation into the bandwidth/latency model -----------------------
 
     def effective_policy(self) -> NumaPolicy:
-        """The steady-state traffic split as a weighted-interleave policy.
-
-        100 % hit rate degenerates to BIND(near); 0 % to BIND(far).
-        """
-        h = self.cache.hit_rate
-        if h >= 1.0:
-            return NumaPolicy.bind(self.near_node)
-        if h <= 0.0:
-            return NumaPolicy.bind(self.far_node)
-        return NumaPolicy.weighted({self.near_node: h,
-                                    self.far_node: 1.0 - h})
+        """The steady-state traffic split (see :func:`near_far_policy`)."""
+        return near_far_policy(self.near_node, self.far_node,
+                               self.cache.hit_rate)
 
     def effective_latency_ns(self, src_socket: int) -> float:
         """Average access latency seen by a thread on ``src_socket``."""

@@ -158,8 +158,10 @@ class FlitStats:
         return self.payload_bytes / self.wire_bytes if self.wire_bytes else 0.0
 
 
-#: usable (non-header) half-slots per 68-byte flit
-_USABLE_HALVES = FLIT_SLOTS * 2 - 2
+#: usable (non-header) half-slots per 68-byte flit, shared by
+#: :func:`pack_stats`, :func:`stream_efficiency` and the host port's
+#: closed forms
+USABLE_HALF_SLOTS = Flit.MAX_HALF_SLOTS - 2
 
 
 def half_slot_arrays(messages: Sequence[Message]) -> tuple[np.ndarray,
@@ -179,12 +181,14 @@ def pack_stats(header_halves, data_slots) -> FlitStats:
     ``header_halves[i]`` / ``data_slots[i]`` describe message ``i`` (see
     :data:`_HALF_SLOT_COST`).  Reproduces :meth:`FlitPacker.pack` bit for
     bit: a message consumes ``h + 2·d`` usable half-slots laid out
-    sequentially over flits of :data:`_USABLE_HALVES` each, except that a
-    header never straddles flits — when the current flit's remainder
+    sequentially over flits of :data:`USABLE_HALF_SLOTS` each, except that
+    a header never straddles flits — when the current flit's remainder
     cannot hold it, the remainder is padding.  Headers of 1 half-slot
     always fit, and 2-half-slot headers keep the running total even, so
     any batch with a uniform header size never pads and the total is a
-    plain sum; mixed batches fall back to the sequential recurrence.
+    plain sum — the only case the host port produces, since it batches
+    M2S and S2M messages separately.  Mixed batches (only
+    :func:`pack_messages` builds them) run the sequential recurrence.
     """
     h = np.atleast_1d(np.asarray(header_halves, dtype=np.int64))
     d = np.atleast_1d(np.asarray(data_slots, dtype=np.int64))
@@ -193,17 +197,22 @@ def pack_stats(header_halves, data_slots) -> FlitStats:
     n = int(h.size)
     if n == 0:
         return FlitStats(0, 0, 0, 0)
-    if int(h.min()) < 1 or int(h.max()) > _USABLE_HALVES:
-        raise CxlError(f"header half-slots must be in [1, {_USABLE_HALVES}]")
+    if int(h.min()) < 1 or int(h.max()) > USABLE_HALF_SLOTS:
+        raise CxlError(
+            f"header half-slots must be in [1, {USABLE_HALF_SLOTS}]")
     if int(d.min()) < 0:
         raise CxlError("data slot counts must be non-negative")
     cost = h + 2 * d
     if int(h.max()) == int(h.min()) and int(h[0]) <= 2:
         used = int(cost.sum())
     else:
-        from repro.cxl import flit_jit
-        used = flit_jit.pack_used(h, d, _USABLE_HALVES)
-    n_flits = -(-used // _USABLE_HALVES)
+        used = 0
+        for hi, ci in zip(h.tolist(), cost.tolist()):
+            left = -used % USABLE_HALF_SLOTS
+            if left < hi:            # the header cannot straddle: pad
+                used += left
+            used += ci
+    n_flits = -(-used // USABLE_HALF_SLOTS)
     return FlitStats(
         messages=n,
         flits=n_flits,
@@ -243,24 +252,12 @@ def stream_efficiency(read_fraction: float) -> float:
     rides *both* directions at once, which is exactly the full-duplex
     advantage CXL has over a half-duplex bus.
 
-    Accepts a scalar or an ndarray of fractions; an array input returns
-    an elementwise array (the batched path used by sweep-style callers),
-    with values bit-identical to the scalar formula.
-
     >>> 0.5 < stream_efficiency(1.0) < 0.95
     True
     """
-    if isinstance(read_fraction, np.ndarray):
-        rf = np.asarray(read_fraction, dtype=np.float64)
-        if np.any((rf < 0.0) | (rf > 1.0)):
-            raise CxlError("read_fraction values must be in [0,1]")
-        r, w = rf, 1.0 - rf
-    else:
-        if not 0.0 <= read_fraction <= 1.0:
-            raise CxlError(
-                f"read_fraction must be in [0,1], got {read_fraction}"
-            )
-        r, w = read_fraction, 1.0 - read_fraction
+    if not 0.0 <= read_fraction <= 1.0:
+        raise CxlError(f"read_fraction must be in [0,1], got {read_fraction}")
+    r, w = read_fraction, 1.0 - read_fraction
 
     # Half-slot budgets per transferred cacheline, split by direction.
     m2s_half = r * _HALF_SLOT_COST[M2SReq][0] + w * (
@@ -270,19 +267,8 @@ def stream_efficiency(read_fraction: float) -> float:
         _HALF_SLOT_COST[S2MDRS][0] + 2 * _HALF_SLOT_COST[S2MDRS][1]
     ) + w * _HALF_SLOT_COST[S2MNDR][0]
 
-    per_flit_half = Flit.MAX_HALF_SLOTS - 2  # minus the flit header slot
-    if isinstance(r, np.ndarray):
-        # same operation order as the scalar branch → bit-identical values
-        busier_half = np.maximum(m2s_half, s2m_half)
-        nonzero = busier_half > 0
-        flits_per_line = np.divide(busier_half, per_flit_half,
-                                   out=np.ones_like(busier_half),
-                                   where=nonzero)
-        out = CACHELINE_BYTES / (flits_per_line * FLIT_BYTES)
-        out[~nonzero] = 0.0
-        return out
     busier_half = max(m2s_half, s2m_half)
     if busier_half == 0:
         return 0.0
-    flits_per_line = busier_half / per_flit_half
+    flits_per_line = busier_half / USABLE_HALF_SLOTS
     return CACHELINE_BYTES / (flits_per_line * FLIT_BYTES)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from repro import faults, obs
 from repro.cxl.device import Type3Device
-from repro.cxl.flit import Flit, class_half_slots, pack_stats
+from repro.cxl.flit import USABLE_HALF_SLOTS, class_half_slots, pack_stats
 from repro.cxl.link import CreditPool, CxlLink
 from repro.cxl.spec import (
     CACHELINE_BYTES,
@@ -50,9 +50,6 @@ _REQ_HD = class_half_slots(M2SReq)
 _RWD_HD = class_half_slots(M2SRwD)
 _NDR_HD = class_half_slots(S2MNDR)
 _DRS_HD = class_half_slots(S2MDRS)
-
-#: usable half-slots per flit (slot 0 is the flit header)
-_FLIT_HALVES = Flit.MAX_HALF_SLOTS - 2
 
 
 @dataclass(frozen=True)
@@ -363,9 +360,14 @@ class CxlMemPort:
     # ------------------------------------------------------------------
 
     def read(self, dpa: int, length: int) -> bytes:
-        """Cacheline-spanning read (unaligned edges handled)."""
+        """Cacheline-spanning read (unaligned edges handled).
+
+        A zero-length read returns ``b""`` without touching the device.
+        """
         if length < 0:
             raise CxlError("negative read length")
+        if length == 0:
+            return b""
         first = dpa // CACHELINE_BYTES * CACHELINE_BYTES
         last = (dpa + length + CACHELINE_BYTES - 1) // CACHELINE_BYTES \
             * CACHELINE_BYTES
@@ -439,7 +441,7 @@ class CxlMemPort:
             (s2m_hd, "s2m_flits", "s2m_wire_bytes"),
         ):
             used = self._BATCH * (hd[0] + 2 * hd[1])
-            flits = -(-used // _FLIT_HALVES) * n_batches
+            flits = -(-used // USABLE_HALF_SLOTS) * n_batches
             setattr(self.stats, flits_attr,
                     getattr(self.stats, flits_attr) + flits)
             setattr(self.stats, wire_attr,

@@ -8,9 +8,20 @@
   DDR4-2666 DIMMs per socket (Figure 3).
 * :func:`setup1_variant` — the future-work prototype upgrades from
   Section 2.2: faster media (DDR4-3200 / DDR5-5600), more channels, a
-  better controller, or a CXL 3.0 link.
-* :func:`optane_reference` — the published DCPMM numbers the paper
-  compares against.
+  better controller, or a CXL 3.0 link; :func:`ablation_variants` names
+  the upgrade matrix the ablation command sweeps.
+* :func:`setup1_switched` — Setup #1 with the card behind a one-port
+  CXL 2.0 switch (the latency price of pool-ability).
+* :func:`multihost_cxl` — several single-socket hosts, each with its
+  own link to one shared card (the multi-node future-work item).
+* :func:`setup1_with_dcpmm` — Setup #1 plus an emulated Optane DCPMM
+  node; :func:`optane_reference` — the published DCPMM numbers the
+  paper compares against.
+
+The card, the CXL NUMA node it exposes and its root-port wiring are
+written once (``_fpga_card``, ``_add_cxl_node``, ``_attach``) and every
+Setup #1 shape goes through one function (``_setup1_testbed``), so
+recalibrating the prototype is one edit.
 """
 
 from __future__ import annotations
@@ -32,6 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - break the machine<->cxl import cycle
     from repro.cxl.link import CxlLink
     from repro.cxl.port import HostBridge
     from repro.cxl.spec import CxlVersion
+    from repro.cxl.switch import CxlSwitch
 from repro.machine.cache import CacheHierarchy, CacheLevel
 from repro.machine.dram import (
     DDR4_1333,
@@ -92,6 +104,139 @@ def _gold_caches() -> CacheHierarchy:
     ])
 
 
+def _spr_socket(sid: int) -> Socket:
+    """One Sapphire Rapids socket: 10 cores, one 64 GB DDR5-4800 DIMM."""
+    return Socket(
+        socket_id=sid,
+        model="Intel Xeon 4th Gen (Sapphire Rapids), 2.1 GHz",
+        cores=_cores(sid, 10, sid * 10, 2.1, lfb=16),
+        caches=_spr_caches(),
+        controller=MemoryController(
+            name=f"spr{sid}-ddr5",
+            channels=1,
+            dimms=(DimmSpec(DDR5_4800, units.gib(64)),),
+            effective_stream_gbps=33.0,
+            idle_latency_ns=126.0,
+        ),
+    )
+
+
+def _fpga_card(battery_backed: bool, grade: DramSpeedGrade = DDR4_1333,
+               channels: int | None = None,
+               controller_efficiency: float | None = None,
+               media_name: str = "fpga-ddr4") -> Type3Device:
+    """The FPGA CXL card (Figure 2 / Section 2.2): one 8 GB module per
+    channel behind a soft memory controller.  ``None`` keeps the card as
+    built: two channels, and 0.635 controller efficiency ("current
+    implementation constraints")."""
+    from repro.cxl.device import MediaController, Type3Device
+
+    if channels is None:
+        channels = 2
+    media = MediaController(
+        name=media_name,
+        grade=grade,
+        channels=channels,
+        modules=channels,
+        module_capacity=units.gib(8),
+        controller_efficiency=(0.635 if controller_efficiency is None
+                               else controller_efficiency),
+        media_latency_ns=130.0,
+    )
+    return Type3Device("cxl0", media, battery_backed=battery_backed,
+                       gpf_supported=True)
+
+
+def _cxl_link(name: str, version: CxlVersion | None = None,
+              latency_ns: float | None = None) -> CxlLink:
+    """The card's x16 link; ``None`` keeps the prototype's CXL 2.0 over
+    PCIe Gen5 and its 330 ns one-way latency."""
+    from repro.cxl.link import CxlLink
+    from repro.cxl.spec import CxlVersion
+
+    return CxlLink(CxlVersion.CXL_2_0 if version is None else version,
+                   lanes=16,
+                   latency_ns=330.0 if latency_ns is None else latency_ns,
+                   name=name)
+
+
+def _add_cxl_node(machine: Machine, node_id: int, home_socket: int,
+                  card: Type3Device, resources: tuple[str, ...],
+                  latency_ns: float, label: str) -> None:
+    """Expose ``card`` to ``home_socket`` as a CXL NUMA node whose
+    ``cxl0-hdm`` controller mirrors the card's media."""
+    media = card.media
+    machine.add_node(NumaNode(
+        node_id=node_id,
+        kind=NodeKind.CXL,
+        home_socket=home_socket,
+        controller=MemoryController(
+            name="cxl0-hdm",
+            channels=media.channels,
+            dimms=tuple(DimmSpec(media.grade, media.module_capacity)
+                        for _ in range(media.modules)),
+            effective_stream_gbps=media.effective_stream_gbps,
+            idle_latency_ns=media.media_latency_ns,
+        ),
+        persistent=card.battery_backed,
+        extra_resources=resources,
+        extra_latency_ns=latency_ns,
+        label=label,
+    ))
+
+
+def _attach(socket_id: int, link: CxlLink,
+            target: Type3Device | CxlSwitch) -> HostBridge:
+    """Socket ``socket_id``'s host bridge with ``target`` (a device or a
+    switch) on root port 0 over ``link``."""
+    from repro.cxl.port import HostBridge, RootPort
+
+    bridge = HostBridge(socket_id=socket_id)
+    bridge.add_port(RootPort(port_id=0, link=link))
+    bridge.port(0).attach(target)
+    return bridge
+
+
+def _setup1_testbed(name: str, machine_name: str, card: Type3Device,
+                    link: CxlLink, label: str, description: str,
+                    switch_latency_ns: float | None = None) -> Testbed:
+    """Setup #1's two SPR sockets with ``card`` behind socket 0's root
+    port — directly, or through a one-port CXL 2.0 switch that costs
+    ``switch_latency_ns`` each way."""
+    upi = UpiLink(src=0, dst=1, gt_per_s=16.0, links=3,
+                  effective_stream_gbps=22.0, hop_latency_ns=90.0)
+    machine = Machine(machine_name, (_spr_socket(0), _spr_socket(1)), (upi,))
+    machine.add_dram_nodes()
+    link_gbps = link.effective_data_gbps(0.6)
+    machine.add_resource("cxl0.link", link_gbps)
+    resources: tuple[str, ...] = ("cxl0.link",)
+    latency_ns = link.latency_ns
+    target: Type3Device | CxlSwitch = card
+    if switch_latency_ns is not None:
+        from repro.cxl.spec import CxlVersion
+        from repro.cxl.switch import CxlSwitch
+
+        # switch fabric: plenty of bandwidth, but a real resource
+        machine.add_resource("cxl0.switch", 2 * link_gbps)
+        resources += ("cxl0.switch",)
+        latency_ns += 2 * switch_latency_ns
+        target = CxlSwitch("pool-switch", CxlVersion.CXL_2_0)
+        target.connect_host(0)
+        target.bind(0, 0, card)
+    machine.add_resource("cxl0.mc", card.media.effective_stream_gbps)
+    _add_cxl_node(machine, 2, 0, card, resources + ("cxl0.mc",), latency_ns,
+                  label)
+    machine.metadata["calibration"] = SETUP1_CALIBRATION
+    return Testbed(
+        name=name,
+        machine=machine,
+        host_bridges=[_attach(0, link, target)],
+        cxl_devices=[card],
+        cxl_links={"cxl0.link": link},
+        description=description,
+    )
+
+
 def setup1(battery_backed: bool = True) -> Testbed:
     """The paper's Setup #1: dual SPR + DDR5-4800 + CXL-DDR4 FPGA prototype.
 
@@ -100,83 +245,11 @@ def setup1(battery_backed: bool = True) -> Testbed:
     path sustains 22 GB/s; the FPGA's soft memory controller ceilings the
     CXL device at 11.5 GB/s regardless of the 63 GB/s link.
     """
-    from repro.cxl.device import MediaController, Type3Device
-    from repro.cxl.link import CxlLink
-    from repro.cxl.port import HostBridge, RootPort
-    from repro.cxl.spec import CxlVersion
-
-    sockets = []
-    for sid in (0, 1):
-        mc = MemoryController(
-            name=f"spr{sid}-ddr5",
-            channels=1,
-            dimms=(DimmSpec(DDR5_4800, units.gib(64)),),
-            effective_stream_gbps=33.0,
-            idle_latency_ns=126.0,
-        )
-        sockets.append(Socket(
-            socket_id=sid,
-            model="Intel Xeon 4th Gen (Sapphire Rapids), 2.1 GHz",
-            cores=_cores(sid, 10, sid * 10, 2.1, lfb=16),
-            caches=_spr_caches(),
-            controller=mc,
-        ))
-
-    upi = UpiLink(src=0, dst=1, gt_per_s=16.0, links=3,
-                  effective_stream_gbps=22.0, hop_latency_ns=90.0)
-    machine = Machine("setup1-spr-cxl", sockets, (upi,))
-    machine.add_dram_nodes()
-
-    # --- the CXL prototype (Figure 2 / Section 2.2) -------------------
-    media = MediaController(
-        name="fpga-ddr4",
-        grade=DDR4_1333,
-        channels=2,
-        modules=2,
-        module_capacity=units.gib(8),
-        controller_efficiency=0.635,   # "current implementation constraints"
-        media_latency_ns=130.0,
-    )
-    device = Type3Device("cxl0", media, battery_backed=battery_backed,
-                         gpf_supported=True)
-    link = CxlLink(CxlVersion.CXL_2_0, lanes=16, latency_ns=330.0,
-                   name="cxl0.link")
-
-    machine.add_resource("cxl0.link", link.effective_data_gbps(0.6))
-    machine.add_resource("cxl0.mc", media.effective_stream_gbps)
-
-    node_mc = MemoryController(
-        name="cxl0-hdm",
-        channels=media.channels,
-        dimms=tuple(DimmSpec(DDR4_1333, media.module_capacity)
-                    for _ in range(media.modules)),
-        effective_stream_gbps=media.effective_stream_gbps,
-        idle_latency_ns=media.media_latency_ns,
-    )
-    machine.add_node(NumaNode(
-        node_id=2,
-        kind=NodeKind.CXL,
-        home_socket=0,
-        controller=node_mc,
-        persistent=battery_backed,
-        extra_resources=("cxl0.link", "cxl0.mc"),
-        extra_latency_ns=link.latency_ns,
-        label="node2:CXL-DDR4",
-    ))
-
-    bridge = HostBridge(socket_id=0)
-    bridge.add_port(RootPort(port_id=0, link=link))
-    bridge.port(0).attach(device)
-
-    machine.metadata["calibration"] = SETUP1_CALIBRATION
-    return Testbed(
-        name="setup1",
-        machine=machine,
-        host_bridges=[bridge],
-        cxl_devices=[device],
-        cxl_links={"cxl0.link": link},
-        description=("2x Sapphire Rapids (10 cores each), 64GB DDR5-4800 per "
-                     "socket, CXL DDR4 FPGA prototype on socket0 PCIe Gen5 x16"),
+    return _setup1_testbed(
+        "setup1", "setup1-spr-cxl", _fpga_card(battery_backed),
+        _cxl_link("cxl0.link"), "node2:CXL-DDR4",
+        "2x Sapphire Rapids (10 cores each), 64GB DDR5-4800 per socket, "
+        "CXL DDR4 FPGA prototype on socket0 PCIe Gen5 x16",
     )
 
 
@@ -225,74 +298,17 @@ def setup1_variant(media_grade: DramSpeedGrade | None = None,
     of the machine is unchanged, so ablation benches isolate one knob at a
     time.
     """
-    from repro.cxl.device import MediaController, Type3Device
-    from repro.cxl.link import CxlLink
-    from repro.cxl.port import HostBridge, RootPort
-    from repro.cxl.spec import CxlVersion
-
-    if version is None:
-        version = CxlVersion.CXL_2_0
-    base = setup1(battery_backed=battery_backed)
-    machine = base.machine
-    grade = media_grade or DDR4_1333
-    ch = channels if channels is not None else 2
-    if ch < 1:
+    if channels is not None and channels < 1:
         raise TopologyError("channel count must be >= 1")
-    eff = controller_efficiency if controller_efficiency is not None else 0.635
-
-    media = MediaController(
-        name=f"fpga-{grade.name.lower()}",
-        grade=grade,
-        channels=ch,
-        modules=ch,
-        module_capacity=units.gib(8),
-        controller_efficiency=eff,
-        media_latency_ns=130.0,
-    )
-    device = Type3Device("cxl0", media, battery_backed=battery_backed,
-                         gpf_supported=True)
-    link = CxlLink(version, lanes=16,
-                   latency_ns=link_latency_ns if link_latency_ns is not None else 330.0,
-                   name="cxl0.link")
-
-    # Rebuild the machine with the variant device.
-    new = Machine(f"{machine.name}-variant",
-                  machine.sockets.values(),
-                  (machine.upi(0, 1),))
-    new.add_dram_nodes()
-    new.add_resource("cxl0.link", link.effective_data_gbps(0.6))
-    new.add_resource("cxl0.mc", media.effective_stream_gbps)
-    node_mc = MemoryController(
-        name="cxl0-hdm",
-        channels=media.channels,
-        dimms=tuple(DimmSpec(grade, media.module_capacity)
-                    for _ in range(media.modules)),
-        effective_stream_gbps=media.effective_stream_gbps,
-        idle_latency_ns=media.media_latency_ns,
-    )
-    new.add_node(NumaNode(
-        node_id=2,
-        kind=NodeKind.CXL,
-        home_socket=0,
-        controller=node_mc,
-        persistent=battery_backed,
-        extra_resources=("cxl0.link", "cxl0.mc"),
-        extra_latency_ns=link.latency_ns,
-        label=f"node2:CXL-{grade.name}",
-    ))
-    new.metadata["calibration"] = SETUP1_CALIBRATION
-
-    bridge = HostBridge(socket_id=0)
-    bridge.add_port(RootPort(port_id=0, link=link))
-    bridge.port(0).attach(device)
-
-    return Testbed(
-        name="setup1-variant",
-        machine=new,
-        host_bridges=[bridge],
-        cxl_devices=[device],
-        cxl_links={"cxl0.link": link},
-        description=f"Setup #1 variant: {media.name} x{ch}ch over CXL {version.label}",
+    grade = media_grade or DDR4_1333
+    card = _fpga_card(battery_backed, grade, channels, controller_efficiency,
+                      media_name=f"fpga-{grade.name.lower()}")
+    link = _cxl_link("cxl0.link", version, link_latency_ns)
+    return _setup1_testbed(
+        "setup1-variant", "setup1-spr-cxl-variant", card, link,
+        f"node2:CXL-{grade.name}",
+        f"Setup #1 variant: {card.media.name} x{card.media.channels}ch "
+        f"over CXL {link.version.label}",
     )
 
 
@@ -371,81 +387,31 @@ def multihost_cxl(n_hosts: int = 2, battery_backed: bool = True) -> Testbed:
     (they are separate nodes, coherent only within themselves).  Host i's
     view of the far memory is NUMA node ``100 + i``.
     """
-    from repro.cxl.device import MediaController, Type3Device
-    from repro.cxl.link import CxlLink
-    from repro.cxl.port import HostBridge, RootPort
-    from repro.cxl.spec import CxlVersion
-
     if n_hosts < 1:
         raise TopologyError("need at least one host")
-    sockets = []
-    for sid in range(n_hosts):
-        mc = MemoryController(
-            name=f"spr{sid}-ddr5",
-            channels=1,
-            dimms=(DimmSpec(DDR5_4800, units.gib(64)),),
-            effective_stream_gbps=33.0,
-            idle_latency_ns=126.0,
-        )
-        sockets.append(Socket(
-            socket_id=sid,
-            model="Intel Xeon 4th Gen (Sapphire Rapids), 2.1 GHz",
-            cores=_cores(sid, 10, sid * 10, 2.1, lfb=16),
-            caches=_spr_caches(),
-            controller=mc,
-        ))
-    machine = Machine(f"multihost-cxl-{n_hosts}", sockets)
+    machine = Machine(f"multihost-cxl-{n_hosts}",
+                      [_spr_socket(sid) for sid in range(n_hosts)])
     machine.add_dram_nodes()
-
-    media = MediaController(
-        name="fpga-ddr4",
-        grade=DDR4_1333,
-        channels=2,
-        modules=2,
-        module_capacity=units.gib(8),
-        controller_efficiency=0.635,
-        media_latency_ns=130.0,
-    )
-    device = Type3Device("cxl0", media, battery_backed=battery_backed,
-                         gpf_supported=True)
-    machine.add_resource("cxl0.mc", media.effective_stream_gbps)
+    card = _fpga_card(battery_backed)
+    machine.add_resource("cxl0.mc", card.media.effective_stream_gbps)
 
     bridges = []
     links = {}
     for sid in range(n_hosts):
-        link = CxlLink(CxlVersion.CXL_2_0, lanes=16, latency_ns=330.0,
-                       name=f"cxl.h{sid}.link")
+        link = _cxl_link(f"cxl.h{sid}.link")
         machine.add_resource(link.name, link.effective_data_gbps(0.6))
         links[link.name] = link
-        node_mc = MemoryController(
-            name="cxl0-hdm",
-            channels=media.channels,
-            dimms=tuple(DimmSpec(DDR4_1333, media.module_capacity)
-                        for _ in range(media.modules)),
-            effective_stream_gbps=media.effective_stream_gbps,
-            idle_latency_ns=media.media_latency_ns,
-        )
-        machine.add_node(NumaNode(
-            node_id=100 + sid,
-            kind=NodeKind.CXL,
-            home_socket=sid,
-            controller=node_mc,
-            persistent=battery_backed,
-            extra_resources=(link.name, "cxl0.mc"),
-            extra_latency_ns=link.latency_ns,
-            label=f"node{100 + sid}:CXL-shared(host{sid})",
-        ))
-        bridge = HostBridge(socket_id=sid)
-        bridge.add_port(RootPort(port_id=0, link=link))
-        bridge.port(0).attach(device)
-        bridges.append(bridge)
+        _add_cxl_node(machine, 100 + sid, sid, card, (link.name, "cxl0.mc"),
+                      link.latency_ns,
+                      f"node{100 + sid}:CXL-shared(host{sid})")
+        bridges.append(_attach(sid, link, card))
 
     machine.metadata["calibration"] = SETUP1_CALIBRATION
     return Testbed(
         name=f"multihost-cxl-{n_hosts}",
         machine=machine,
         host_bridges=bridges,
-        cxl_devices=[device],
+        cxl_devices=[card],
         cxl_links=links,
         description=(f"{n_hosts} single-socket SPR hosts sharing one CXL "
                      "DDR4 device (per-host links, shared media)"),
@@ -462,72 +428,10 @@ def setup1_switched(switch_latency_ns: float = 60.0) -> Testbed:
     This preset quantifies the latency price of pool-ability — compare
     against plain :func:`setup1` in the ablation bench.
     """
-    from repro.cxl.device import MediaController, Type3Device
-    from repro.cxl.link import CxlLink
-    from repro.cxl.port import HostBridge, RootPort
-    from repro.cxl.spec import CxlVersion
-    from repro.cxl.switch import CxlSwitch
-
-    base = setup1()
-    machine = base.machine
-
-    # rebuild with the switched far node
-    new = Machine("setup1-switched",
-                  machine.sockets.values(),
-                  (machine.upi(0, 1),))
-    new.add_dram_nodes()
-
-    media = MediaController(
-        name="fpga-ddr4",
-        grade=DDR4_1333,
-        channels=2,
-        modules=2,
-        module_capacity=units.gib(8),
-        controller_efficiency=0.635,
-        media_latency_ns=130.0,
-    )
-    device = Type3Device("cxl0", media, battery_backed=True,
-                         gpf_supported=True)
-    link = CxlLink(CxlVersion.CXL_2_0, lanes=16, latency_ns=330.0,
-                   name="cxl0.link")
-    new.add_resource("cxl0.link", link.effective_data_gbps(0.6))
-    # switch fabric: plenty of bandwidth, but a real resource
-    new.add_resource("cxl0.switch", 2 * link.effective_data_gbps(0.6))
-    new.add_resource("cxl0.mc", media.effective_stream_gbps)
-
-    node_mc = MemoryController(
-        name="cxl0-hdm",
-        channels=media.channels,
-        dimms=tuple(DimmSpec(DDR4_1333, media.module_capacity)
-                    for _ in range(media.modules)),
-        effective_stream_gbps=media.effective_stream_gbps,
-        idle_latency_ns=media.media_latency_ns,
-    )
-    new.add_node(NumaNode(
-        node_id=2,
-        kind=NodeKind.CXL,
-        home_socket=0,
-        controller=node_mc,
-        persistent=True,
-        extra_resources=("cxl0.link", "cxl0.switch", "cxl0.mc"),
-        extra_latency_ns=link.latency_ns + 2 * switch_latency_ns,
-        label="node2:CXL-DDR4(switched)",
-    ))
-    new.metadata["calibration"] = SETUP1_CALIBRATION
-
-    switch = CxlSwitch("pool-switch", CxlVersion.CXL_2_0)
-    switch.connect_host(0)
-    switch.bind(0, 0, device)
-    bridge = HostBridge(socket_id=0)
-    bridge.add_port(RootPort(port_id=0, link=link))
-    bridge.port(0).attach(switch)
-
-    return Testbed(
-        name="setup1-switched",
-        machine=new,
-        host_bridges=[bridge],
-        cxl_devices=[device],
-        cxl_links={"cxl0.link": link},
-        description=("Setup #1 with the expander behind a CXL 2.0 switch "
-                     f"(+{switch_latency_ns:.0f} ns per hop)"),
+    return _setup1_testbed(
+        "setup1-switched", "setup1-switched", _fpga_card(True),
+        _cxl_link("cxl0.link"), "node2:CXL-DDR4(switched)",
+        "Setup #1 with the expander behind a CXL 2.0 switch "
+        f"(+{switch_latency_ns:.0f} ns per hop)",
+        switch_latency_ns=switch_latency_ns,
     )

@@ -7,7 +7,7 @@ compiled kernel tier inside each cold worker.  A :class:`WarmWorkerPool`
 is created once and reused across requests:
 
 * workers run :func:`compiled.warmup` in their initializer, so the JIT
-  tier (DES loop, flit layout, CRC) is hot **before** the first task;
+  tier (the DES event loop) is hot **before** the first task;
 * sweep state (machines + STREAM config) ships as a content-keyed
   pickle blob that each worker caches — the first task per worker pays
   one unpickle, every later task (and every later *request* with the

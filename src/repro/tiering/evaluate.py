@@ -33,6 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro import obs
+from repro.core.tiering import near_far_policy
 from repro.errors import TieringError
 from repro.machine.numa import NumaPolicy
 from repro.machine.topology import Machine, NodeKind
@@ -325,37 +326,28 @@ def compare_policies(spec: TieringSpec, policies=None,
 # bridge into the bandwidth model
 # ---------------------------------------------------------------------------
 
-def _machine_latencies(machine: Machine, src_socket: int
-                       ) -> tuple[float, float]:
-    """(near, far) idle latencies: closest DRAM node vs first CXL node
-    (falls back to the slowest node when the machine has no CXL)."""
+def _tier_nodes(machine: Machine, src_socket: int) -> tuple[int, int]:
+    """(near_node, far_node) ids: the closest DRAM node vs the first CXL
+    node (the slowest node when the machine has no CXL)."""
     dram = [n for n in machine.nodes.values() if n.kind is NodeKind.DRAM]
     if not dram:
         raise TieringError(f"machine {machine.name!r} has no DRAM node")
-    near = min(machine.route(src_socket, n.node_id).latency_ns
-               for n in dram)
-    cxl = machine.cxl_nodes()
-    if cxl:
-        far = machine.route(src_socket, cxl[0].node_id).latency_ns
-    else:
-        far = max(machine.route(src_socket, n.node_id).latency_ns
-                  for n in machine.nodes.values())
-    return near, far
 
+    def latency(node) -> float:
+        return machine.route(src_socket, node.node_id).latency_ns
 
-def _tier_nodes(machine: Machine, src_socket: int) -> tuple[int, int]:
-    """(near_node, far_node) ids matching :func:`_machine_latencies`."""
-    dram = [n for n in machine.nodes.values() if n.kind is NodeKind.DRAM]
-    near = min(dram,
-               key=lambda n: machine.route(src_socket, n.node_id).latency_ns)
+    near = min(dram, key=latency)
     cxl = machine.cxl_nodes()
-    if cxl:
-        far = cxl[0]
-    else:
-        far = max(machine.nodes.values(),
-                  key=lambda n: machine.route(src_socket, n.node_id
-                                              ).latency_ns)
+    far = cxl[0] if cxl else max(machine.nodes.values(), key=latency)
     return near.node_id, far.node_id
+
+
+def _machine_latencies(machine: Machine, src_socket: int
+                       ) -> tuple[float, float]:
+    """(near, far) idle latencies of the :func:`_tier_nodes` pair."""
+    near, far = _tier_nodes(machine, src_socket)
+    return (machine.route(src_socket, near).latency_ns,
+            machine.route(src_socket, far).latency_ns)
 
 
 #: machine -> {(spec, src_socket): (policy, result)}; weakly keyed, so a
@@ -372,11 +364,12 @@ def effective_sweep_policy(machine: Machine, spec: TieringSpec,
 
     Evaluates ``spec`` against ``machine``'s near/far latencies and
     converts the observed near-access fraction into a weighted
-    interleave over the (near DRAM, far CXL) nodes — the same
-    translation :class:`repro.core.tiering.MemoryModeTier` applies to
-    Memory-Mode hit rates, so the result drops straight into
-    ``simulate_stream``.  Memoized per (machine, spec, socket): one
-    evaluation serves a whole thread sweep.
+    interleave over the (near DRAM, far CXL) nodes with
+    :func:`repro.core.tiering.near_far_policy` — the translation
+    :class:`repro.core.tiering.MemoryModeTier` applies to Memory-Mode
+    hit rates, so the result drops straight into ``simulate_stream``.
+    Memoized per (machine, spec, socket): one evaluation serves a whole
+    thread sweep.
     """
     memo = _SWEEP_POLICY_CACHE.setdefault(machine, {})
     key = (spec, src_socket)
@@ -384,14 +377,8 @@ def effective_sweep_policy(machine: Machine, spec: TieringSpec,
     if cached is not None:
         return cached
     result = evaluate_policy(spec, machine=machine, src_socket=src_socket)
-    near_node, far_node = _tier_nodes(machine, src_socket)
-    h = result.near_access_fraction
-    if h >= 1.0:
-        policy = NumaPolicy.bind(near_node)
-    elif h <= 0.0:
-        policy = NumaPolicy.bind(far_node)
-    else:
-        policy = NumaPolicy.weighted({near_node: h, far_node: 1.0 - h})
+    policy = near_far_policy(*_tier_nodes(machine, src_socket),
+                             result.near_access_fraction)
     memo[key] = (policy, result)
     obs.inc("tiering.sweep_policy.evaluations")
     return policy, result

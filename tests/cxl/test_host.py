@@ -65,6 +65,15 @@ class TestBulkOps:
         port.write(4096, data)
         assert port.read(4096, len(data)) == data
 
+    def test_zero_length_read_touches_nothing(self, port):
+        """A read of nothing fetches no line — so no stats, no device
+        access and no poison error from the line it would have covered."""
+        port.device.inject_poison(0x40)
+        assert port.read(70, 0) == b""
+        assert port.stats.reads == 0
+        assert port.stats.payload_bytes == 0
+        assert port.device.stats["reads"] == 0
+
     def test_negative_read_rejected(self, port):
         with pytest.raises(CxlError):
             port.read(0, -1)

@@ -82,6 +82,16 @@ class TestSetup2:
 
 
 class TestVariants:
+    def test_default_variant_is_setup1_apart_from_its_name(self, tb1):
+        """Both build the one prototype definition: with no upgrade
+        applied, the variant's whole model fingerprint (which keys the
+        sweep cache) is Setup #1's."""
+        fp = setup1_variant().machine.fingerprint()
+        want = tb1.machine.fingerprint()
+        assert fp.pop("name") == "setup1-spr-cxl-variant"
+        assert want.pop("name") == "setup1-spr-cxl"
+        assert fp == want
+
     def test_default_variant_matches_setup1_ceiling(self, tb1):
         v = setup1_variant()
         assert v.machine.resources["cxl0.mc"] == pytest.approx(

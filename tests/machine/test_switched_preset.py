@@ -24,6 +24,26 @@ class TestTopology:
         via = switched.machine.route(0, 2).latency_ns
         assert via == pytest.approx(direct + 120.0)
 
+    def test_differs_from_setup1_only_by_the_switch(self, tb1):
+        """The switch adds a name, one resource and two hops on node 2's
+        path; every other part of the fingerprint is Setup #1's."""
+        hop_ns = 75.0
+        fp = setup1_switched(switch_latency_ns=hop_ns).machine.fingerprint()
+        want = tb1.machine.fingerprint()
+        assert fp.pop("name") == "setup1-switched"
+        want.pop("name")
+        resources = fp["resources"]
+        assert resources.pop("cxl0.switch") == pytest.approx(
+            2 * resources["cxl0.link"])
+        node = fp["nodes"][2]
+        direct = want["nodes"][2]
+        assert node.pop("extra_resources") == [
+            "cxl0.link", "cxl0.switch", "cxl0.mc"]
+        assert direct.pop("extra_resources") == ["cxl0.link", "cxl0.mc"]
+        assert node.pop("idle_latency_ns") == (
+            direct.pop("idle_latency_ns") + 2 * hop_ns)
+        assert fp == want
+
     def test_custom_hop_latency(self):
         fast = setup1_switched(switch_latency_ns=20.0)
         slow = setup1_switched(switch_latency_ns=100.0)

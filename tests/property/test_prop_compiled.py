@@ -1,16 +1,11 @@
 """Property tests: the compiled kernel tier vs the interpreted backends.
 
-Every kernel family of the compiled tier must be **bit-for-bit**
-interchangeable with the backends it shadows:
-
-* DES — on random small topologies, placements, policies and window
-  lengths, the compiled event loop's :class:`DesResult` equals the
-  scalar oracle's exactly, and so does the vector backend's wherever it
-  runs (single-route BIND policies);
-* flit packing — the compiled layout kernel returns the same used
-  half-slot total and per-message header-flit assignment as the
-  pure-Python recurrence, on random mixed-header batches and usable
-  widths.
+The compiled tier's one kernel family, the DES event loop, must be
+**bit-for-bit** interchangeable with the backends it shadows: on random
+small topologies, placements, policies and window lengths, the compiled
+event loop's :class:`DesResult` equals the scalar oracle's exactly, and
+so does the vector backend's wherever it runs (single-route BIND
+policies).
 
 The undo-log CRC has no kernel of its own (the log calls
 :func:`zlib.crc32`); a pure-Python table-driven CRC-32 pins zlib's bits
@@ -25,11 +20,9 @@ from __future__ import annotations
 
 import zlib
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cxl import flit_jit
 from repro.machine.affinity import place_threads
 from repro.machine.numa import NumaPolicy, PolicyKind
 from repro.machine.presets import setup1, setup2
@@ -41,8 +34,6 @@ _NODES = {"setup1": (0, 1, 2), "setup2": (0, 1)}
 
 needs_compiled_des = pytest.mark.skipif(
     not des_jit.available(), reason="no compiled DES provider")
-needs_compiled_flit = pytest.mark.skipif(
-    not flit_jit.available(), reason="no compiled flit provider")
 
 
 # ---------------------------------------------------------------------------
@@ -107,44 +98,6 @@ def test_compiled_backend_degrades_to_scalar_without_provider(monkeypatch):
     forced = simulate_stream_des(m, "triad", cores, NumaPolicy.bind(2),
                                  des_backend="compiled")
     assert scalar == forced
-
-
-# ---------------------------------------------------------------------------
-# flit packing: kernel layout == pure-Python recurrence
-# ---------------------------------------------------------------------------
-
-@st.composite
-def _layouts(draw):
-    n = draw(st.integers(0, 120))
-    usable = draw(st.integers(2, 12))
-    header = draw(st.lists(st.integers(1, min(usable, 3)),
-                           min_size=n, max_size=n))
-    data = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
-    return (np.array(header, dtype=np.int64),
-            np.array(data, dtype=np.int64), usable)
-
-
-@needs_compiled_flit
-@given(_layouts())
-@settings(max_examples=200, deadline=None)
-def test_compiled_pack_layout_matches_scalar(layout):
-    h, d, usable = layout
-    used_s, flits_s = flit_jit.pack_layout(h, d, usable, backend="scalar")
-    used_c, flits_c = flit_jit.pack_layout(h, d, usable, backend="compiled")
-    assert used_s == used_c
-    assert np.array_equal(flits_s, flits_c)
-
-
-@given(_layouts())
-@settings(max_examples=100, deadline=None)
-def test_pack_layout_dispatch_is_output_invariant(layout):
-    """The default (auto) dispatch returns exactly the scalar answer no
-    matter which tier it lands on."""
-    h, d, usable = layout
-    used_s, flits_s = flit_jit.pack_layout(h, d, usable, backend="scalar")
-    used_a, flits_a = flit_jit.pack_layout(h, d, usable)
-    assert used_s == used_a
-    assert np.array_equal(flits_s, flits_a)
 
 
 # ---------------------------------------------------------------------------

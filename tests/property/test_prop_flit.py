@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.cxl.flit import (
@@ -120,13 +119,3 @@ def test_pack_messages_matches_flitpacker(messages):
 def test_pack_messages_uniform_batches(kind, n):
     """Single-class batches take the closed-form (no-padding) path."""
     _assert_stats_match([_message(kind, i) for i in range(n)])
-
-
-@given(st.lists(st.floats(0.0, 1.0), min_size=0, max_size=64))
-@settings(max_examples=100, deadline=None)
-def test_stream_efficiency_vectorized_matches_scalar(fracs):
-    arr = np.array(fracs, dtype=np.float64)
-    vec = stream_efficiency(arr)
-    assert isinstance(vec, np.ndarray) and vec.shape == arr.shape
-    for i in range(len(fracs)):
-        assert vec[i] == stream_efficiency(float(arr[i]))

@@ -136,7 +136,7 @@ class TestTierReporting:
 
     def test_warmup_reports_every_family(self):
         providers = compiled.warmup()
-        assert set(providers) == {"des", "flit"}
+        assert set(providers) == {"des"}
         for provider in providers.values():
             assert provider in (None, "numba", "cc")
 
