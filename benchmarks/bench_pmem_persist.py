@@ -1,14 +1,9 @@
-"""PMDK persistence path: fast (dirty-tracked, zero-copy) vs baseline.
+"""PMDK persistence path: wall time and flushed cachelines per scenario.
 
-Times the persistence-heavy operations of the PMDK layer under two
-library modes on each backend (``mem``, ``file``, ``cxl``):
-
-* ``baseline`` — :func:`repro.pmdk.dirty.set_fast_persist_enabled`
-  off: the pre-optimization path (eager ``bytes`` copies into single
-  undo entries with per-entry persists, eager allocation zeroing,
-  whole-pool close flushes, one transaction per record);
-* ``fast``     — dirty-line flush tracking, chunked zero-copy undo
-  snapshots, and the batched transaction/allocation APIs.
+Runs the persistence-heavy operations of the PMDK layer on each backend
+(``mem``, ``file``, ``cxl``) and records, per scenario, its best-of wall
+time and the cachelines it flushed — the total ``flush_count`` over
+every region the scenario creates.
 
 Scenarios:
 
@@ -16,16 +11,18 @@ Scenarios:
   iteration=True)`` + close: the paper's App-Direct loop end to end;
 * ``stream_tx``      — ``run_transactional``: every kernel invocation
   undo-logged (big-log pool);
-* ``tx_batch``       — N durable 64-byte record updates: one
-  transaction per record (the only pre-PR idiom) vs one batched
+* ``tx_batch``       — N durable 64-byte record updates in one batched
   ``tx_write_many`` transaction;
-* ``append_log``     — N sequential record appends made durable: ranged
-  persist per record vs one dirty-coalesced ``persist()``;
-* ``alloc_batch``    — K same-size object allocations: ``alloc`` loop
-  vs vectorized ``alloc_many``.
+* ``append_log``     — N sequential record appends made durable by one
+  dirty-coalesced ``persist()``;
+* ``alloc_batch``    — K same-size zeroed allocations via ``alloc_many``.
 
-Both modes must produce byte-identical final contents (asserted via
-checksums).  Results land in ``results/BENCH_pmem.json``.  Standalone::
+Gates: each scenario's output checksum and flush-line count are
+identical on every backend, ``append_log`` flushes exactly one line per
+record, and at smoke scale no scenario flushes more lines than
+:data:`SMOKE_FLUSH_CEILINGS`; steady-state persistent STREAM stays
+within 3x of the volatile run.  Results land in
+``results/BENCH_pmem.json``.  Standalone::
 
     PYTHONPATH=src python benchmarks/bench_pmem_persist.py [--smoke]
 
@@ -48,7 +45,6 @@ from repro.core.provider import open_region
 from repro.core.runtime import CxlPmemRuntime
 from repro.machine.presets import setup1
 from repro.pmdk.containers import PersistentArray
-from repro.pmdk.dirty import set_fast_persist_enabled
 from repro.pmdk.pool import PmemObjPool
 from repro.pmdk.tx import undo_bytes_needed
 from repro.stream.config import StreamConfig
@@ -73,6 +69,15 @@ RECORD = 64              # one cacheline per record
 N_ALLOCS = 256
 ALLOC_SIZE = 4096
 
+#: most cachelines each scenario may flush at smoke scale (any backend);
+#: ``append_log`` must flush exactly one line per record at any scale
+SMOKE_FLUSH_CEILINGS = {
+    "stream_persist": 300_050,
+    "stream_tx": 2_225_207,
+    "tx_batch": 14_016,
+    "alloc_batch": 17_162,
+}
+
 
 class _Backend:
     """Creates fresh regions/pools of one flavour, cleaning up after."""
@@ -80,20 +85,28 @@ class _Backend:
     def __init__(self, kind: str, workdir: str) -> None:
         self.kind = kind
         self.workdir = workdir
-        self._n = 0
+        self.regions = []
 
     def region(self, size: int):
-        self._n += 1
+        n = len(self.regions) + 1
         if self.kind == "mem":
-            return open_region(f"mem://{size}", create=True)
-        if self.kind == "file":
-            path = os.path.join(self.workdir, f"r{self._n}.pmem")
+            region = open_region(f"mem://{size}", create=True)
+        elif self.kind == "file":
+            path = os.path.join(self.workdir, f"r{n}.pmem")
             if os.path.exists(path):
                 os.unlink(path)
-            return open_region(path, size=size, create=True)
-        runtime = CxlPmemRuntime(setup1().host_bridges)
-        ns = runtime.create_namespace("cxl0", f"bench{self._n}", size)
-        return ns.region()
+            region = open_region(path, size=size, create=True)
+        else:
+            runtime = CxlPmemRuntime(setup1().host_bridges)
+            ns = runtime.create_namespace("cxl0", f"bench{n}", size)
+            region = ns.region()
+        self.regions.append(region)
+        return region
+
+    @property
+    def flush_lines(self) -> int:
+        """Cachelines flushed so far over every region created here."""
+        return sum(r.flush_count for r in self.regions)
 
     def pool(self, size: int, log_size: int | None = None) -> PmemObjPool:
         region = self.region(size)
@@ -148,21 +161,13 @@ def _record_pool(backend: _Backend) -> tuple[PmemObjPool, object]:
 
 
 def scenario_tx_batch(backend: _Backend, config: StreamConfig):
-    """N durable record updates, all-or-nothing semantics per update."""
-    from repro.pmdk.dirty import fast_persist_enabled
-
+    """N durable record updates in one all-or-nothing transaction."""
     pool, blob = _record_pool(backend)
     payloads = [bytes([i & 0xFF]) * RECORD for i in range(N_RECORDS)]
     t0 = time.perf_counter()
-    if fast_persist_enabled():
-        with pool.transaction() as tx:
-            pool.tx_write_many(
-                tx, [(blob, payloads[i], i * RECORD)
-                     for i in range(N_RECORDS)])
-    else:
-        for i in range(N_RECORDS):
-            with pool.transaction() as tx:
-                pool.tx_write(tx, blob, payloads[i], offset=i * RECORD)
+    with pool.transaction() as tx:
+        pool.tx_write_many(
+            tx, [(blob, payloads[i], i * RECORD) for i in range(N_RECORDS)])
     elapsed = time.perf_counter() - t0
     crc = zlib.crc32(pool.read(blob, N_RECORDS * RECORD))
     pool.close()
@@ -170,22 +175,14 @@ def scenario_tx_batch(backend: _Backend, config: StreamConfig):
 
 
 def scenario_append_log(backend: _Backend, config: StreamConfig):
-    """N sequential record appends made durable: per-record ranged
-    persists vs one coalesced dirty-line flush at the batch end."""
-    from repro.pmdk.dirty import fast_persist_enabled
-
+    """N sequential record appends made durable by one coalesced
+    dirty-line flush at the batch end."""
     size = N_RECORDS * RECORD + (1 << 20)
     region = backend.region(size)
     t0 = time.perf_counter()
-    if fast_persist_enabled():
-        for i in range(N_RECORDS):
-            region.write(i * RECORD, bytes([i & 0xFF]) * RECORD)
-        region.persist()           # one span: the tracker coalesced all
-    else:
-        for i in range(N_RECORDS):
-            off = i * RECORD
-            region.write(off, bytes([i & 0xFF]) * RECORD)
-            region.persist(off, RECORD)
+    for i in range(N_RECORDS):
+        region.write(i * RECORD, bytes([i & 0xFF]) * RECORD)
+    region.persist()           # one span: the tracker coalesced all
     elapsed = time.perf_counter() - t0
     crc = zlib.crc32(region.read(0, N_RECORDS * RECORD))
     region.close()
@@ -194,14 +191,9 @@ def scenario_append_log(backend: _Backend, config: StreamConfig):
 
 def scenario_alloc_batch(backend: _Backend, config: StreamConfig):
     """K zeroed same-size allocations (the vectorized-alloc API)."""
-    from repro.pmdk.dirty import fast_persist_enabled
-
     pool = backend.pool((N_ALLOCS * ALLOC_SIZE * 2) + (2 << 20))
     t0 = time.perf_counter()
-    if fast_persist_enabled():
-        oids = pool.alloc_many(N_ALLOCS, ALLOC_SIZE, zero=True)
-    else:
-        oids = [pool.alloc(ALLOC_SIZE, zero=True) for _ in range(N_ALLOCS)]
+    oids = pool.alloc_many(N_ALLOCS, ALLOC_SIZE, zero=True)
     elapsed = time.perf_counter() - t0
     crc = len(oids)
     pool.close()
@@ -224,7 +216,7 @@ SCENARIOS = {
 def measure_stream_gate(config: StreamConfig, workdir: str,
                         repeat: int = 3) -> dict:
     """Steady-state STREAM ``run()`` on a persistent file pool vs the
-    volatile in-memory pool (fast mode, pool lifecycle excluded)."""
+    volatile in-memory pool (pool lifecycle excluded)."""
     times: dict[str, float] = {}
     for kind in ("mem", "file"):
         sp = _Backend(kind, workdir).stream(config)
@@ -239,13 +231,20 @@ def measure_stream_gate(config: StreamConfig, workdir: str,
     return times
 
 
+def _run_scenario(fn, kind: str, workdir: str, config: StreamConfig):
+    """One scenario run on fresh regions → ``(elapsed, (crc, lines))``."""
+    backend = _Backend(kind, workdir)
+    elapsed, crc = fn(backend, config)
+    return elapsed, (crc, backend.flush_lines)
+
+
 def run_bench(config: StreamConfig | None = None, repeat: int = 3,
               backends=BACKENDS) -> dict:
     """Measure every scenario on every backend; return the JSON doc."""
     config = config or StreamConfig(array_size=FULL_ELEMENTS)
     results: dict[str, dict] = {}
-    mismatched: list[str] = []
-    totals = {"baseline": 0.0, "fast": 0.0}
+    crcs: dict[str, set] = {name: set() for name in SCENARIOS}
+    total = 0.0
 
     with tempfile.TemporaryDirectory(prefix="bench-pmem-") as workdir:
         stream_gate = measure_stream_gate(config, workdir, repeat=max(
@@ -253,27 +252,15 @@ def run_bench(config: StreamConfig | None = None, repeat: int = 3,
         for kind in backends:
             results[kind] = {}
             for name, fn in SCENARIOS.items():
-                entry: dict = {}
-                crcs: dict[str, object] = {}
-                for mode in ("baseline", "fast"):
-                    backend = _Backend(kind, workdir)
-                    prev = set_fast_persist_enabled(mode == "fast")
-                    try:
-                        elapsed, crc = _best_of(
-                            repeat, lambda: fn(backend, config))
-                    finally:
-                        set_fast_persist_enabled(prev)
-                    entry[f"{mode}_s"] = round(elapsed, 6)
-                    crcs[mode] = crc
-                    totals[mode] += elapsed
-                entry["speedup"] = round(
-                    entry["baseline_s"] / max(entry["fast_s"], 1e-9), 2)
-                entry["identical_output"] = crcs["baseline"] == crcs["fast"]
-                if not entry["identical_output"]:
-                    mismatched.append(f"{kind}/{name}")
-                results[kind][name] = entry
+                elapsed, (crc, lines) = _best_of(
+                    repeat, lambda: _run_scenario(fn, kind, workdir, config))
+                results[kind][name] = {"s": round(elapsed, 6),
+                                       "flush_lines": lines}
+                crcs[name].add(crc)
+                total += elapsed
 
-    doc = {
+    mismatched = [name for name, seen in crcs.items() if len(seen) > 1]
+    return {
         "config": {
             "array_elements": config.array_size,
             "ntimes": config.ntimes,
@@ -284,37 +271,52 @@ def run_bench(config: StreamConfig | None = None, repeat: int = 3,
         },
         "scenarios": results,
         "stream_run_gate": stream_gate,
-        "totals_s": {k: round(v, 6) for k, v in totals.items()},
-        "composite_speedup": round(
-            totals["baseline"] / max(totals["fast"], 1e-9), 2),
+        "total_s": round(total, 6),
         "identical_output": not mismatched,
         "mismatched": mismatched,
     }
-    return doc
+
+
+def flush_gate_failures(doc: dict) -> list[str]:
+    """Every flush-line gate ``doc`` misses (empty when all hold)."""
+    failures = []
+    smoke = doc["config"]["array_elements"] == SMOKE_ELEMENTS
+    for name in SCENARIOS:
+        counts = {kind: scenarios[name]["flush_lines"]
+                  for kind, scenarios in doc["scenarios"].items()}
+        if len(set(counts.values())) > 1:
+            failures.append(f"{name}: flush lines differ by backend {counts}")
+        if name == "append_log":
+            if set(counts.values()) != {N_RECORDS}:
+                failures.append(
+                    f"append_log: {counts} lines, expected one per record "
+                    f"({N_RECORDS})")
+        elif smoke and max(counts.values()) > SMOKE_FLUSH_CEILINGS[name]:
+            failures.append(
+                f"{name}: {max(counts.values())} lines exceed the smoke "
+                f"ceiling {SMOKE_FLUSH_CEILINGS[name]}")
+    return failures
 
 
 def _report(doc: dict) -> str:
     lines = [
-        "=== PMDK persistence path: baseline vs fast "
+        "=== PMDK persistence path "
         f"({doc['config']['array_elements']:,} elements, "
         f"best of {doc['config']['repeat']}) ===",
-        f"{'backend/scenario':<28}{'baseline':>10}{'fast':>10}{'speedup':>9}",
+        f"{'backend/scenario':<28}{'seconds':>10}{'flush lines':>13}",
     ]
     for kind, scenarios in doc["scenarios"].items():
         for name, e in scenarios.items():
             lines.append(
-                f"{kind + '/' + name:<28}{e['baseline_s']:>10.4f}"
-                f"{e['fast_s']:>10.4f}{e['speedup']:>8.1f}x")
-    lines.append(
-        f"{'TOTAL':<28}{doc['totals_s']['baseline']:>10.4f}"
-        f"{doc['totals_s']['fast']:>10.4f}"
-        f"{doc['composite_speedup']:>8.1f}x")
+                f"{kind + '/' + name:<28}{e['s']:>10.4f}"
+                f"{e['flush_lines']:>13,}")
+    lines.append(f"{'TOTAL':<28}{doc['total_s']:>10.4f}")
     g = doc["stream_run_gate"]
     lines.append(
         f"steady-state STREAM run(): file {g['file_s']:.4f}s vs "
         f"mem {g['mem_s']:.4f}s ({g['ratio']:.2f}x)")
     lines.append(
-        f"identical output across modes: {doc['identical_output']}")
+        f"identical output across backends: {doc['identical_output']}")
     return "\n".join(lines)
 
 
@@ -330,23 +332,26 @@ def _write(doc: dict, out_path: str) -> None:
 # ---------------------------------------------------------------------------
 
 def test_pmem_persist_smoke(results_dir):
-    """Smoke-size run: asserts equivalence, the composite speedup, and
-    that persistent STREAM stays within 3x of the volatile baseline."""
+    """Smoke-size run: asserts identical output and flush-line counts on
+    every backend, the flush-line ceilings, and that persistent STREAM
+    stays within 3x of the volatile baseline."""
     config = StreamConfig(array_size=SMOKE_ELEMENTS)
     doc = run_bench(config, repeat=2)
     _write(doc, os.path.join(results_dir, "BENCH_pmem.json"))
     print("\n" + _report(doc))
     assert doc["identical_output"], doc["mismatched"]
-    # the headline: the fast path beats the pre-PR baseline >= 5x on the
-    # persistence-dominated suite
-    assert doc["composite_speedup"] >= 5.0, doc["totals_s"]
+    # the deterministic half of the persistence path's speed: how many
+    # cachelines each scenario flushes (dirty tracking, coalesced spans,
+    # unpinned undo snapshots)
+    failures = flush_gate_failures(doc)
+    assert not failures, failures
     # regression gate: steady-state persistent STREAM-PMem (file) must
     # stay within 3x of the volatile in-memory run at test scale.  The
     # warmed-up ratio sits near 2-2.7 at smoke scale (the untimed
     # warm-up iteration removed the interpreter cold-start that used to
     # inflate the volatile baseline, and msync noise under a loaded
-    # container adds the rest); the pre-optimization path this guards
-    # against is ~10x, so 3.0 still trips on a real regression.
+    # container adds the rest); the pre-optimization persistence path
+    # read ~10x, so 3.0 still trips on a real regression.
     gate = doc["stream_run_gate"]
     assert gate["ratio"] <= 3.0, (
         f"persistent STREAM regressed: file {gate['file_s']:.4f}s vs "
@@ -377,7 +382,10 @@ def main(argv: list[str] | None = None) -> int:
     _write(doc, args.out)
     print(_report(doc))
     print(f"wrote {args.out}")
-    return 0 if doc["identical_output"] else 1
+    failures = flush_gate_failures(doc)
+    for failure in failures:
+        print(f"FAIL {failure}")
+    return 0 if doc["identical_output"] and not failures else 1
 
 
 if __name__ == "__main__":

@@ -72,11 +72,6 @@ class InterleavedRegion(PmemRegion):
                    for d in self._devices.values())
 
     @property
-    def supports_views(self) -> bool:
-        """No zero-copy views: bytes are physically scattered."""
-        return False
-
-    @property
     def ways(self) -> int:
         return self.decoder.ways
 

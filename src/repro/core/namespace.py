@@ -21,7 +21,7 @@ import numpy as np
 from repro.cxl.device import Type3Device
 from repro.cxl.mailbox import MailboxOpcode
 from repro.errors import CxlError, PersistenceDomainError, PmemError
-from repro.pmdk.pmem import PmemRegion, _byteslike
+from repro.pmdk.pmem import BufferRegion
 
 LABEL_VERSION = 1
 
@@ -106,11 +106,12 @@ def write_labels(device: Type3Device,
         raise CxlError(f"SET_LSA failed: {resp.return_code.name}")
 
 
-class CxlRegion(PmemRegion):
+class CxlRegion(BufferRegion):
     """A namespace exposed through the standard pmem region interface.
 
     Data lives in the device's media (a dense window of its sparse
-    memory), so CXL.mem transactions and this region see the same bytes.
+    memory), so CXL.mem transactions and this region see the same bytes
+    through the shared :class:`~repro.pmdk.pmem.BufferRegion` body.
     ``persist`` is meaningful: without battery backing it drives the
     device write-buffer flush, mirroring how a real host would have to
     rely on GPF; with a battery it is a no-op beyond ordering, which *is*
@@ -127,46 +128,21 @@ class CxlRegion(PmemRegion):
         self.base_dpa = base_dpa
         self.name = name or f"{device.name}:{base_dpa:#x}"
         self._window = device.memory.map_dense(base_dpa, size)
-        self._mv = memoryview(self._window)
-        self._closed = False
-
-    @property
-    def size(self) -> int:
-        return len(self._window)
+        super().__init__(self._window)
 
     @property
     def persistent(self) -> bool:
         return self.device.persistence_guaranteed
 
     def _alive(self) -> None:
-        if self._closed:
-            raise PmemError(f"namespace region {self.name} is closed")
+        super()._alive()
         if not self.device.powered:
             raise PmemError(f"device {self.device.name} is powered off")
-
-    def view(self, offset: int, length: int) -> memoryview:
-        self._alive()
-        self._check(offset, length)
-        self._pin(offset, length)
-        return self._mv[offset:offset + length]
 
     def np_window(self) -> np.ndarray:
         """The whole namespace as a uint8 ndarray (zero copy)."""
         self._alive()
         return self._window
-
-    def read(self, offset: int, length: int) -> bytes:
-        self._alive()
-        self._check(offset, length)
-        return self._window[offset:offset + length].tobytes()
-
-    def write(self, offset: int, data: bytes | bytearray | memoryview) -> None:
-        self._alive()
-        data = _byteslike(data)
-        self._check(offset, len(data))
-        self._window[offset:offset + len(data)] = np.frombuffer(
-            data, dtype=np.uint8)
-        self._mark_dirty(offset, len(data))
 
     def _flush(self, offset: int, length: int) -> None:
         """Stores land in the media window directly; durability only

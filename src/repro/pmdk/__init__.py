@@ -21,12 +21,7 @@ through this package survive process restarts and arbitrary injected
 crashes, and recovery genuinely repairs them.
 """
 
-from repro.pmdk.dirty import (
-    DirtyTracker,
-    coalesce_ranges,
-    fast_persist_enabled,
-    set_fast_persist_enabled,
-)
+from repro.pmdk.dirty import DirtyTracker, coalesce_ranges
 from repro.pmdk.pmem import (
     FileRegion,
     PmemRegion,
@@ -64,8 +59,6 @@ __all__ = [
     "VolatileRegion",
     "check_pool",
     "coalesce_ranges",
-    "fast_persist_enabled",
     "map_file",
     "memcpy_persist",
-    "set_fast_persist_enabled",
 ]

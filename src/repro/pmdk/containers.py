@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import PmemError
-from repro.pmdk.dirty import coalesce_ranges, fast_persist_enabled
+from repro.pmdk.dirty import coalesce_ranges
 from repro.pmdk.oid import OID_NULL, PMEMoid, SERIALIZED_SIZE
 from repro.pmdk.pool import PmemObjPool
 from repro.pmdk.tx import Transaction
@@ -76,20 +76,6 @@ class PersistentArray:
         nbytes = int(np.prod(shape)) * dt.itemsize
         total = _ARR_HDR + nbytes
         shape = tuple(shape)
-
-        if not fast_persist_enabled():
-            # pre-optimization sequence: per-object alloc (always zeroed)
-            # + immediately persisted header
-            out = []
-            for _ in range(count):
-                if tx is not None:
-                    oid = pool.tx_alloc(tx, total)
-                else:
-                    oid = pool.alloc(total, zero=True)
-                arr = cls(pool, oid, shape, dt)
-                arr._write_header()
-                out.append(arr)
-            return out
 
         if tx is not None:
             oids = pool.tx_alloc_many(tx, count, total, zero=zero)

@@ -99,10 +99,6 @@ class CrashRegion(PmemRegion):
         return self.inner.persistent
 
     @property
-    def supports_views(self) -> bool:
-        return False
-
-    @property
     def dirty_lines(self) -> int:
         return len(self._shadow)
 
@@ -173,15 +169,14 @@ class CrashRegion(PmemRegion):
             self.controller.note("persist")
 
     def _flush_ranges(self, ranges: list[tuple[int, int]]) -> None:
-        # A no-argument persist() under fast-persist mode flushes many
-        # coalesced spans in one call, but _persist_hook fires only once
-        # per call — which would collapse a K-span batched flush into a
-        # single crash point and hide every mid-batch crash state from
-        # enumeration sweeps.  Count each span after the first as its own
-        # persist op: a crash then lands *between* spans, with earlier
-        # spans durable and later ones dropped, exactly like a power
-        # loss between two CLWB trains.  Legacy-mode persists are always
-        # single-span, so their op counts are unchanged.
+        # A no-argument persist() flushes many coalesced spans in one
+        # call, but _persist_hook fires only once per call — which would
+        # collapse a K-span batched flush into a single crash point and
+        # hide every mid-batch crash state from enumeration sweeps.  Count
+        # each span after the first as its own persist op: a crash then
+        # lands *between* spans, with earlier spans durable and later ones
+        # dropped, exactly like a power loss between two CLWB trains.  A
+        # ranged persist is one span, so it stays one op.
         first = True
         for off, n in ranges:
             if not n:

@@ -11,20 +11,16 @@ Two interval classes are kept:
 
 * **transient** intervals — recorded by ``write()``; consumed (cleared)
   by the flush that covers them;
-* **pinned** intervals — recorded when a zero-copy ``view()`` is handed
-  out.  Stores through a view are invisible to the region object, so the
-  viewed range must be *conservatively* re-flushed by every no-argument
-  ``persist()`` for as long as the region lives.  Pins are never
-  discarded by a ranged flush.
+* **pinned** intervals — recorded when a writable zero-copy ``view()``
+  is handed out.  Stores through a view are invisible to the region
+  object, so the viewed range must be *conservatively* re-flushed by
+  every no-argument ``persist()`` for as long as the region lives.  Pins
+  are never discarded by a ranged flush.  Read-only ``peek()`` slices
+  (undo snapshots) cannot store, so they pin nothing.
 
 The interval set is a flat sorted boundary list (``[s0, e0, s1, e1,
 ...]``) manipulated with :mod:`bisect` — O(log n) lookups, O(n) splice
 worst case, and adjacency-merging by construction.
-
-The module also hosts the **fast-persist toggle**: benchmarks flip it
-off to reinstate the pre-optimization behaviour (eager ``bytes`` copies,
-single-entry undo snapshots, whole-pool close flushes) as an honest
-baseline, exactly like ``set_plan_cache_enabled`` in the sweep engine.
 """
 
 from __future__ import annotations
@@ -35,28 +31,6 @@ from bisect import bisect_left, bisect_right
 #: :data:`repro.pmdk.pmem.FLUSH_LINE` (redefined here to avoid an
 #: import cycle — pmem imports this module).
 DEFAULT_LINE = 64
-
-_FAST_PERSIST = True
-
-
-def set_fast_persist_enabled(enabled: bool) -> bool:
-    """Enable/disable the fast persistence path; returns the old value.
-
-    Disabled, the PMDK layer reproduces its pre-optimization behaviour:
-    region writes materialize ``bytes``, undo snapshots copy whole
-    ranges into single log entries, allocation zeroes eagerly, and
-    ``PmemObjPool.close`` flushes the whole pool.  Benchmarks use this
-    as the baseline; crash semantics are identical in both modes.
-    """
-    global _FAST_PERSIST
-    prev = _FAST_PERSIST
-    _FAST_PERSIST = bool(enabled)
-    return prev
-
-
-def fast_persist_enabled() -> bool:
-    return _FAST_PERSIST
-
 
 def line_count(offset: int, length: int, line: int = DEFAULT_LINE) -> int:
     """Number of cachelines the range ``[offset, offset+length)`` touches."""

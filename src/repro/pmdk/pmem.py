@@ -2,21 +2,22 @@
 
 A :class:`PmemRegion` is what ``pmem_map_file`` returns in PMDK: a flat
 byte range plus ``persist`` (flush stores to the persistence domain) and
-``drain`` (wait for completion).  Three concrete backends:
+``drain`` (wait for completion).  Three concrete backends share one
+:class:`BufferRegion` body — ``view``/``peek``/``read``/``write`` over
+a single writable memoryview — and differ only in what backs it:
 
-* :class:`FileRegion` — mmap-backed, durable across processes (the
-  classic DAX-file model);
-* :class:`VolatileRegion` — RAM-backed, for PMem *emulation* on a remote
-  NUMA socket exactly as the paper does ("emulation of remote sockets …
-  as a direct access device");
-* :class:`repro.core.namespace.CxlRegion` — backed by a CXL Type-3
-  device's media (defined in :mod:`repro.core` to keep the dependency
-  direction clean).
+* :class:`FileRegion` — an mmap, durable across processes (the classic
+  DAX-file model);
+* :class:`VolatileRegion` — RAM, for PMem *emulation* on a remote NUMA
+  socket exactly as the paper does ("emulation of remote sockets … as a
+  direct access device");
+* :class:`repro.core.namespace.CxlRegion` — a CXL Type-3 device's media
+  (defined in :mod:`repro.core` to keep the dependency direction clean).
 
 Pools (:mod:`repro.pmdk.pool`) perform all *metadata* accesses through the
 ``read``/``write`` API so the crash-injection wrapper can interpose;
-bulk array data additionally gets zero-copy views where the backend
-supports them.
+bulk array data additionally gets zero-copy views from the buffer
+backends, and undo snapshots read old data through ``peek``.
 
 Persist orchestration lives in the base class (template method): every
 ``write`` records coalesced dirty lines in a :class:`~repro.pmdk.dirty.
@@ -35,7 +36,7 @@ import os
 from abc import ABC, abstractmethod
 
 from repro.errors import PmemError
-from repro.pmdk.dirty import DirtyTracker, fast_persist_enabled, line_count
+from repro.pmdk.dirty import DirtyTracker, line_count
 from repro import faults, obs
 
 #: flush granularity — one CPU cacheline
@@ -76,11 +77,6 @@ class PmemRegion(ABC):
     @abstractmethod
     def persistent(self) -> bool:
         """Whether persisted data survives power loss / process exit."""
-
-    @property
-    def supports_views(self) -> bool:
-        """Whether :meth:`view` returns zero-copy writable memory."""
-        return True
 
     # -- dirty-line bookkeeping -----------------------------------------
 
@@ -134,6 +130,14 @@ class PmemRegion(ABC):
         the view bypass dirty tracking, so the range stays in every
         no-argument persist for the life of the region.
         """
+
+    def peek(self, offset: int, length: int) -> bytes | memoryview:
+        """Read-only bytes for an undo snapshot: never pins the range.
+
+        The buffer backends return a zero-copy slice; others copy via
+        :meth:`read`.
+        """
+        return self.read(offset, length)
 
     @abstractmethod
     def read(self, offset: int, length: int) -> bytes:
@@ -215,29 +219,24 @@ class PmemRegion(ABC):
         """Release resources; the region must not be used afterwards."""
 
 
-class VolatileRegion(PmemRegion):
-    """RAM-backed region — the paper's remote-socket PMem *emulation*.
+class BufferRegion(PmemRegion):
+    """A region whose bytes live in one writable buffer.
 
-    ``persist`` is accepted (programs written for real PMem run unchanged)
-    but :attr:`persistent` is ``False``: nothing survives the process.
+    The shared body of the volatile, file and CXL backends: ``view``
+    hands out zero-copy slices (and pins them), ``peek`` a read-only
+    slice (unpinned), and ``read``/``write`` copy through the same
+    memoryview.  Subclasses supply the buffer, ``persistent``,
+    ``_flush`` and ``close``.
     """
 
-    backend = "volatile"
-
-    def __init__(self, size: int) -> None:
-        if size <= 0:
-            raise PmemError("region size must be positive")
-        self._buf = bytearray(size)
-        self._mv = memoryview(self._buf)
+    def __init__(self, buf) -> None:
+        self._mv = memoryview(buf)
+        self._size = len(self._mv)
         self._closed = False
 
     @property
     def size(self) -> int:
-        return len(self._buf)
-
-    @property
-    def persistent(self) -> bool:
-        return False
+        return self._size
 
     def _alive(self) -> None:
         if self._closed:
@@ -249,6 +248,12 @@ class VolatileRegion(PmemRegion):
         self._pin(offset, length)
         return self._mv[offset:offset + length]
 
+    def peek(self, offset: int, length: int) -> memoryview:
+        """Read-only zero-copy slice; the range is not pinned."""
+        self._alive()
+        self._check(offset, length)
+        return self._mv[offset:offset + length].toreadonly()
+
     def read(self, offset: int, length: int) -> bytes:
         self._alive()
         self._check(offset, length)
@@ -256,13 +261,29 @@ class VolatileRegion(PmemRegion):
 
     def write(self, offset: int, data: bytes | bytearray | memoryview) -> None:
         self._alive()
-        if fast_persist_enabled():
-            data = _byteslike(data)
-        else:
-            data = bytes(data)
+        data = _byteslike(data)
         self._check(offset, len(data))
         self._mv[offset:offset + len(data)] = data
         self._mark_dirty(offset, len(data))
+
+
+class VolatileRegion(BufferRegion):
+    """RAM-backed region — the paper's remote-socket PMem *emulation*.
+
+    ``persist`` is accepted (programs written for real PMem run unchanged)
+    but :attr:`persistent` is ``False``: nothing survives the process.
+    """
+
+    backend = "volatile"
+
+    def __init__(self, size: int) -> None:
+        if size <= 0:
+            raise PmemError("region size must be positive")
+        super().__init__(bytearray(size))
+
+    @property
+    def persistent(self) -> bool:
+        return False
 
     def _flush(self, offset: int, length: int) -> None:
         pass   # RAM: a flush orders nothing
@@ -277,7 +298,7 @@ class VolatileRegion(PmemRegion):
         self._closed = True
 
 
-class FileRegion(PmemRegion):
+class FileRegion(BufferRegion):
     """mmap-backed region; durable across processes.
 
     ``persist`` msyncs the containing pages — on a DAX filesystem this
@@ -317,41 +338,11 @@ class FileRegion(PmemRegion):
         self.path = path
         self._fd = fd
         self._mm = mmap.mmap(fd, size)
-        self._mv = memoryview(self._mm)
-        self._closed = False
-
-    @property
-    def size(self) -> int:
-        return len(self._mm)
+        super().__init__(self._mm)
 
     @property
     def persistent(self) -> bool:
         return True
-
-    def _alive(self) -> None:
-        if self._closed:
-            raise PmemError("region is closed")
-
-    def view(self, offset: int, length: int) -> memoryview:
-        self._alive()
-        self._check(offset, length)
-        self._pin(offset, length)
-        return self._mv[offset:offset + length]
-
-    def read(self, offset: int, length: int) -> bytes:
-        self._alive()
-        self._check(offset, length)
-        return bytes(self._mv[offset:offset + length])
-
-    def write(self, offset: int, data: bytes | bytearray | memoryview) -> None:
-        self._alive()
-        if fast_persist_enabled():
-            data = _byteslike(data)
-        else:
-            data = bytes(data)
-        self._check(offset, len(data))
-        self._mv[offset:offset + len(data)] = data
-        self._mark_dirty(offset, len(data))
 
     def _flush(self, offset: int, length: int) -> None:
         page = mmap.PAGESIZE
@@ -362,10 +353,7 @@ class FileRegion(PmemRegion):
     def close(self) -> None:
         if self._closed:
             return
-        if fast_persist_enabled():
-            self.persist()          # dirty + pinned lines only
-        else:
-            self._mm.flush()
+        self.persist()          # dirty + pinned lines only
         try:
             self._mv.release()
             self._mm.close()

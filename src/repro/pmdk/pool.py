@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.errors import PmemError, PoolCorruptionError, PoolError
 from repro.pmdk.alloc import PersistentHeap, align_up
-from repro.pmdk.dirty import coalesce_ranges, fast_persist_enabled
+from repro.pmdk.dirty import coalesce_ranges
 from repro.pmdk.oid import OID_NULL, PMEMoid
 from repro.pmdk.pmem import FileRegion, PmemRegion, map_file
 from repro.pmdk.tx import (
@@ -292,21 +292,9 @@ class PmemObjPool:
     # object management
     # ------------------------------------------------------------------
 
-    def _zero(self, off: int, length: int) -> None:
-        if fast_persist_enabled():
-            self.region.zero(off, length)
-        else:
-            self.region.write(off, b"\x00" * length)
-
     def alloc(self, size: int, zero: bool = True) -> PMEMoid:
         """Atomic (non-transactional) allocation, ``pmemobj_alloc``."""
-        self._alive()
-        off = self._heap.alloc(size)
-        if zero:
-            payload = self._heap.payload_size(off)
-            self._zero(off, payload)
-            self.region.persist(off, payload)
-        return PMEMoid(self.uuid, off)
+        return self.alloc_many(1, size, zero)[0]
 
     def alloc_many(self, count: int, size: int,
                    zero: bool = True) -> list[PMEMoid]:
@@ -336,7 +324,7 @@ class PmemObjPool:
             spans = []
             for off in offs:
                 payload = self._heap.payload_size(off)
-                self._zero(off, payload)
+                self.region.zero(off, payload)
                 spans.append((off, payload))
             for off, length in coalesce_ranges(spans,
                                                bound=self.region.size):
@@ -472,8 +460,7 @@ class PmemObjPool:
                  data: bytes | bytearray | memoryview,
                  offset: int = 0) -> None:
         """Snapshot + store in one call."""
-        self.tx_add(tx, oid, offset, len(data))
-        self.write(oid, data, offset, persist=False)
+        self.tx_write_many(tx, [(oid, data, offset)])
 
     def tx_write_many(self, tx: Transaction, writes) -> None:
         """Batched :meth:`tx_write`: snapshot every target with a single
@@ -498,12 +485,7 @@ class PmemObjPool:
     def tx_alloc(self, tx: Transaction, size: int,
                  zero: bool = True) -> PMEMoid:
         """Transactional allocation returning a PMEMoid."""
-        off = tx.alloc(size)
-        payload = self._heap.payload_size(off)
-        if zero:
-            self._zero(off, payload)
-        tx.log_modified(off, payload)
-        return PMEMoid(self.uuid, off)
+        return self.tx_alloc_many(tx, 1, size, zero)[0]
 
     def tx_alloc_many(self, tx: Transaction, count: int, size: int,
                       zero: bool = True) -> list[PMEMoid]:
@@ -522,7 +504,7 @@ class PmemObjPool:
             off = tx.alloc(size)
             payload = self._heap.payload_size(off)
             if zero:
-                self._zero(off, payload)
+                self.region.zero(off, payload)
             tx.log_modified(off, payload)
             oids.append(PMEMoid(self.uuid, off))
         return oids
@@ -548,10 +530,7 @@ class PmemObjPool:
             return
         if self._tx is not None and self._tx.active:
             raise PoolError("cannot close a pool with an active transaction")
-        if fast_persist_enabled():
-            self.region.persist()       # dirty + pinned lines, not the pool
-        else:
-            self.region.persist(0, min(self.region.size, self._hdr.pool_size))
+        self.region.persist()       # dirty + pinned lines, not the pool
         if self._owns_region:
             self.region.close()
         self._closed = True

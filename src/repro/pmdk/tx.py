@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import CrashInjected, TransactionAborted, TransactionError
 from repro.pmdk.alloc import HEADER_SIZE as _HEAP_HEADER_SIZE, PersistentHeap
-from repro.pmdk.dirty import coalesce_ranges, fast_persist_enabled
+from repro.pmdk.dirty import coalesce_ranges
 from repro import obs
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -60,9 +60,9 @@ ENTRY_DATA = 1
 ENTRY_ALLOC = 2
 ENTRY_FREE = 3
 
-#: max payload bytes one undo-log DATA entry holds on the fast path;
-#: larger snapshots are split into consecutive chunk entries (module
-#: attribute so tests can shrink it)
+#: max payload bytes one undo-log DATA entry holds; larger snapshots
+#: are split into consecutive chunk entries (module attribute so tests
+#: can shrink it)
 LOG_CHUNK = 1 << 20
 
 
@@ -73,13 +73,9 @@ def _ctrl_crc(tail: int, state: int) -> int:
 def _entry_crc(etype: int, target: int, length: int,
                data: bytes | memoryview) -> int:
     # streaming CRC: crc32(hdr+data) == crc32(data, crc32(hdr)), so the
-    # on-media entry format is byte-identical to the concatenating form
-    # while never materializing hdr+data
-    if fast_persist_enabled():
-        return zlib.crc32(
-            data, zlib.crc32(struct.pack("<IQQ", etype, target, length)))
+    # entry CRC covers hdr+data without ever materializing the two joined
     return zlib.crc32(
-        struct.pack("<IQQ", etype, target, length) + bytes(data))
+        data, zlib.crc32(struct.pack("<IQQ", etype, target, length)))
 
 
 def undo_bytes_needed(length: int) -> int:
@@ -87,9 +83,8 @@ def undo_bytes_needed(length: int) -> int:
     including per-chunk entry headers and 8-byte data padding."""
     if length <= 0:
         return 0
-    chunk = LOG_CHUNK if fast_persist_enabled() else length
-    full, rem = divmod(length, chunk)
-    need = full * (ENTRY_HEADER + ((chunk + 7) // 8) * 8)
+    full, rem = divmod(length, LOG_CHUNK)
+    need = full * (ENTRY_HEADER + ((LOG_CHUNK + 7) // 8) * 8)
     if rem:
         need += ENTRY_HEADER + ((rem + 7) // 8) * 8
     return need
@@ -234,24 +229,17 @@ class Transaction:
         self._depth -= 1
         if self._depth > 0:
             return
-        # 1. make every modified range durable
+        # 1. make every modified range durable, as coalesced line-aligned
+        #    superset spans: adjacent/overlapping ranges flush once
         region = self._log.region
-        if fast_persist_enabled():
-            # coalesced line-aligned superset spans via the dirty-interval
-            # machinery: adjacent/overlapping ranges flush once
-            spans = coalesce_ranges(
-                self._modified + self._snapshots, bound=region.size)
-            if obs.metrics_enabled():
-                obs.inc("pmdk.tx.coalesce_ranges_in",
-                        len(self._modified) + len(self._snapshots))
-                obs.inc("pmdk.tx.coalesce_spans_out", len(spans))
-            for off, length in spans:
-                region.persist(off, length)
-        else:
-            for off, length in self._modified:
-                region.persist(off, length)
-            for off, length in self._snapshots:
-                region.persist(off, length)
+        spans = coalesce_ranges(
+            self._modified + self._snapshots, bound=region.size)
+        if obs.metrics_enabled():
+            obs.inc("pmdk.tx.coalesce_ranges_in",
+                    len(self._modified) + len(self._snapshots))
+            obs.inc("pmdk.tx.coalesce_spans_out", len(spans))
+        for off, length in spans:
+            region.persist(off, length)
         # 2. commit record
         if self._tail:
             self._log.write_ctrl(self._tail, STATE_COMMITTED)
@@ -312,11 +300,12 @@ class Transaction:
         """Snapshot several ranges with a single log-visibility update.
 
         Large ranges are split into :data:`LOG_CHUNK`-sized entries read
-        through zero-copy views (where the backend supports them) — the
-        whole range never materializes as one ``bytes`` object.  All
-        chunk entries are persisted in one span flush, then the control
-        block is bumped once: entries stay invisible until every byte of
-        every snapshot is durable, exactly as with one entry per range.
+        through :meth:`~repro.pmdk.pmem.PmemRegion.peek` — zero-copy on
+        the buffer backends, and never pinned, so a snapshot adds no
+        lines to later no-argument persists.  All chunk entries are
+        persisted in one span flush, then the control block is bumped
+        once: entries stay invisible until every byte of every snapshot
+        is durable, exactly as with one entry per range.
         """
         self._require_active()
         fresh: list[tuple[int, int]] = []
@@ -328,22 +317,14 @@ class Transaction:
         if not fresh:
             return
         region = self._log.region
-        fast = fast_persist_enabled()
-        use_views = fast and region.supports_views
         start_tail = tail = self._tail
         for offset, length in fresh:
-            pos = 0
-            while pos < length:
-                n = min(LOG_CHUNK, length - pos) if fast else length
-                if use_views:
-                    old = region.view(offset + pos, n)
-                else:
-                    old = region.read(offset + pos, n)
-                tail = self._log.append(tail, ENTRY_DATA, offset + pos, old,
-                                        persist=not fast)
-                pos += n
-        if fast:
-            self._log.persist_span(start_tail, tail)
+            for pos in range(0, length, LOG_CHUNK):
+                n = min(LOG_CHUNK, length - pos)
+                tail = self._log.append(tail, ENTRY_DATA, offset + pos,
+                                        region.peek(offset + pos, n),
+                                        persist=False)
+        self._log.persist_span(start_tail, tail)
         self._log.write_ctrl(tail, STATE_ACTIVE)
         obs.inc("pmdk.tx.undo_bytes", tail - start_tail)
         self._tail = tail

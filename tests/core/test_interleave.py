@@ -64,7 +64,6 @@ class TestStriping:
 
 class TestSemantics:
     def test_no_views(self, region):
-        assert not region.supports_views
         with pytest.raises(PmemError):
             region.view(0, 64)
 

@@ -13,7 +13,6 @@ import pytest
 from repro.errors import CrashInjected
 from repro.pmdk.check import check_pool
 from repro.pmdk.crash import CrashController, CrashRegion
-from repro.pmdk.dirty import set_fast_persist_enabled
 from repro.pmdk.pmem import VolatileRegion
 from repro.pmdk.pool import PmemObjPool
 
@@ -116,8 +115,8 @@ class TestExhaustiveCrashEnumeration:
 
 
 class TestBatchedFlushCrashPoints:
-    """Satellite regression: fast-persist coalesced flushes must expose
-    one crash point per span, not one per ``persist()`` call."""
+    """Coalesced no-argument flushes must expose one crash point per
+    span, not one per ``persist()`` call."""
 
     def _k_span_persist(self, ctrl) -> None:
         region = CrashRegion(VolatileRegion(64 * 1024), ctrl)
@@ -128,40 +127,29 @@ class TestBatchedFlushCrashPoints:
         region.persist()
 
     def test_k_spans_yield_k_crash_points(self):
-        prev = set_fast_persist_enabled(True)
-        try:
-            ctrl = CrashController()
-            self._k_span_persist(ctrl)
-            assert ctrl.op_count == 3
-        finally:
-            set_fast_persist_enabled(prev)
+        ctrl = CrashController()
+        self._k_span_persist(ctrl)
+        assert ctrl.op_count == 3
 
     def test_mid_batch_crash_keeps_earlier_spans_durable(self):
-        prev = set_fast_persist_enabled(True)
-        try:
-            ctrl = CrashController(crash_at=2, survivor_prob=0.0)
-            backing = VolatileRegion(64 * 1024)
-            region = CrashRegion(backing, ctrl)
-            region.write(0, b"A" * 64)
-            region.write(1024, b"B" * 64)
-            region.write(4096, b"C" * 64)
-            with pytest.raises(CrashInjected):
-                region.persist()
-            # crash between span 1 and span 2: the first span is already
-            # durable, the rest never reached media
-            assert backing.read(0, 64) == b"A" * 64
-            assert backing.read(1024, 64) == b"\x00" * 64
-            assert backing.read(4096, 64) == b"\x00" * 64
-        finally:
-            set_fast_persist_enabled(prev)
+        ctrl = CrashController(crash_at=2, survivor_prob=0.0)
+        backing = VolatileRegion(64 * 1024)
+        region = CrashRegion(backing, ctrl)
+        region.write(0, b"A" * 64)
+        region.write(1024, b"B" * 64)
+        region.write(4096, b"C" * 64)
+        with pytest.raises(CrashInjected):
+            region.persist()
+        # crash between span 1 and span 2: the first span is already
+        # durable, the rest never reached media
+        assert backing.read(0, 64) == b"A" * 64
+        assert backing.read(1024, 64) == b"\x00" * 64
+        assert backing.read(4096, 64) == b"\x00" * 64
 
     def test_legacy_single_span_counts_unchanged(self):
-        prev = set_fast_persist_enabled(False)
-        try:
-            ctrl = CrashController()
-            region = CrashRegion(VolatileRegion(4096), ctrl)
-            region.write(0, b"x" * 64)
-            region.persist(0, 64)
-            assert ctrl.op_count == 1
-        finally:
-            set_fast_persist_enabled(prev)
+        # a ranged persist is one span, hence one crash point
+        ctrl = CrashController()
+        region = CrashRegion(VolatileRegion(4096), ctrl)
+        region.write(0, b"x" * 64)
+        region.persist(0, 64)
+        assert ctrl.op_count == 1

@@ -57,7 +57,6 @@ class TestStoreBuffer:
     def test_views_unsupported(self, region):
         with pytest.raises(PmemError):
             region.view(0, 8)
-        assert not region.supports_views
 
     def test_size_and_persistence_delegate(self, region, backing):
         assert region.size == backing.size

@@ -1,7 +1,7 @@
 """Crash consistency with chunked undo-log entries and dirty-line flushes.
 
-The fast persistence path splits large snapshots into LOG_CHUNK-sized
-undo entries and coalesces commit flushes through the dirty tracker.
+The persistence path splits large snapshots into LOG_CHUNK-sized undo
+entries and coalesces commit flushes through the dirty tracker.
 Neither may change what recovery produces: these tests force multi-chunk
 entries (by shrinking LOG_CHUNK) and crash at every interesting point —
 mid-snapshot, mid-commit, after reopen — checking the old-or-new
@@ -17,7 +17,6 @@ import repro.pmdk.tx as txmod
 from repro.errors import CrashInjected, TransactionAborted, TransactionError
 from repro.pmdk.containers import PersistentArray
 from repro.pmdk.crash import CrashController, CrashRegion
-from repro.pmdk.dirty import set_fast_persist_enabled
 from repro.pmdk.pmem import VolatileRegion
 from repro.pmdk.pool import PmemObjPool
 
@@ -166,25 +165,17 @@ class TestRecoverAfterReopen:
         assert report.ok, report.summary()
 
     def test_fast_and_legacy_recovery_agree(self, small_chunks):
-        """The same crash point recovers to the same bytes whether the
-        log was written chunked (fast) or monolithic (legacy)."""
+        """A crash while the chunked log is being written recovers to
+        exactly the old value — what a monolithic log recovered to."""
         old = np.arange(N)
         new = np.arange(N) * 3
-        outcomes = {}
-        for mode in ("fast", "legacy"):
-            prev = set_fast_persist_enabled(mode == "fast")
-            try:
-                backing, region, pool, arr = _fresh(old)
-                region.controller = ctrl = CrashController(
-                    crash_at=2, survivor_prob=0.0, seed=5)
-                ctrl.attach(region)
-                with pytest.raises(CrashInjected):
-                    with pool.transaction() as tx:
-                        arr.write(new, tx=tx)
-                outcomes[mode] = _recovered(backing, arr.oid)
-            finally:
-                set_fast_persist_enabled(prev)
-        # survivor_prob=0 drops every unflushed line in both modes; the
-        # recovered state must be identical (the intact old value)
-        assert np.array_equal(outcomes["fast"], outcomes["legacy"])
-        assert np.array_equal(outcomes["fast"], old)
+        backing, region, pool, arr = _fresh(old)
+        region.controller = ctrl = CrashController(
+            crash_at=2, survivor_prob=0.0, seed=5)
+        ctrl.attach(region)
+        with pytest.raises(CrashInjected):
+            with pool.transaction() as tx:
+                arr.write(new, tx=tx)
+        # survivor_prob=0 drops every unflushed line: the recovered state
+        # is the intact old value
+        assert np.array_equal(_recovered(backing, arr.oid), old)

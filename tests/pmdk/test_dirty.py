@@ -8,9 +8,7 @@ from repro.pmdk.dirty import (
     DirtyTracker,
     _IntervalSet,
     coalesce_ranges,
-    fast_persist_enabled,
     line_count,
-    set_fast_persist_enabled,
 )
 from repro.pmdk.pmem import FLUSH_LINE, FileRegion, VolatileRegion
 
@@ -262,27 +260,6 @@ class TestRegionDirtyIntegration:
 
 
 class TestFastPersistToggle:
-    def test_round_trip(self):
-        assert fast_persist_enabled()
-        prev = set_fast_persist_enabled(False)
-        try:
-            assert prev is True
-            assert not fast_persist_enabled()
-        finally:
-            set_fast_persist_enabled(prev)
-        assert fast_persist_enabled()
-
-    def test_legacy_mode_still_persists(self):
-        prev = set_fast_persist_enabled(False)
-        try:
-            r = VolatileRegion(4096)
-            r.write(0, b"legacy")
-            r.persist(0, 6)
-            assert r.read(0, 6) == b"legacy"
-            assert r.flush_count == 1
-        finally:
-            set_fast_persist_enabled(prev)
-
     def test_flush_count_is_read_only(self):
         r = VolatileRegion(4096)
         with pytest.raises(AttributeError):
