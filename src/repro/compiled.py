@@ -1,47 +1,30 @@
-"""Compiled-kernel tier: detection, dispatch plumbing, warm-up.
+"""Compiled-kernel tier: detection, tier reporting, warm-up.
 
 The NumPy tiers vectorize the wide regimes; the remaining floor is
 Python-loop overhead on the *narrow* hot path — the scalar DES event
 loop.  This module adds an optional third ``compiled`` tier behind the
 same ``auto/scalar/vector`` dispatch pattern the NumPy tiers use; its
-one kernel family today is :mod:`repro.memsim.des_jit` (``"des"``).
+one kernel family is :mod:`repro.memsim.des_jit` (``"des"``).
 Full-system CXL simulators (CXL-DMSim, CXL-ClusterSim) run compiled
 event cores for exactly this reason; here the compiled tier is strictly
 optional and the pure-Python / NumPy backends remain the
 always-available reference.
 
-Two providers, probed in order at first use:
+One provider, probed at first use: **cc** — the kernel as embedded
+C99, built with the system C compiler into a small shared library
+loaded via :mod:`ctypes`.  The ``.so`` is cached under
+``$REPRO_JIT_CACHE`` (default ``~/.cache/repro-jit``) keyed by a hash
+of the source, so compilation is once per machine.  The kernel family
+accepts the library only after its results match the scalar oracle on
+a small hand-built setup; a missing compiler, a failed build or a
+mismatch leaves the family on the interpreted tiers.  Nothing in the
+library ever *requires* the compiled tier.
 
-* **numba** — ``@njit(cache=True)`` kernels compiled from the same
-  Python source that serves as the pure fallback.  ``cache=True`` keeps
-  the compiled artifacts on disk, so JIT cost is paid once per machine,
-  not per benchmark run.
-* **cc** — the same kernels as embedded C99, built with the system C
-  compiler into a small shared library loaded via :mod:`ctypes`.  The
-  ``.so`` is cached under ``$REPRO_JIT_CACHE`` (default
-  ``~/.cache/repro-jit``) keyed by a hash of the source, so compilation
-  is also once per machine.
-
-A provider is accepted only after its kernels pass a **self-check**
-against the pure-Python reference on small inputs; any import, compile
-or mismatch failure silently degrades to the next provider and finally
-to ``None`` (pure Python).  Nothing in the library ever *requires* the
-compiled tier.
-
-Backend forcing — ``REPRO_BACKEND={auto,scalar,vector,compiled}`` (env
-var, read once and cached; :func:`refresh` re-reads it) or the streamer
-CLI's ``--backend`` flag via :func:`set_backend`:
-
-* ``scalar`` / ``vector`` — pin every subsystem's auto-dispatch to that
-  tier (the compiled kernels are bypassed entirely);
-* ``compiled`` — prefer the compiled kernels wherever they exist,
-  falling back per subsystem when the provider is unavailable;
-* ``auto`` (default) — each subsystem picks its own fastest tier.
-
-Each dispatch decision is reported through :func:`report_tier`: gauge
-``dispatch.tier.<subsystem>`` holds the numeric tier (0=scalar,
-1=vector, 2=compiled) and :func:`selected` returns the latest choice
-per subsystem for tests and reports.
+Each subsystem pins a tier per call (``des_backend=``, ``backend=``);
+there is no process-wide force.  Each dispatch decision is reported
+through :func:`report_tier`: gauge ``dispatch.tier.<subsystem>`` holds
+the numeric tier (0=scalar, 1=vector, 2=compiled) and :func:`selected`
+returns the latest choice per subsystem for tests and reports.
 
 Setting ``REPRO_NO_COMPILED=1`` disables provider detection outright —
 the CI fallback leg uses this to prove the pure-Python paths carry the
@@ -58,16 +41,9 @@ import subprocess
 import tempfile
 
 from repro import obs
-from repro.errors import SimulationError
 
 #: the three executable tiers, in gauge-code order
 TIERS = ("scalar", "vector", "compiled")
-
-#: valid ``REPRO_BACKEND`` / ``set_backend`` values
-BACKENDS = ("auto",) + TIERS
-
-#: env var forcing a backend for every subsystem
-BACKEND_ENV = "REPRO_BACKEND"
 
 #: env var disabling compiled-provider detection entirely
 NO_COMPILED_ENV = "REPRO_NO_COMPILED"
@@ -77,64 +53,8 @@ JIT_CACHE_ENV = "REPRO_JIT_CACHE"
 
 _TRUTHY = ("1", "true", "yes", "on")
 
-# cached override: None = auto (no forcing); resolved lazily from the
-# env on first use, replaced by set_backend(), re-read by refresh()
-_forced: str | None = None
-_forced_resolved = False
-
 # latest tier choice per subsystem (e.g. {"des": "compiled", ...})
 _selected: dict[str, str] = {}
-
-
-def _parse_backend(value: str, source: str) -> str | None:
-    name = value.strip().lower()
-    if name not in BACKENDS:
-        raise SimulationError(
-            f"unknown backend {value!r} from {source}; expected one of "
-            f"{BACKENDS}"
-        )
-    return None if name == "auto" else name
-
-
-def backend_override() -> str | None:
-    """The forced tier (``"scalar"``/``"vector"``/``"compiled"``) or
-    ``None`` when dispatch is automatic.
-
-    Resolution order: :func:`set_backend` value if one was set, else the
-    ``REPRO_BACKEND`` env var (read once; :func:`refresh` re-reads).
-    """
-    global _forced, _forced_resolved
-    if not _forced_resolved:
-        raw = os.environ.get(BACKEND_ENV)
-        _forced = _parse_backend(raw, f"${BACKEND_ENV}") if raw else None
-        _forced_resolved = True
-    return _forced
-
-
-def set_backend(name: str | None) -> str | None:
-    """Force a backend programmatically (the CLI's ``--backend`` flag).
-
-    ``None`` or ``"auto"`` restores automatic dispatch.  Returns the
-    previous effective override so callers can restore it.
-    """
-    global _forced, _forced_resolved
-    prev = backend_override()
-    _forced = _parse_backend(name, "set_backend()") if name else None
-    _forced_resolved = True
-    return prev
-
-
-def refresh() -> None:
-    """Drop the cached ``REPRO_BACKEND`` value; the next
-    :func:`backend_override` re-reads the environment (test hook)."""
-    global _forced_resolved
-    _forced_resolved = False
-
-
-def compiled_allowed() -> bool:
-    """May a subsystem pick its compiled kernel right now?  False when a
-    ``scalar``/``vector`` force is in effect."""
-    return backend_override() in (None, "compiled")
 
 
 def report_tier(subsystem: str, tier: str) -> None:
@@ -159,33 +79,6 @@ def selected() -> dict[str, str]:
 def detection_disabled() -> bool:
     """True when ``REPRO_NO_COMPILED`` forces the pure-Python tier."""
     return os.environ.get(NO_COMPILED_ENV, "").strip().lower() in _TRUTHY
-
-
-_njit = None
-_njit_resolved = False
-
-
-def numba_njit():
-    """``numba.njit(cache=True, ...)`` partial, or ``None``.
-
-    The import is attempted once; any failure (missing package, broken
-    install) marks numba unavailable for the process.
-    """
-    global _njit, _njit_resolved
-    if detection_disabled():
-        return None
-    if not _njit_resolved:
-        _njit_resolved = True
-        try:
-            import numba
-
-            def _decorate(fn):
-                return numba.njit(cache=True, nogil=True)(fn)
-
-            _njit = _decorate
-        except Exception:
-            _njit = None
-    return _njit
 
 
 _cc = None
@@ -267,8 +160,8 @@ def cc_build(name: str, source: str) -> ctypes.CDLL | None:
 def warmup() -> dict[str, str | None]:
     """Resolve and compile every kernel family now.
 
-    Triggers each family's lazy provider resolution (numba → cc → pure)
-    including the self-checks, so later calls never pay JIT latency.
+    Triggers each family's lazy provider resolution (cc → pure)
+    including the self-checks, so later calls never pay build latency.
     Returns ``{family: provider_or_None}`` (today ``{"des": ...}``) and
     publishes gauge ``compiled.available`` (1 when any family has a
     compiled kernel).

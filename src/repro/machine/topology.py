@@ -351,13 +351,6 @@ class Machine:
         except KeyError:
             raise TopologyError(f"no UPI link {src}->{dst} in {self.name}") from None
 
-    def all_cores(self) -> list[Core]:
-        """All cores ordered by (socket, core id)."""
-        out: list[Core] = []
-        for sid in sorted(self._sockets):
-            out.extend(sorted(self._sockets[sid].cores, key=lambda c: c.core_id))
-        return out
-
     def core(self, core_id: int) -> Core:
         for sock in self._sockets.values():
             for c in sock.cores:

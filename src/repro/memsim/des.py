@@ -28,9 +28,10 @@ Three backends produce *identical* results (``des_backend=``):
   closed-loop window per epoch with closed-form NumPy FIFO admission;
   single-route setups only (BIND / LOCAL policies);
 * ``"compiled"`` — :mod:`repro.memsim.des_jit`, the scalar event loop
-  compiled, degrading to ``"scalar"`` without a provider;
+  in C, degrading to ``"scalar"`` without a C compiler;
 * ``"auto"`` (default) — the vector path for single-route setups whose
-  primed request count reaches :data:`DES_VECTORIZE_THRESHOLD`, the
+  primed request count reaches :data:`DES_VECTORIZE_THRESHOLD` (for
+  every single-route setup when there is no compiled kernel), the
   compiled loop otherwise.
 
 Identical means identical: every backend advances time in an integer
@@ -72,11 +73,12 @@ LINE = CACHELINE
 #: error ~1e-6 relative while leaving int64 headroom for multi-ms runs.
 TICKS_PER_NS = 1 << 20
 
-#: ``des_backend="auto"`` switches a single-route setup to the
-#: vectorized engine once the primed closed-loop window (sum of
-#: per-thread MLP) reaches this many requests — the point where NumPy's
-#: fixed per-batch overhead wins.
-DES_VECTORIZE_THRESHOLD = 64
+#: With the compiled kernel available, ``des_backend="auto"`` switches
+#: a single-route setup to the vectorized engine once the primed
+#: closed-loop window (sum of per-thread MLP) reaches this many
+#: requests — about 5 threads at 26 requests each, where the two meet
+#: on DDR5 (measurements in docs/MODEL.md §11).
+DES_VECTORIZE_THRESHOLD = 128
 
 #: valid ``des_backend=`` values
 DES_BACKENDS = ("auto", "scalar", "vector", "compiled")
@@ -412,14 +414,13 @@ def simulate_stream_des(machine: Machine, kernel_name: str,
 
     ``des_backend`` selects the engine: ``"scalar"`` (reference event
     loop), ``"vector"`` (batched NumPy epochs, single-route setups
-    only), ``"compiled"`` (the JIT/C event loop of
+    only), ``"compiled"`` (the C event loop of
     :mod:`repro.memsim.des_jit`, silently degrading to ``"scalar"`` when
-    no compiled provider exists), or ``"auto"`` — vector for a
-    single-route setup whose closed-loop window holds ≥
-    :data:`DES_VECTORIZE_THRESHOLD` requests, the compiled event loop
-    otherwise.  ``REPRO_BACKEND`` (see :mod:`repro.compiled`) overrides
-    the ``"auto"`` resolution; an explicit ``des_backend`` argument
-    always wins.  All backends return identical results.
+    it is unavailable), or ``"auto"`` — vector for a single-route setup
+    whose closed-loop window holds ≥ :data:`DES_VECTORIZE_THRESHOLD`
+    requests, or for any single-route setup when the compiled loop is
+    unavailable; the compiled event loop otherwise.  All backends
+    return identical results.
 
     Raises:
         SimulationError: empty placement, no usable targets, warmup not
@@ -434,18 +435,16 @@ def simulate_stream_des(machine: Machine, kernel_name: str,
         )
     setup = _build_setup(machine, kernel_name, placement, policy,
                          app_direct, sim_ns, warmup_ns)
+    from repro.memsim import des_jit   # imports this module at load
+
     backend = des_backend
     if backend == "auto":
-        backend = compiled.backend_override() or "auto"
-    if backend == "auto":
         single_route = all(fracs is None for fracs in setup.thread_fracs)
-        backend = ("vector" if single_route
-                   and sum(setup.mlp) >= DES_VECTORIZE_THRESHOLD
-                   else "compiled")
-    if backend == "compiled":
-        from repro.memsim import des_jit
-        if not des_jit.available():
-            backend = "scalar"
+        backend = ("vector" if single_route and (
+            sum(setup.mlp) >= DES_VECTORIZE_THRESHOLD
+            or not des_jit.available()) else "compiled")
+    if backend == "compiled" and not des_jit.available():
+        backend = "scalar"
     compiled.report_tier("des", backend)
     with obs.span("des.run", meta={"backend": backend,
                                    "kernel": kernel_name,
@@ -454,8 +453,7 @@ def simulate_stream_des(machine: Machine, kernel_name: str,
             from repro.memsim.des_fast import run_vector
             counts = run_vector(setup)
         elif backend == "compiled":
-            from repro.memsim.des_jit import run_compiled
-            counts = run_compiled(setup)
+            counts = des_jit.run_compiled(setup)
         else:
             counts = _run_scalar(setup)
     result = _finalize(setup, counts)

@@ -254,7 +254,3 @@ def set_plan_cache_enabled(enabled: bool) -> bool:
     prev = _ENABLED
     _ENABLED = bool(enabled)
     return prev
-
-
-def plan_cache_enabled() -> bool:
-    return _ENABLED

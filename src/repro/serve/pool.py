@@ -55,9 +55,9 @@ _WORKER_STATES: "OrderedDict[str, tuple]" = OrderedDict()
 def _warm_init(fault_plan_json: str | None = None) -> None:
     """Worker initializer: pre-warm the compiled tier, install faults.
 
-    :func:`repro.compiled.warmup` resolves and self-checks every kernel
-    family (numba → cc → pure) now, so the first real task never pays
-    JIT latency.  A forwarded fault plan is installed with fresh
+    :func:`repro.compiled.warmup` builds (or loads) and self-checks every
+    kernel family now, falling back to pure Python, so the first real
+    task never pays build latency.  A forwarded fault plan is installed with fresh
     counters — workers consult it at attempt 0; parent-side retries use
     the parent's own plan state (same contract as the one-shot pool).
     """

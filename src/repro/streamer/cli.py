@@ -33,7 +33,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro import compiled, faults, obs
+from repro import faults, obs
 from repro.stream.config import StreamConfig
 from repro.streamer.compare import comparison_report
 from repro.streamer.configs import FIGURE_KERNELS
@@ -60,9 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--faults", metavar="PLAN.json",
                    help="install a fault-injection plan for this invocation "
                         "(see examples/faultplans/)")
-    p.add_argument("--backend", choices=list(compiled.BACKENDS),
-                   help="force the execution tier for every subsystem "
-                        "(default: auto / $REPRO_BACKEND)")
     sub = p.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run sweeps on the modelled testbeds")
@@ -256,13 +253,9 @@ def main(argv: list[str] | None = None) -> int:
         plan = faults.FaultPlan.load(args.faults)
         faults.install(plan)
         print(f"fault plan installed: {plan.describe()}", file=sys.stderr)
-    prev_backend = (compiled.set_backend(args.backend)
-                    if args.backend else None)
     try:
         return _dispatch(args)
     finally:
-        if args.backend:
-            compiled.set_backend(prev_backend)
         if args.faults:
             faults.clear()
         if want_metrics or want_trace:

@@ -21,20 +21,6 @@ _POINT_TYPES = {"▲": 9, "●": 7, "×": 2}
 _COLORS = {"▲": "#D97706", "●": "#2563EB", "×": "#DC2626"}
 
 
-def _series_block(results: ResultSet, series_key: str) -> str:
-    """Inline gnuplot data block for one trend."""
-    curve = None
-    for kernel in FIGURE_KERNELS.values():
-        pts = results.series_curve(series_key, kernel)
-        if pts:
-            curve = pts
-            break
-    if curve is None:
-        raise BenchmarkError(f"no data for series {series_key!r}")
-    lines = [f"{n} {v}" for n, v in curve]
-    return "\n".join(lines) + "\ne"
-
-
 def gnuplot_script(results: ResultSet, figure: int,
                    output_png: str | None = None) -> str:
     """Render one figure's gnuplot script (data inlined, no CSV needed).

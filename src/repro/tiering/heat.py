@@ -20,10 +20,8 @@ Two backends produce **bit-identical** results (``backend=``):
   same two IEEE-754 float64 roundings per element as the scalar loop,
   so equality is exact, not approximate);
 * ``"auto"`` (default) — the vector path once the page count reaches
-  :data:`HEAT_VECTORIZE_THRESHOLD`, mirroring the DES/flit dispatch
-  convention; ``$REPRO_BACKEND`` / :func:`repro.compiled.set_backend`
-  override the resolution, and a global ``compiled`` force resolves to
-  the vector path (there is no heat kernel).
+  :data:`HEAT_VECTORIZE_THRESHOLD`, mirroring the DES dispatch
+  convention (there is no compiled heat kernel).
 
 ``benchmarks/bench_tiering.py`` gates the vector path at >= 10x over
 the scalar reference at >= 64k pages.
@@ -33,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import compiled, obs
+from repro import obs
 from repro.errors import TieringError
 
 __all__ = [
@@ -44,7 +42,7 @@ __all__ = [
 
 #: ``backend="auto"`` switches to the vectorized fold once the tracker
 #: covers at least this many pages (below it the NumPy call overhead
-#: rivals the loop cost, mirroring ``DES_VECTORIZE_THRESHOLD``).
+#: rivals the loop cost).
 HEAT_VECTORIZE_THRESHOLD = 64
 
 #: valid ``backend=`` values
@@ -84,15 +82,10 @@ class HeatTracker:
 
     def resolve_backend(self) -> str:
         """The backend one ``record``/``end_epoch`` pair will use."""
-        backend = self.backend
-        if backend == "auto":
-            backend = compiled.backend_override() or "auto"
-        if backend == "auto":
-            backend = ("vector" if self.n_pages >= HEAT_VECTORIZE_THRESHOLD
-                       else "scalar")
-        if backend == "compiled":      # forced globally; no heat kernel
-            backend = "vector"
-        return backend
+        if self.backend != "auto":
+            return self.backend
+        return ("vector" if self.n_pages >= HEAT_VECTORIZE_THRESHOLD
+                else "scalar")
 
     # ------------------------------------------------------------------
     # the two phases

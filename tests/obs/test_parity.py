@@ -51,7 +51,9 @@ class TestDesParity:
         m = tb1.machine
         cores = place_threads(m, 4, sockets=[0])
         obs.enable(metrics=True, trace=False)
-        result = simulate_stream_des(m, "triad", cores, NumaPolicy.bind(2))
+        # des.windows counts the vector backend's epochs
+        result = simulate_stream_des(m, "triad", cores, NumaPolicy.bind(2),
+                                     des_backend="vector")
         obs.disable()
         c = _counters()
         assert c["des.runs"] == 1

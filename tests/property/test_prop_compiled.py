@@ -11,9 +11,9 @@ The undo-log CRC has no kernel of its own (the log calls
 :func:`zlib.crc32`); a pure-Python table-driven CRC-32 pins zlib's bits
 and the streaming form the log relies on.
 
-Compiled-only legs skip cleanly when no provider (numba or a C
-compiler) is usable in the environment — e.g. under
-``REPRO_NO_COMPILED=1``; the scalar/vector assertions always run.
+Compiled-only legs skip cleanly when no C compiler is usable in the
+environment — e.g. under ``REPRO_NO_COMPILED=1``; the scalar/vector
+assertions always run.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import compiled
 from repro.machine.affinity import place_threads
 from repro.machine.numa import NumaPolicy, PolicyKind
 from repro.machine.presets import setup1, setup2
@@ -89,14 +90,16 @@ def test_compiled_des_matches_scalar_and_vector_exactly(config):
 
 def test_compiled_backend_degrades_to_scalar_without_provider(monkeypatch):
     """``des_backend="compiled"`` must not error when no provider exists
-    — it silently runs the scalar loop."""
+    — it silently runs the scalar loop, and dispatch records the tier
+    actually run."""
     monkeypatch.setattr(des_jit, "available", lambda: False)
     m = _MACHINES["setup1"]
     cores = place_threads(m, 2, sockets=[0])
-    scalar = simulate_stream_des(m, "triad", cores, NumaPolicy.bind(2),
-                                 des_backend="scalar")
     forced = simulate_stream_des(m, "triad", cores, NumaPolicy.bind(2),
                                  des_backend="compiled")
+    assert compiled.selected()["des"] == "scalar"
+    scalar = simulate_stream_des(m, "triad", cores, NumaPolicy.bind(2),
+                                 des_backend="scalar")
     assert scalar == forced
 
 

@@ -1,4 +1,4 @@
-"""The compiled tier's detection, forcing and dispatch plumbing."""
+"""The compiled tier's detection, self-check and dispatch plumbing."""
 
 from __future__ import annotations
 
@@ -13,16 +13,7 @@ from repro.machine.affinity import place_threads
 from repro.machine.numa import NumaPolicy
 from repro.machine.presets import setup1
 from repro.memsim import des_jit
-from repro.memsim.des import simulate_stream_des
-
-
-@pytest.fixture(autouse=True)
-def _clean_override(monkeypatch):
-    """Each test starts from automatic dispatch with a pristine env."""
-    monkeypatch.delenv(compiled.BACKEND_ENV, raising=False)
-    compiled.refresh()
-    yield
-    compiled.refresh()
+from repro.memsim.des import _run_scalar, simulate_stream_des
 
 
 def _small_des(**kwargs):
@@ -48,15 +39,23 @@ def _des(threads, policy, **kwargs):
 class TestAutoDispatch:
     @pytest.mark.parametrize("threads", LEDGER_THREADS)
     @pytest.mark.parametrize("policy", sorted(LEDGER_POLICIES))
-    def test_ledger_cases(self, policy, threads):
-        """Each thread primes 26 requests: bind at 4+ threads reaches the
-        vectorization threshold; 1-2 threads and every interleaved case
-        run the event loop."""
-        _des(threads, LEDGER_POLICIES[policy])
-        event_loop = "compiled" if des_jit.available() else "scalar"
-        vector = threads >= 4 and policy != "interleave02"
-        assert compiled.selected()["des"] == (
-            "vector" if vector else event_loop)
+    def test_ledger_cases(self, policy, threads, monkeypatch):
+        """Each thread primes 26 requests.  With the compiled kernel,
+        bind at 8+ threads reaches the vectorization threshold and
+        everything else runs the compiled loop; without it, every bind
+        case runs vector and only interleave runs the scalar loop."""
+        if not des_jit.available():
+            # the rule is under test, not the kernel: the scalar oracle
+            # stands in for the missing compiled loop
+            monkeypatch.setattr(des_jit, "run_compiled", _run_scalar)
+        interleaved = policy == "interleave02"
+        with_provider = ("compiled" if interleaved or threads < 8
+                         else "vector")
+        without = "scalar" if interleaved else "vector"
+        for provider, want in ((True, with_provider), (False, without)):
+            monkeypatch.setattr(des_jit, "available", lambda p=provider: p)
+            _des(threads, LEDGER_POLICIES[policy])
+            assert compiled.selected()["des"] == want
 
 
 class TestVectorRejectsMultiRoute:
@@ -65,54 +64,6 @@ class TestVectorRejectsMultiRoute:
     def test_as_argument(self, policy):
         with pytest.raises(SimulationError, match="'compiled' or 'scalar'"):
             _des(4, policy, des_backend="vector")
-
-    def test_under_backend_env(self, monkeypatch):
-        monkeypatch.setenv(compiled.BACKEND_ENV, "vector")
-        compiled.refresh()
-        with pytest.raises(SimulationError, match="'compiled' or 'scalar'"):
-            _des(4, NumaPolicy.interleave(0, 2))
-
-
-class TestBackendForcing:
-    def test_env_var_forces_every_auto_dispatch(self, monkeypatch):
-        monkeypatch.setenv(compiled.BACKEND_ENV, "vector")
-        compiled.refresh()
-        baseline = _small_des(des_backend="scalar")
-        forced = _small_des()
-        assert compiled.selected()["des"] == "vector"
-        assert forced == baseline
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(compiled.BACKEND_ENV, "vector")
-        compiled.refresh()
-        _small_des(des_backend="scalar")
-        assert compiled.selected()["des"] == "scalar"
-
-    def test_invalid_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv(compiled.BACKEND_ENV, "turbo")
-        compiled.refresh()
-        with pytest.raises(SimulationError):
-            compiled.backend_override()
-
-    def test_set_backend_returns_previous_and_restores(self):
-        assert compiled.backend_override() is None
-        prev = compiled.set_backend("scalar")
-        assert prev is None
-        assert compiled.backend_override() == "scalar"
-        assert compiled.set_backend(prev) == "scalar"
-        assert compiled.backend_override() is None
-
-    def test_set_backend_rejects_unknown(self):
-        with pytest.raises(SimulationError):
-            compiled.set_backend("gpu")
-
-    def test_compiled_allowed_follows_override(self):
-        assert compiled.compiled_allowed()
-        compiled.set_backend("scalar")
-        assert not compiled.compiled_allowed()
-        compiled.set_backend("compiled")
-        assert compiled.compiled_allowed()
-        compiled.set_backend(None)
 
 
 class TestTierReporting:
@@ -138,7 +89,7 @@ class TestTierReporting:
         providers = compiled.warmup()
         assert set(providers) == {"des"}
         for provider in providers.values():
-            assert provider in (None, "numba", "cc")
+            assert provider in (None, "cc")
 
 
 class TestCcBuildCache:
@@ -181,19 +132,40 @@ class TestCcBuildCache:
         assert compiled.cc_build("broken", "this is not C") is None
 
 
+class TestSelfCheck:
+    """The provider is accepted only when its counts match the scalar
+    oracle; a kernel off by one tie-break or one boundary must fail."""
+
+    MUTANTS = {
+        "sift-down-tie-break": ("heap_seq[r] < heap_seq[c]",
+                                "heap_seq[r] > heap_seq[c]"),
+        "warm-window-boundary": ("now >= warm_t", "now > warm_t"),
+        "route-tie-break": ("cost < best_cost", "cost <= best_cost"),
+    }
+
+    def _build(self, name, source, tmp_path, monkeypatch):
+        if compiled.cc_compiler() is None:
+            pytest.skip("no C compiler")
+        monkeypatch.setenv(compiled.JIT_CACHE_ENV, str(tmp_path))
+        lib = compiled.cc_build(name, source)
+        assert lib is not None
+        return des_jit._bind(lib)
+
+    def test_accepts_the_kernel(self, tmp_path, monkeypatch):
+        fn = self._build("des", des_jit._C_SOURCE, tmp_path, monkeypatch)
+        assert des_jit._self_check(fn)
+
+    @pytest.mark.parametrize("mutant", sorted(MUTANTS))
+    def test_refuses_mutant(self, mutant, tmp_path, monkeypatch):
+        old, new = self.MUTANTS[mutant]
+        assert des_jit._C_SOURCE.count(old) == 1
+        source = des_jit._C_SOURCE.replace(old, new)
+        fn = self._build(f"des-{mutant}", source, tmp_path, monkeypatch)
+        assert not des_jit._self_check(fn)
+
+
 class TestDetectionKillSwitch:
     def test_no_compiled_env_disables_providers(self, monkeypatch):
         monkeypatch.setenv(compiled.NO_COMPILED_ENV, "1")
-        assert compiled.numba_njit() is None
         assert compiled.cc_compiler() is None
         assert compiled.detection_disabled()
-
-    def test_forced_compiled_degrades_when_unavailable(self, monkeypatch):
-        """REPRO_BACKEND=compiled with no provider silently falls back;
-        the dispatch records the tier actually run."""
-        monkeypatch.setattr(des_jit, "available", lambda: False)
-        monkeypatch.setenv(compiled.BACKEND_ENV, "compiled")
-        compiled.refresh()
-        result = _small_des()
-        assert compiled.selected()["des"] == "scalar"
-        assert result == _small_des(des_backend="scalar")

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro import compiled
 from repro.errors import TieringError
 from repro.tiering.heat import (
     HEAT_BACKENDS,
@@ -44,15 +43,6 @@ class TestDispatch:
         assert HeatTracker(4, backend="vector").resolve_backend() == "vector"
         assert HeatTracker(10_000,
                            backend="scalar").resolve_backend() == "scalar"
-
-    def test_global_compiled_override_resolves_to_vector(self, monkeypatch):
-        monkeypatch.setattr(compiled, "backend_override", lambda: "compiled")
-        assert HeatTracker(4).resolve_backend() == "vector"
-
-    def test_auto_honours_global_backend_override(self, monkeypatch):
-        monkeypatch.setattr(compiled, "backend_override", lambda: "scalar")
-        t = HeatTracker(10_000)    # auto, well past the threshold
-        assert t.resolve_backend() == "scalar"
 
 
 class TestRecord:

@@ -1,0 +1,77 @@
+#!/usr/bin/env python
+"""Regenerate tests/golden/digests.json, the outputs pinned across commits.
+
+Each key names one deterministic output and the function that hashes
+it; ``tests/test_golden.py`` recomputes every key and compares it with
+the file.  Running this script rewrites the file and prints each key
+whose digest moved — a change that moves one should say which and why.
+
+Run:  PYTHONPATH=src python tools/gen_golden.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from dataclasses import asdict
+from pathlib import Path
+
+from repro.machine.affinity import place_threads
+from repro.machine.numa import NumaPolicy, PolicyKind
+from repro.machine.presets import setup1
+from repro.memsim.des import simulate_stream_des
+
+OUT = (Path(__file__).resolve().parent.parent
+       / "tests" / "golden" / "digests.json")
+
+
+def sha256_json(doc) -> str:
+    return hashlib.sha256(
+        json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+#: the perf ledger's DES ladder: triad on setup #1's socket 0
+DES_THREADS = (1, 2, 4, 8, 10)
+DES_POLICIES = (NumaPolicy.bind(0), NumaPolicy.bind(2),
+                NumaPolicy.interleave(0, 2))
+
+
+def des_ladder(backend: str = "auto") -> str:
+    """Digest of the ladder's :class:`DesResult` list, each case run with
+    ``des_backend=backend`` over a 100 us window after a 10 us warm-up.
+
+    ``"vector"`` runs the bind cases only; the interleaved ones, which it
+    rejects, go through ``"compiled"``.
+    """
+    m = setup1().machine
+    results = []
+    for threads in DES_THREADS:
+        cores = place_threads(m, threads, sockets=[0])
+        for policy in DES_POLICIES:
+            tier = backend
+            if tier == "vector" and policy.kind is not PolicyKind.BIND:
+                tier = "compiled"
+            results.append(simulate_stream_des(
+                m, "triad", cores, policy, sim_ns=100_000,
+                warmup_ns=10_000, des_backend=tier))
+    return sha256_json([asdict(r) for r in results])
+
+
+#: every golden key and the function recomputing it
+DIGESTS = {
+    "des.ladder": des_ladder,
+}
+
+
+def main() -> int:
+    old = json.loads(OUT.read_text()) if OUT.exists() else {}
+    new = {key: fn() for key, fn in DIGESTS.items()}
+    for key in sorted(old.keys() | new.keys()):
+        if old.get(key) != new.get(key):
+            print(f"{key}: {old.get(key)} -> {new.get(key)}")
+    OUT.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
