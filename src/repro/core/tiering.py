@@ -7,7 +7,9 @@ code.  The paper's Table 1 characterizes this mode (volatile, coherent
 expansion, several factors below DRAM bandwidth); this module makes the
 mode executable:
 
-* :class:`PageCache` — an LRU page cache with hit/miss accounting;
+* :class:`PageCache` — an LRU page cache with hit/miss accounting,
+  one access at a time (also the oracle of the runtime tiering
+  engine's stamp-based LRU, :class:`repro.tiering.policy.LruCache`);
 * :class:`MemoryModeTier` — drives the cache with an access trace and
   converts the observed hit rate into the *effective* NUMA policy and
   latency that the bandwidth simulator understands;
@@ -23,7 +25,6 @@ cache is warm.
 
 from __future__ import annotations
 
-import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -34,18 +35,10 @@ from repro.errors import SimulationError
 from repro.machine.numa import NumaPolicy
 from repro.machine.topology import Machine
 
-#: batch granularity for :meth:`PageCache.access_many` (one residency
-#: snapshot + one fast-path classification per chunk)
-_ACCESS_CHUNK = 4096
-
 
 class PageCache:
-    """An LRU page cache (the DRAM 'near memory' directory).
-
-    :meth:`access` is the scalar reference (and the property-test
-    oracle); :meth:`access_many` is the batched NumPy path that
-    produces **identical** state and counters for the same stream.
-    """
+    """An LRU page cache (the DRAM 'near memory' directory), one
+    access at a time in an ``OrderedDict``."""
 
     def __init__(self, capacity_pages: int) -> None:
         if capacity_pages < 1:
@@ -68,80 +61,6 @@ class PageCache:
             self._lru.popitem(last=False)
             self.evictions += 1
         return False
-
-    def access_many(self, pages) -> int:
-        """Touch a batch of pages; returns the batch's hit count.
-
-        Exactly equivalent to ``for p in pages: self.access(p)`` —
-        same final LRU order, same hit/miss/eviction counters — but the
-        per-page Python work is collapsed wherever the stream allows:
-
-        * consecutive duplicates are always hits (the first touch makes
-          the page resident and most-recent) and fold into one access;
-        * an all-resident chunk is a pure hit run: counted in bulk,
-          with one ``move_to_end`` per *unique* page in last-occurrence
-          order (which is the order the scalar loop leaves behind);
-        * an all-distinct, none-resident chunk is a pure miss run:
-          one bulk ``OrderedDict.update`` plus front-pops for the
-          overflow — byte-identical to interleaved insert/evict because
-          pops always take the oldest entry;
-        * anything mixed falls back to the scalar loop for that chunk.
-        """
-        arr = np.ascontiguousarray(pages, dtype=np.int64)
-        if arr.ndim != 1:
-            raise SimulationError(
-                f"access_many takes a 1-D page batch, got shape {arr.shape}")
-        if arr.size == 0:
-            return 0
-        # fold consecutive duplicates: always hits, no order change
-        keep = np.empty(arr.size, dtype=bool)
-        keep[0] = True
-        np.not_equal(arr[1:], arr[:-1], out=keep[1:])
-        dup_hits = int(arr.size - keep.sum())
-        self.hits += dup_hits
-        arr = arr[keep]
-        hits = dup_hits
-        lru = self._lru
-        capacity = self.capacity_pages
-        for lo in range(0, arr.size, _ACCESS_CHUNK):
-            chunk = arr[lo:lo + _ACCESS_CHUNK]
-            if lru:
-                snapshot = np.fromiter(lru, count=len(lru), dtype=np.int64)
-                mask = np.isin(chunk, snapshot)
-            else:
-                mask = np.zeros(chunk.size, dtype=bool)
-            if mask.all():
-                # pure hit run: membership cannot change mid-run
-                n = int(chunk.size)
-                self.hits += n
-                hits += n
-                rev_unique, rev_first = np.unique(chunk[::-1],
-                                                  return_index=True)
-                order = rev_unique[np.argsort(-rev_first, kind="stable")]
-                for p in order.tolist():
-                    lru.move_to_end(p)
-            elif not mask.any() and np.unique(chunk).size == chunk.size:
-                # pure miss run of distinct pages
-                self.misses += int(chunk.size)
-                lru.update(zip(chunk.tolist(), itertools.repeat(None)))
-                overflow = len(lru) - capacity
-                for _ in range(overflow):
-                    lru.popitem(last=False)
-                if overflow > 0:
-                    self.evictions += overflow
-            else:
-                for p in chunk.tolist():
-                    if p in lru:
-                        lru.move_to_end(p)
-                        self.hits += 1
-                        hits += 1
-                    else:
-                        self.misses += 1
-                        lru[p] = None
-                        if len(lru) > capacity:
-                            lru.popitem(last=False)
-                            self.evictions += 1
-        return hits
 
     def pages(self) -> list[int]:
         """Resident page ids, LRU-oldest first."""
@@ -246,14 +165,9 @@ class MemoryModeTier:
         self.cache = PageCache(max(1, near_capacity_bytes // page_bytes))
 
     def run_trace(self, trace: Iterable[int]) -> TierProfile:
-        """Feed page accesses through the cache (batched)."""
-        it = iter(trace)
-        while True:
-            batch = np.fromiter(itertools.islice(it, _ACCESS_CHUNK),
-                                dtype=np.int64)
-            if batch.size == 0:
-                break
-            self.cache.access_many(batch)
+        """Feed page accesses through the cache, one at a time."""
+        for page in trace:
+            self.cache.access(page)
         return self.profile()
 
     def profile(self) -> TierProfile:

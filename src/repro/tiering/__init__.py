@@ -5,11 +5,12 @@ tier (an LRU hit rate folded into a fixed interleave), this package
 moves pages at runtime:
 
 * :mod:`repro.tiering.heat` — vectorized per-page access heat with
-  exponential decay at epoch folds (scalar/vector bit-identical,
-  ``auto`` dispatch);
+  exponential decay at epoch folds (one fold, byte-equal to its
+  per-element reference :func:`~repro.tiering.heat.fold_reference`);
 * :mod:`repro.tiering.policy` — pluggable promotion/demotion policies
-  (static interleave, exact LRU, TPP-style hysteresis, bandwidth-aware
-  spill);
+  (static interleave, exact LRU from last-use stamps, TPP-style
+  hysteresis, bandwidth-aware spill), each a pair of candidate masks
+  behind one shared ``decide()``;
 * :mod:`repro.tiering.migrate` — applies batched decisions with
   modelled move cost, optional real CXL-datapath copies, fault-plane
   abort exposure, and hard page-conservation invariants;
@@ -26,11 +27,7 @@ from repro.tiering.evaluate import (
     effective_sweep_policy,
     evaluate_policy,
 )
-from repro.tiering.heat import (
-    HEAT_BACKENDS,
-    HEAT_VECTORIZE_THRESHOLD,
-    HeatTracker,
-)
+from repro.tiering.heat import HeatTracker, fold_reference
 from repro.tiering.migrate import (
     FAR,
     NEAR,
@@ -54,7 +51,7 @@ from repro.tiering.policy import (
 __all__ = [
     "TRACE_KINDS", "TieringSpec", "TieringResult",
     "compare_policies", "effective_sweep_policy", "evaluate_policy",
-    "HEAT_BACKENDS", "HEAT_VECTORIZE_THRESHOLD", "HeatTracker",
+    "HeatTracker", "fold_reference",
     "NEAR", "FAR", "MigrationDecision", "MigrationStats",
     "EpochMoveReport", "TierState", "MigrationEngine",
     "interleave_placement",

@@ -37,7 +37,7 @@ from repro.core.tiering import near_far_policy
 from repro.errors import TieringError
 from repro.machine.numa import NumaPolicy
 from repro.machine.topology import Machine, NodeKind
-from repro.tiering.heat import HEAT_BACKENDS, HeatTracker
+from repro.tiering.heat import HeatTracker
 from repro.tiering.migrate import NEAR, MigrationEngine, TierState
 from repro.tiering.policy import POLICIES, make_policy
 
@@ -79,7 +79,6 @@ class TieringSpec:
     alpha: float = 1.0
     hot_fraction: float = 0.9
     seed: int = 1234
-    backend: str = "auto"
     max_moves_per_epoch: int = 512
     hot_threshold: float = 1.0
     cold_threshold: float = 0.25
@@ -99,10 +98,6 @@ class TieringSpec:
             raise TieringError(
                 f"unknown trace kind {self.trace!r}; "
                 f"expected one of {TRACE_KINDS}")
-        if self.backend not in HEAT_BACKENDS:
-            raise TieringError(
-                f"unknown heat backend {self.backend!r}; "
-                f"expected one of {HEAT_BACKENDS}")
         if self.n_pages < 2:
             raise TieringError("footprint needs at least two pages")
         if not 0.0 < self.near_fraction < 1.0:
@@ -264,7 +259,7 @@ def evaluate_policy(spec: TieringSpec, near_ns: float | None = None,
     cap = spec.near_capacity_pages
     policy = make_policy(spec.policy, n, cap, **_policy_kwargs(spec))
     state = TierState(n, cap, placement=policy.initial_placement())
-    tracker = HeatTracker(n, decay=spec.decay, backend=spec.backend)
+    tracker = HeatTracker(n, decay=spec.decay)
     engine = MigrationEngine(state, page_bytes=spec.page_bytes,
                              link_gbps=spec.link_gbps,
                              remap_ns=spec.remap_ns, port=port,

@@ -12,19 +12,13 @@ so a page's heat is a geometrically weighted access rate — recent epochs
 dominate, and a page untouched for ``k`` epochs retains ``decay**k`` of
 its old heat.
 
-Two backends produce **bit-identical** results (``backend=``):
-
-* ``"scalar"`` — the reference: a Python loop over the batch for the
-  counts and an element-wise Python loop for the decay fold;
-* ``"vector"`` — ``np.bincount`` + one vectorized multiply-add (the
-  same two IEEE-754 float64 roundings per element as the scalar loop,
-  so equality is exact, not approximate);
-* ``"auto"`` (default) — the vector path once the page count reaches
-  :data:`HEAT_VECTORIZE_THRESHOLD`, mirroring the DES dispatch
-  convention (there is no compiled heat kernel).
-
-``benchmarks/bench_tiering.py`` gates the vector path at >= 10x over
-the scalar reference at >= 64k pages.
+There is one fold: ``np.bincount`` plus one vectorized multiply-add, at
+every footprint size.  :func:`fold_reference` is the same fold written
+as a per-element Python loop; it rounds exactly as the vector fold does
+(twice per element, in the same order), so the two are equal byte for
+byte.  It is the oracle of the property tests, and
+``benchmarks/bench_tiering.py`` gates the tracker at >= 10x over it on
+a 64k-page batch.
 """
 
 from __future__ import annotations
@@ -35,18 +29,27 @@ from repro import obs
 from repro.errors import TieringError
 
 __all__ = [
-    "HEAT_BACKENDS",
-    "HEAT_VECTORIZE_THRESHOLD",
     "HeatTracker",
+    "fold_reference",
 ]
 
-#: ``backend="auto"`` switches to the vectorized fold once the tracker
-#: covers at least this many pages (below it the NumPy call overhead
-#: rivals the loop cost).
-HEAT_VECTORIZE_THRESHOLD = 64
 
-#: valid ``backend=`` values
-HEAT_BACKENDS = ("auto", "scalar", "vector")
+def fold_reference(heat: np.ndarray, pages, decay: float) -> np.ndarray:
+    """One ``record`` + ``end_epoch`` pair as a per-element loop.
+
+    Counts ``pages`` one access at a time, then folds
+    ``heat[i] * decay + counts[i]`` element by element; returns the new
+    heat (``heat`` itself is left untouched).
+    """
+    counts = np.zeros(heat.size, dtype=np.int64)
+    for p in np.asarray(pages, dtype=np.int64).tolist():
+        counts[p] += 1
+    out = heat.copy()
+    for i in range(out.size):
+        # two roundings per element, as in the vector fold:
+        # round(heat*decay), then round(+count)
+        out[i] = out[i] * decay + counts[i]
+    return out
 
 
 class HeatTracker:
@@ -55,37 +58,19 @@ class HeatTracker:
     Args:
         n_pages: pages tracked (ids ``0 .. n_pages-1``).
         decay: per-epoch retention factor in ``[0, 1)``.
-        backend: see :data:`HEAT_BACKENDS`.
     """
 
-    def __init__(self, n_pages: int, decay: float = 0.5,
-                 backend: str = "auto") -> None:
+    def __init__(self, n_pages: int, decay: float = 0.5) -> None:
         if n_pages < 1:
             raise TieringError("heat tracker needs at least one page")
         if not 0.0 <= decay < 1.0:
             raise TieringError(f"decay must be in [0, 1), got {decay}")
-        if backend not in HEAT_BACKENDS:
-            raise TieringError(
-                f"unknown heat backend {backend!r}; "
-                f"expected one of {HEAT_BACKENDS}")
         self.n_pages = n_pages
         self.decay = float(decay)
-        self.backend = backend
         self.heat = np.zeros(n_pages, dtype=np.float64)
         self.epoch = 0
         self.total_accesses = 0
         self._counts = np.zeros(n_pages, dtype=np.int64)
-
-    # ------------------------------------------------------------------
-    # dispatch
-    # ------------------------------------------------------------------
-
-    def resolve_backend(self) -> str:
-        """The backend one ``record``/``end_epoch`` pair will use."""
-        if self.backend != "auto":
-            return self.backend
-        return ("vector" if self.n_pages >= HEAT_VECTORIZE_THRESHOLD
-                else "scalar")
 
     # ------------------------------------------------------------------
     # the two phases
@@ -108,12 +93,7 @@ class HeatTracker:
                 f"page ids must be in [0, {self.n_pages}); batch spans "
                 f"[{arr.min()}, {arr.max()}]")
         self.total_accesses += arr.size
-        if self.resolve_backend() == "scalar":
-            counts = self._counts
-            for p in arr.tolist():
-                counts[p] += 1
-        else:
-            self._counts += np.bincount(arr, minlength=self.n_pages)
+        self._counts += np.bincount(arr, minlength=self.n_pages)
 
     def end_epoch(self) -> np.ndarray:
         """Fold the open epoch: decay old heat, add the fresh counts.
@@ -122,15 +102,7 @@ class HeatTracker:
         accumulator is zeroed for the next epoch).
         """
         counts = self._counts
-        if self.resolve_backend() == "scalar":
-            heat = self.heat
-            decay = self.decay
-            for i in range(self.n_pages):
-                # two roundings per element, same as the vector path:
-                # round(heat*decay), then round(+count)
-                heat[i] = heat[i] * decay + counts[i]
-        else:
-            np.add(self.heat * self.decay, counts, out=self.heat)
+        np.add(self.heat * self.decay, counts, out=self.heat)
         self.epoch += 1
         out = counts.copy()
         counts[:] = 0
@@ -145,7 +117,7 @@ class HeatTracker:
 
     def hottest(self, k: int) -> np.ndarray:
         """The ``k`` hottest page ids, heat-descending, ties broken by
-        ascending page id (deterministic across backends)."""
+        ascending page id."""
         if k <= 0:
             return np.empty(0, dtype=np.int64)
         order = np.lexsort((np.arange(self.n_pages), -self.heat))
@@ -153,5 +125,4 @@ class HeatTracker:
 
     def describe(self) -> str:
         return (f"heat tracker: {self.n_pages} pages, decay {self.decay}, "
-                f"epoch {self.epoch}, backend {self.resolve_backend()} "
-                f"({self.total_accesses} accesses)")
+                f"epoch {self.epoch} ({self.total_accesses} accesses)")

@@ -286,6 +286,11 @@ class MigrationEngine:
         return report
 
     def _validate(self, promos, demos) -> None:
+        n = self.state.n_pages
+        outside = [p for p in (*promos, *demos) if not 0 <= p < n]
+        if outside:
+            raise TieringError(
+                f"decision names pages outside [0, {n}): {outside[:8]}")
         pset, dset = set(promos), set(demos)
         if len(pset) != len(promos) or len(dset) != len(demos):
             raise TieringError("decision repeats a page")

@@ -8,8 +8,8 @@ Four policies ship, spanning the design space the related work measures
 * :class:`StaticInterleave` — the no-migration baseline: pages stay
   where the initial weighted-interleave placement put them (today's
   ``core/tiering`` behaviour, and the right answer for pure streaming);
-* :class:`LruCache` — adapts :class:`repro.core.tiering.PageCache`:
-  near memory mirrors an exact LRU of the access stream (promote
+* :class:`LruCache` — near memory mirrors an exact LRU of the access
+  stream, computed from a last-use stamp per page (promote
   resident-but-far, demote near-but-evicted);
 * :class:`TppPromote` — TPP-style threshold promotion with hysteresis:
   a page must look hot (``heat >= hot_threshold``) for ``hysteresis``
@@ -21,21 +21,20 @@ Four policies ship, spanning the design space the related work measures
   near tier's fair *bandwidth* share, spilling only the remainder to
   CXL (pages beyond that point gain little from DDR residency).
 
-Every policy is **deterministic**: candidate ordering is heat-sorted
-with ascending-page-id tie-breaks (``np.lexsort``), no RNG anywhere —
-the property suite replays decision streams and requires equality.
-
-All policies share one budget/capacity fitter so no decision can
-overflow the near tier or exceed ``max_moves_per_epoch``.
+A policy only names its candidates: :meth:`TieringPolicy.candidates`
+returns a (promote, demote) pair of boolean masks over the placement.
+:meth:`TieringPolicy.decide` is the one body that turns them into a
+decision: it orders each side by heat with ascending-page-id
+tie-breaks, clips both to the per-epoch move budget and the near-tier
+capacity, and builds the :class:`MigrationDecision`.  There is no RNG
+anywhere, so the property suite can replay decision streams and
+require equality.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
-from repro.core.tiering import PageCache
 from repro.errors import TieringError
 from repro.tiering.migrate import (
     FAR,
@@ -56,14 +55,13 @@ __all__ = [
 ]
 
 
-def _heat_order(pages: Iterable[int], heat: np.ndarray,
+def _heat_order(mask: np.ndarray, heat: np.ndarray,
                 hottest_first: bool) -> np.ndarray:
-    """Deterministic heat ordering: heat (desc or asc), then page id."""
-    arr = np.asarray(sorted(pages), dtype=np.int64)
-    if arr.size == 0:
-        return arr
-    key = -heat[arr] if hottest_first else heat[arr]
-    return arr[np.lexsort((arr, key))]
+    """The pages of ``mask`` by heat (desc or asc), then page id."""
+    pages = np.flatnonzero(mask)
+    key = -heat[pages] if hottest_first else heat[pages]
+    # ids ascend, so a stable sort breaks heat ties by page id
+    return pages[np.argsort(key, kind="stable")]
 
 
 def _fit(state: TierState, promos: np.ndarray, demos: np.ndarray,
@@ -88,7 +86,8 @@ def _fit(state: TierState, promos: np.ndarray, demos: np.ndarray,
 
 
 class TieringPolicy:
-    """Base class: one ``decide()`` per epoch.
+    """Base class: a subclass implements :meth:`candidates`; the shared
+    :meth:`decide` turns them into one decision per epoch.
 
     Args:
         n_pages: footprint size in pages.
@@ -98,6 +97,8 @@ class TieringPolicy:
     """
 
     name = "abstract"
+    #: spend leftover budget draining cold pages, keeping near headroom
+    proactive_demote = False
 
     def __init__(self, n_pages: int, near_capacity_pages: int,
                  max_moves_per_epoch: int = 512) -> None:
@@ -119,19 +120,34 @@ class TieringPolicy:
         return interleave_placement(self.n_pages, self.near_capacity_pages,
                                     near_weight=1, far_weight=k - 1)
 
-    def decide(self, heat: np.ndarray, accesses: np.ndarray,
-               state: TierState, epoch: int) -> MigrationDecision:
-        """Emit this epoch's migration order.
+    def candidates(self, heat: np.ndarray, accesses: np.ndarray,
+                   state: TierState) -> tuple[np.ndarray, np.ndarray]:
+        """This epoch's ``(promote, demote)`` boolean masks over
+        ``state.placement``: far pages worth promoting, near pages
+        worth demoting.
 
         Args:
             heat: the tracker's decayed per-page heat *after* the
                 epoch's fold.
-            accesses: the epoch's raw page-id access batch (some
-                policies — LRU — need the sequence, not just counts).
+            accesses: the epoch's raw page-id access batch (LRU needs
+                the sequence, not just counts).
             state: current placement (read-only for policies).
-            epoch: the epoch index just folded.
         """
         raise NotImplementedError
+
+    def decide(self, heat: np.ndarray, accesses: np.ndarray,
+               state: TierState, epoch: int) -> MigrationDecision:
+        """Emit this epoch's migration order (``epoch`` is the index just
+        folded): promotions hottest first, demotions coldest first, both
+        fitted to the budget and the near tier's capacity."""
+        promote, demote = self.candidates(heat, accesses, state)
+        promos, demos = _fit(state,
+                             _heat_order(promote, heat, hottest_first=True),
+                             _heat_order(demote, heat, hottest_first=False),
+                             self.max_moves_per_epoch, self.proactive_demote)
+        return MigrationDecision(epoch=epoch,
+                                 promotions=tuple(promos.tolist()),
+                                 demotions=tuple(demos.tolist()))
 
     def describe(self) -> str:
         return (f"{self.name}: {self.n_pages} pages, "
@@ -144,17 +160,21 @@ class StaticInterleave(TieringPolicy):
 
     name = "static"
 
-    def decide(self, heat, accesses, state, epoch) -> MigrationDecision:
-        return MigrationDecision(epoch=epoch)
+    def candidates(self, heat, accesses, state):
+        none = np.zeros(state.n_pages, dtype=bool)
+        return none, none
 
 
 class LruCache(TieringPolicy):
     """Near memory tracks an exact LRU of the access stream.
 
-    Reuses :class:`repro.core.tiering.PageCache` (including its batched
-    ``access_many`` fast path): after the epoch's batch is fed through
-    the cache, resident-but-far pages are promoted (hottest first) and
-    near-but-evicted pages demoted (coldest first).
+    Each page keeps the stream position of its last use (``-1`` until
+    first touched).  LRU is a stack algorithm, so the resident set is
+    the ``max(1, capacity)`` touched pages with the newest stamps —
+    exactly what :class:`repro.core.tiering.PageCache` holds after the
+    same stream, without replaying it.  Resident-but-far pages are
+    promoted (hottest first), near-but-evicted pages demoted (coldest
+    first).
     """
 
     name = "lru"
@@ -162,21 +182,24 @@ class LruCache(TieringPolicy):
     def __init__(self, n_pages: int, near_capacity_pages: int,
                  max_moves_per_epoch: int = 512) -> None:
         super().__init__(n_pages, near_capacity_pages, max_moves_per_epoch)
-        self.cache = PageCache(max(1, near_capacity_pages))
+        self.capacity = max(1, near_capacity_pages)
+        self._stamp = np.full(n_pages, -1, dtype=np.int64)
+        self._clock = 0
 
-    def decide(self, heat, accesses, state, epoch) -> MigrationDecision:
-        self.cache.access_many(accesses)
-        resident = set(self.cache.pages())
-        promos = _heat_order(resident & state.far_pages, heat,
-                             hottest_first=True)
-        demos = _heat_order(state.near_pages - resident, heat,
-                            hottest_first=False)
-        promos, demos = _fit(state, promos, demos,
-                             self.max_moves_per_epoch,
-                             proactive_demote=False)
-        return MigrationDecision(epoch=epoch,
-                                 promotions=tuple(promos.tolist()),
-                                 demotions=tuple(demos.tolist()))
+    def candidates(self, heat, accesses, state):
+        batch = np.asarray(accesses, dtype=np.int64)
+        # each page's last use is its first occurrence in the reversed batch
+        pages, rev_first = np.unique(batch[::-1], return_index=True)
+        stamp = self._stamp
+        stamp[pages] = self._clock + batch.size - 1 - rev_first
+        self._clock += batch.size
+        # touched pages' stamps are distinct, so the k-th smallest is the
+        # capacity-th newest (or -1 while fewer pages are touched)
+        k = stamp.size - self.capacity
+        floor = np.partition(stamp, k)[k] if k > 0 else 0
+        resident = stamp >= max(int(floor), 0)
+        near = state.placement == NEAR
+        return resident & ~near, near & ~resident
 
 
 class TppPromote(TieringPolicy):
@@ -192,6 +215,7 @@ class TppPromote(TieringPolicy):
     """
 
     name = "tpp"
+    proactive_demote = True
 
     def __init__(self, n_pages: int, near_capacity_pages: int,
                  max_moves_per_epoch: int = 512,
@@ -211,25 +235,15 @@ class TppPromote(TieringPolicy):
         self._hot_streak = np.zeros(n_pages, dtype=np.int64)
         self._cold_streak = np.zeros(n_pages, dtype=np.int64)
 
-    def decide(self, heat, accesses, state, epoch) -> MigrationDecision:
-        hot = heat >= self.hot_threshold
-        cold = heat < self.cold_threshold
-        self._hot_streak = np.where(hot, self._hot_streak + 1, 0)
-        self._cold_streak = np.where(cold, self._cold_streak + 1, 0)
-        promo_mask = ((self._hot_streak >= self.hysteresis)
-                      & (state.placement == FAR))
-        demo_mask = ((self._cold_streak >= self.hysteresis)
-                     & (state.placement == NEAR))
-        promos = _heat_order(np.flatnonzero(promo_mask).tolist(), heat,
-                             hottest_first=True)
-        demos = _heat_order(np.flatnonzero(demo_mask).tolist(), heat,
-                            hottest_first=False)
-        promos, demos = _fit(state, promos, demos,
-                             self.max_moves_per_epoch,
-                             proactive_demote=True)
-        return MigrationDecision(epoch=epoch,
-                                 promotions=tuple(promos.tolist()),
-                                 demotions=tuple(demos.tolist()))
+    def candidates(self, heat, accesses, state):
+        self._hot_streak = np.where(heat >= self.hot_threshold,
+                                    self._hot_streak + 1, 0)
+        self._cold_streak = np.where(heat < self.cold_threshold,
+                                     self._cold_streak + 1, 0)
+        return ((self._hot_streak >= self.hysteresis)
+                & (state.placement == FAR),
+                (self._cold_streak >= self.hysteresis)
+                & (state.placement == NEAR))
 
 
 class BandwidthSpill(TieringPolicy):
@@ -259,27 +273,19 @@ class BandwidthSpill(TieringPolicy):
     def near_share(self) -> float:
         return self.near_gbps / (self.near_gbps + self.far_gbps)
 
-    def decide(self, heat, accesses, state, epoch) -> MigrationDecision:
+    def candidates(self, heat, accesses, state):
+        desired = np.zeros(self.n_pages, dtype=bool)
         total = float(heat.sum())
         if total <= 0.0:
-            return MigrationDecision(epoch=epoch)
+            return desired, desired          # no evidence: nothing moves
         order = np.lexsort((np.arange(self.n_pages), -heat))
         cum = np.cumsum(heat[order])
         # smallest prefix whose heat reaches the near bandwidth share
         want = int(np.searchsorted(cum, self.near_share * total) + 1)
-        want = min(want, self.near_capacity_pages)
-        prefix = order[:want]
-        desired = set(prefix[heat[prefix] > 0.0].tolist())
-        promos = _heat_order(desired & state.far_pages, heat,
-                             hottest_first=True)
-        demos = _heat_order(state.near_pages - desired, heat,
-                            hottest_first=False)
-        promos, demos = _fit(state, promos, demos,
-                             self.max_moves_per_epoch,
-                             proactive_demote=False)
-        return MigrationDecision(epoch=epoch,
-                                 promotions=tuple(promos.tolist()),
-                                 demotions=tuple(demos.tolist()))
+        desired[order[:min(want, self.near_capacity_pages)]] = True
+        desired &= heat > 0.0
+        near = state.placement == NEAR
+        return desired & ~near, near & ~desired
 
 
 #: CLI / spec name -> policy class

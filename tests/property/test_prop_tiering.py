@@ -2,14 +2,15 @@
 
 Three contracts worth hammering with hypothesis:
 
-* **heat-decay equality** — the scalar Python loop and the vectorized
-  ``np.bincount`` + multiply-add fold must be *bit-identical* on every
-  stream (not approximately equal: both paths round twice per element
-  in the same order, so equality is exact);
+* **heat-decay equality** — the tracker's ``np.bincount`` +
+  multiply-add fold must be *bit-identical* to the per-element
+  :func:`~repro.tiering.heat.fold_reference` on every stream (not
+  approximately equal: both round twice per element in the same order,
+  so equality is exact);
 * **page conservation** — any stream of valid migration decisions
   leaves every page in exactly one tier, counts intact, capacity
-  respected; the batched LRU ``access_many`` must match the scalar
-  ``access`` oracle state-for-state and counter-for-counter;
+  respected; the stamp-based LRU policy holds exactly the pages the
+  scalar ``PageCache`` oracle holds after the same stream;
 * **determinism** — the same spec/seed always produces the same
   decisions and the same evaluation result, which is what the sweep
   cache's byte-identity guarantee sits on.
@@ -17,14 +18,12 @@ Three contracts worth hammering with hypothesis:
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.tiering import PageCache
 from repro.tiering.evaluate import TieringSpec, evaluate_policy
-from repro.tiering.heat import HeatTracker
+from repro.tiering.heat import HeatTracker, fold_reference
 from repro.tiering.migrate import (
     FAR,
     NEAR,
@@ -32,10 +31,10 @@ from repro.tiering.migrate import (
     MigrationEngine,
     TierState,
 )
-from repro.tiering.policy import make_policy
+from repro.tiering.policy import LruCache, make_policy
 
 # ---------------------------------------------------------------------------
-# scalar ≡ vector heat decay
+# vector heat fold ≡ per-element reference
 # ---------------------------------------------------------------------------
 
 epoch_batches = st.lists(
@@ -48,61 +47,62 @@ epoch_batches = st.lists(
        decay=st.floats(0.0, 0.999, allow_nan=False))
 @settings(max_examples=100, deadline=None)
 def test_heat_scalar_vector_bit_identical(batches, decay):
-    scalar = HeatTracker(97, decay=decay, backend="scalar")
-    vector = HeatTracker(97, decay=decay, backend="vector")
+    tracker = HeatTracker(97, decay=decay)
+    reference = np.zeros(97, dtype=np.float64)
     for batch in batches:
         arr = np.asarray(batch, dtype=np.int64)
-        scalar.record(arr)
-        vector.record(arr)
-        counts_s = scalar.end_epoch()
-        counts_v = vector.end_epoch()
-        assert np.array_equal(counts_s, counts_v)
+        tracker.record(arr)
+        counts = tracker.end_epoch()
+        reference = fold_reference(reference, arr, decay)
+        assert np.array_equal(counts, np.bincount(arr, minlength=97))
         # bitwise, not approximate: same two roundings per element
-        assert scalar.heat.tobytes() == vector.heat.tobytes()
-    assert np.array_equal(scalar.hottest(10), vector.hottest(10))
+        assert tracker.heat.tobytes() == reference.tobytes()
 
 
 # ---------------------------------------------------------------------------
-# batched LRU ≡ scalar oracle
+# stamp LRU ≡ scalar PageCache oracle
 # ---------------------------------------------------------------------------
+
+LRU_PAGES = 5000
+
 
 def _streams():
-    """Streams exercising every access_many fast path: hit runs
-    (narrow reuse), distinct-miss runs (wide strides), and mixes."""
+    """Epochs of narrow reuse, wide jumps, strided walks and mixes."""
     narrow = st.integers(0, 7)
-    wide = st.integers(0, 4999)
-    return st.lists(
-        st.lists(st.one_of(narrow, wide), min_size=0, max_size=300),
-        min_size=1, max_size=6,
-    )
+    wide = st.integers(0, LRU_PAGES - 1)
+    mixed = st.lists(st.one_of(narrow, wide), max_size=300)
+    strided = st.builds(
+        lambda start, stride, n: [(start + i * stride) % LRU_PAGES
+                                  for i in range(n)],
+        wide, st.integers(1, 997), st.integers(0, 300))
+    return st.lists(st.one_of(mixed, strided), min_size=1, max_size=6)
+
+
+def _assert_lru_matches_oracle(batches, capacity):
+    # with every page far, the promotion mask is the resident set
+    policy = LruCache(LRU_PAGES, capacity)
+    state = TierState(LRU_PAGES, capacity)
+    oracle = PageCache(capacity)
+    heat = np.zeros(LRU_PAGES, dtype=np.float64)
+    for batch in batches:
+        for page in batch:
+            oracle.access(page)
+        promote, demote = policy.candidates(
+            heat, np.asarray(batch, dtype=np.int64), state)
+        assert set(np.flatnonzero(promote).tolist()) == set(oracle.pages())
+        assert not demote.any()
 
 
 @given(batches=_streams(), capacity=st.integers(1, 64))
 @settings(max_examples=100, deadline=None)
-def test_access_many_matches_scalar_oracle(batches, capacity):
-    oracle = PageCache(capacity)
-    batched = PageCache(capacity)
-    for batch in batches:
-        expect_hits = sum(oracle.access(p) for p in batch)
-        got_hits = batched.access_many(np.asarray(batch, dtype=np.int64))
-        assert got_hits == expect_hits
-    assert batched.hits == oracle.hits
-    assert batched.misses == oracle.misses
-    assert batched.evictions == oracle.evictions
-    # identical final LRU recency order, not just the same set
-    assert batched.pages() == oracle.pages()
+def test_lru_stamps_match_page_cache_oracle(batches, capacity):
+    _assert_lru_matches_oracle(batches, capacity)
 
 
-def test_access_many_long_distinct_run_exceeding_capacity():
-    # one chunk-sized miss run longer than the whole cache
-    oracle, batched = PageCache(16), PageCache(16)
-    stream = list(range(5000))
-    for p in stream:
-        oracle.access(p)
-    batched.access_many(np.asarray(stream, dtype=np.int64))
-    assert batched.pages() == oracle.pages()
-    assert (batched.hits, batched.misses, batched.evictions) == (
-        oracle.hits, oracle.misses, oracle.evictions)
+def test_lru_stamps_long_distinct_run_exceeding_capacity():
+    # one epoch of 5,000 distinct pages, then one re-touching a few of them
+    run = list(range(LRU_PAGES))
+    _assert_lru_matches_oracle([run, run[::-250]], capacity=16)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +160,7 @@ def test_policies_never_break_conservation(seed):
         state = TierState(N_PAGES, CAPACITY,
                           placement=policy.initial_placement())
         engine = MigrationEngine(state)
-        tracker = HeatTracker(N_PAGES, backend="vector")
+        tracker = HeatTracker(N_PAGES)
         for epoch in range(4):
             batch = rng.integers(0, N_PAGES, size=100)
             tracker.record(batch)
@@ -185,13 +185,3 @@ def test_policy_evaluation_deterministic(seed, policy, trace):
     a = evaluate_policy(spec)
     b = evaluate_policy(spec)
     assert a.to_doc() == b.to_doc()
-
-
-@given(seed=st.integers(0, 2**16 - 1))
-@settings(max_examples=20, deadline=None)
-def test_scalar_vector_backends_identical_results(seed):
-    base = TieringSpec(policy="tpp", seed=seed, n_pages=128, epochs=4,
-                       epoch_accesses=512)
-    scalar = evaluate_policy(replace(base, backend="scalar"))
-    vector = evaluate_policy(replace(base, backend="vector"))
-    assert scalar.to_doc() == vector.to_doc()

@@ -36,7 +36,6 @@ class TestSpec:
     @pytest.mark.parametrize("kw", [
         {"policy": "fifo"},
         {"trace": "random"},
-        {"backend": "gpu"},
         {"n_pages": 1},
         {"near_fraction": 0.0},
         {"near_fraction": 1.0},
@@ -44,6 +43,7 @@ class TestSpec:
         {"epoch_accesses": 0},
         {"alpha": -1.0},
         {"hot_fraction": 1.5},
+        {"hot_fraction": -0.1},
     ])
     def test_rejects_bad_fields(self, kw):
         with pytest.raises(TieringError):

@@ -16,6 +16,7 @@ from repro.tiering.migrate import (
     NEAR,
     MigrationDecision,
     MigrationEngine,
+    MigrationStats,
     TierState,
     interleave_placement,
 )
@@ -153,6 +154,19 @@ class TestEngineValidation:
         eng = MigrationEngine(_state(n=8, cap=2, near=(0, 1)))
         with pytest.raises(TieringError, match="overflows"):
             eng.apply(MigrationDecision(epoch=0, promotions=(2,)))
+
+    @pytest.mark.parametrize("page", [-1, 8])
+    def test_rejects_pages_outside_the_footprint(self, page):
+        # NumPy would wrap -1 to page 7; 8 is past the placement array
+        state = _state(n=8, cap=4, near=(0, 1))
+        eng = MigrationEngine(state)
+        placement = state.placement.tobytes()
+        with pytest.raises(TieringError, match="outside"):
+            eng.apply(MigrationDecision(epoch=0, promotions=(page,)))
+        assert state.placement.tobytes() == placement
+        assert state.near_pages == {0, 1}
+        assert state.far_pages == set(range(2, 8))
+        assert eng.stats == MigrationStats()
 
     def test_rejected_decision_leaves_state_untouched(self):
         state = _state(n=8, cap=2, near=(0, 1))

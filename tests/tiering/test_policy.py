@@ -180,7 +180,7 @@ class TestBudgetAndCapacity:
     def test_budget_is_a_hard_cap(self, name):
         policy = make_policy(name, N, CAP, max_moves_per_epoch=3)
         state = TierState(N, CAP, placement=policy.initial_placement())
-        tracker = HeatTracker(N, backend="vector")
+        tracker = HeatTracker(N)
         rng = np.random.default_rng(7)
         engine = MigrationEngine(state)
         for epoch in range(6):

@@ -16,10 +16,16 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
+from repro.core.tiering import MemoryModeTier, sequential_trace, zipf_trace
 from repro.machine.affinity import place_threads
 from repro.machine.numa import NumaPolicy, PolicyKind
 from repro.machine.presets import setup1
 from repro.memsim.des import simulate_stream_des
+from repro.stream.config import StreamConfig
+from repro.streamer.configs import tiering_group
+from repro.streamer.runner import StreamerRunner
+from repro.tiering.evaluate import TRACE_KINDS, TieringSpec, evaluate_policy
+from repro.tiering.policy import POLICIES
 
 OUT = (Path(__file__).resolve().parent.parent
        / "tests" / "golden" / "digests.json")
@@ -57,9 +63,49 @@ def des_ladder(backend: str = "auto") -> str:
     return sha256_json([asdict(r) for r in results])
 
 
+def sweep_paper() -> str:
+    """Digest of the perf ledger's sweep: ``run_all()`` JSON of the five
+    paper groups plus the tiering group at seed 7, serial, uncached."""
+    runner = StreamerRunner(config=StreamConfig.paper())
+    group = tiering_group(spec=TieringSpec(seed=7))
+    runner.groups[group.group_id] = group
+    return hashlib.sha256(
+        runner.run_all(parallel=False, use_cache=False).to_json().encode()
+    ).hexdigest()
+
+
+def tiering_policies() -> str:
+    """Digest of every policy on every trace, evaluated on setup #1
+    (policies in name order, traces in :data:`TRACE_KINDS` order)."""
+    m = setup1().machine
+    return sha256_json([
+        evaluate_policy(TieringSpec(policy=policy, trace=trace, n_pages=512,
+                                    epochs=8, epoch_accesses=2048, seed=7),
+                        machine=m).to_doc()
+        for policy in sorted(POLICIES) for trace in TRACE_KINDS])
+
+
+def tiering_memory_mode() -> str:
+    """Digest of the Memory-Mode profiles of bench_hybrid_memory's three
+    traces (4 MiB of DRAM caching the CXL node of setup #1)."""
+    m = setup1().machine
+    traces = (sequential_trace(8192, 20_000),
+              zipf_trace(4096, 20_000, alpha=1.2, seed=1),
+              zipf_trace(2048, 20_000, alpha=1.6, seed=1))
+    profiles = []
+    for trace in traces:
+        tier = MemoryModeTier(m, near_node=0, far_node=2,
+                              near_capacity_bytes=1024 * 4096)
+        profiles.append(asdict(tier.run_trace(trace)))
+    return sha256_json(profiles)
+
+
 #: every golden key and the function recomputing it
 DIGESTS = {
     "des.ladder": des_ladder,
+    "sweep.paper": sweep_paper,
+    "tiering.policies": tiering_policies,
+    "tiering.memory_mode": tiering_memory_mode,
 }
 
 
