@@ -30,12 +30,8 @@ from repro.cxl.spec import (
 from repro.cxl.transaction import M2SReq, M2SRwD, S2MDRS, S2MNDR
 from repro.cxl.flit import (
     FlitPacker,
-    FlitStats,
     class_half_slots,
-    half_slot_arrays,
     message_half_slots,
-    pack_messages,
-    pack_stats,
     stream_efficiency,
 )
 from repro.cxl.link import CreditPool, CxlLink
@@ -67,7 +63,6 @@ __all__ = [
     "CxlVersion",
     "DeviceType",
     "FlitPacker",
-    "FlitStats",
     "HdmDecoder",
     "HdmDecoderSet",
     "HostBridge",
@@ -90,9 +85,6 @@ __all__ = [
     "class_half_slots",
     "enumerate_endpoints",
     "enumerate_host",
-    "half_slot_arrays",
     "message_half_slots",
-    "pack_messages",
-    "pack_stats",
     "stream_efficiency",
 ]

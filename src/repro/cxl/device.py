@@ -2,11 +2,11 @@
 
 The expander holds *real* backing memory (sparse, page-granular, with
 dense-mappable windows used by the persistent-memory namespaces in
-:mod:`repro.core`), services CXL.mem transactions at cacheline granularity,
-and models the persistence domain: a device-side write buffer that is
-covered by the battery ("potentially backed by battery, like previous
-battery-backed DIMMs" — paper Section 1.4) or not, a Global Persistent
-Flush, and power-fail semantics.
+:mod:`repro.core`), serves CXL.mem reads and writes as spans of whole
+cachelines, and models the persistence domain: a device-side write buffer
+that is covered by the battery ("potentially backed by battery, like
+previous battery-backed DIMMs" — paper Section 1.4) or not, a Global
+Persistent Flush, and power-fail semantics.
 """
 
 from __future__ import annotations
@@ -18,15 +18,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.cxl.mailbox import Mailbox, MailboxOpcode
-from repro.cxl.spec import (
-    CACHELINE_BYTES,
-    DeviceType,
-    M2SReqOpcode,
-    M2SRwDOpcode,
-    S2MDRSOpcode,
-    S2MNDROpcode,
-)
-from repro.cxl.transaction import M2SReq, M2SRwD, S2MDRS, S2MNDR
+from repro.cxl.spec import CACHELINE_BYTES, DeviceType
 from repro.errors import CxlError, CxlPoisonError
 from repro import obs
 from repro.machine.dram import DramSpeedGrade, population_effective_gbps
@@ -284,7 +276,7 @@ class Type3Device:
         return dpa >= self._volatile_bytes
 
     # ------------------------------------------------------------------
-    # CXL.mem transaction servicing
+    # CXL.mem line transfers
     # ------------------------------------------------------------------
 
     def _check_power(self) -> None:
@@ -300,61 +292,10 @@ class Type3Device:
             )
         return addr
 
-    def process_req(self, req: M2SReq) -> S2MDRS | S2MNDR:
-        """Service an M2S request (read / invalidate)."""
-        self._check_power()
-        if req.opcode.expects_data:
-            try:
-                addr = self._line_addr(req.addr)
-            except CxlError:
-                # Access outside the HDM-backed capacity → NXM response.
-                obs.inc("cxl.device.nxm_reads")
-                return S2MDRS(S2MDRSOpcode.MEM_DATA_NXM, req.tag,
-                              b"\xff" * CACHELINE_BYTES, poison=True)
-            self.stats["reads"] += 1
-            data = self._write_buffer.get(addr)
-            if data is None:
-                data = self.memory.read(addr, CACHELINE_BYTES)
-            poisoned = addr in self._poison
-            if poisoned:
-                obs.inc("cxl.device.poison_served")
-                # scrub-on-read: the error is reported exactly once,
-                # then the line is quarantined and zeroed — a retried
-                # read observes clean (lost, not corrupt) data
-                self.scrub_line(addr)
-            return S2MDRS(S2MDRSOpcode.MEM_DATA, req.tag, data,
-                          poison=poisoned, addr=addr)
-        # invalidates / fwd flavors complete without data
-        return S2MNDR(S2MNDROpcode.CMP_E, req.tag)
-
-    def process_rwd(self, rwd: M2SRwD) -> S2MNDR:
-        """Service an M2S write; lands in the device write buffer."""
-        self._check_power()
-        addr = self._line_addr(rwd.addr)
-        self.stats["writes"] += 1
-        if rwd.opcode is M2SRwDOpcode.MEM_WR_PTL:
-            current = bytearray(self._write_buffer.get(
-                addr, self.memory.read(addr, CACHELINE_BYTES)))
-            for i in rwd.enabled_bytes():
-                current[i] = rwd.data[i]
-            line = bytes(current)
-        else:
-            line = rwd.data
-        self._write_buffer[addr] = line
-        self._poison.discard(addr)
-        self._quarantined.discard(addr)     # fresh data lifts quarantine
-        if len(self._write_buffer) > self.WRITE_BUFFER_LINES:
-            self._evict_oldest()
-        return S2MNDR(S2MNDROpcode.CMP, rwd.tag)
-
     def _evict_oldest(self) -> None:
         addr, line = next(iter(self._write_buffer.items()))
         del self._write_buffer[addr]
         self.memory.write(addr, line)
-
-    # ------------------------------------------------------------------
-    # batched line transfers
-    # ------------------------------------------------------------------
 
     def _check_span(self, dpa: int, nbytes: int) -> int:
         self._check_power()
@@ -368,11 +309,10 @@ class Type3Device:
         return end
 
     def read_lines(self, dpa: int, count: int) -> bytes:
-        """Bulk MemRd: ``count`` consecutive cachelines starting at ``dpa``.
+        """MemRd of ``count`` consecutive cachelines starting at ``dpa``.
 
-        Coherent with the write buffer (buffered lines overlay media, as
-        in :meth:`process_req`).  Unlike the per-message path — which
-        flags poison in the DRS — a batched read fails wholesale:
+        Coherent with the write buffer: buffered lines overlay media.  A
+        poisoned line fails the whole span:
 
         Raises:
             CxlPoisonError: any line in the span is poisoned (no line is
@@ -408,14 +348,15 @@ class Type3Device:
         return bytes(data)
 
     def write_lines(self, dpa: int, data: bytes | bytearray | memoryview) -> None:
-        """Bulk MemWr: whole cachelines starting at ``dpa``.
+        """MemWr of whole cachelines starting at ``dpa``.
 
-        Produces exactly the state a per-line :meth:`process_rwd` walk
-        would: the write buffer ends holding the last
-        :data:`WRITE_BUFFER_LINES` lines (in insertion order) and every
-        earlier line reaches media.  Spans at least as large as the
-        buffer that don't touch buffered addresses take a drain + bulk
-        media write instead of the per-line insert/evict walk.
+        Each line lands in the write buffer (a rewritten line keeps its
+        place), lifts any poison or quarantine on it, and evicts the
+        oldest buffered line to media once more than
+        :data:`WRITE_BUFFER_LINES` are buffered.  Spans at least as large
+        as the buffer that don't touch buffered addresses take a drain +
+        bulk media write instead of that per-line walk, and leave the
+        same state.
         """
         data = bytes(data)
         n, rem = divmod(len(data), CACHELINE_BYTES)
@@ -623,7 +564,7 @@ class Type3Device:
     def _cmd_get_lsa(self, payload: Mapping[str, Any]) -> dict[str, Any]:
         offset = int(payload.get("offset", 0))
         length = int(payload.get("length", len(self._lsa) - offset))
-        if offset < 0 or offset + length > len(self._lsa):
+        if offset < 0 or length < 0 or offset + length > len(self._lsa):
             raise ValueError("LSA range out of bounds")
         return {"data": bytes(self._lsa[offset:offset + length])}
 

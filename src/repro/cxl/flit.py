@@ -20,15 +20,14 @@ it yields realistic wire efficiencies: a pure-read stream moves ~64 data
 bytes per ~1.6 flits of S2M traffic, i.e. ≈ 59% of raw S2M bandwidth plus
 a small M2S request stream.  The link model consumes
 :func:`stream_efficiency` to derive effective data bandwidth from the PHY
-rate.
+rate.  :class:`FlitPacker` packs real message objects; it is the oracle
+the host port's per-batch flit counts are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from repro.cxl.spec import (
     CACHELINE_BYTES,
@@ -138,92 +137,9 @@ class FlitPacker:
         return out
 
 
-@dataclass(frozen=True)
-class FlitStats:
-    """Wire accounting for one packed message batch, without the flits.
-
-    Produced by :func:`pack_stats` / :func:`pack_messages` — identical
-    numbers to materializing :class:`Flit` objects through
-    :class:`FlitPacker` and measuring them, at array speed.
-    """
-
-    messages: int
-    flits: int
-    wire_bytes: int
-    payload_bytes: int
-
-    @property
-    def packing_efficiency(self) -> float:
-        """Payload bytes / wire bytes (0.0 for an empty batch)."""
-        return self.payload_bytes / self.wire_bytes if self.wire_bytes else 0.0
-
-
 #: usable (non-header) half-slots per 68-byte flit, shared by
-#: :func:`pack_stats`, :func:`stream_efficiency` and the host port's
-#: closed forms
+#: :func:`stream_efficiency` and the host port's batch accounting
 USABLE_HALF_SLOTS = Flit.MAX_HALF_SLOTS - 2
-
-
-def half_slot_arrays(messages: Sequence[Message]) -> tuple[np.ndarray,
-                                                           np.ndarray]:
-    """Per-message (header half-slots, data full-slots) as int64 arrays."""
-    n = len(messages)
-    header = np.empty(n, dtype=np.int64)
-    data = np.empty(n, dtype=np.int64)
-    for i, msg in enumerate(messages):
-        header[i], data[i] = message_half_slots(msg)
-    return header, data
-
-
-def pack_stats(header_halves, data_slots) -> FlitStats:
-    """Wire statistics of greedy flit packing, from slot-cost vectors.
-
-    ``header_halves[i]`` / ``data_slots[i]`` describe message ``i`` (see
-    :data:`_HALF_SLOT_COST`).  Reproduces :meth:`FlitPacker.pack` bit for
-    bit: a message consumes ``h + 2·d`` usable half-slots laid out
-    sequentially over flits of :data:`USABLE_HALF_SLOTS` each, except that
-    a header never straddles flits — when the current flit's remainder
-    cannot hold it, the remainder is padding.  Headers of 1 half-slot
-    always fit, and 2-half-slot headers keep the running total even, so
-    any batch with a uniform header size never pads and the total is a
-    plain sum — the only case the host port produces, since it batches
-    M2S and S2M messages separately.  Mixed batches (only
-    :func:`pack_messages` builds them) run the sequential recurrence.
-    """
-    h = np.atleast_1d(np.asarray(header_halves, dtype=np.int64))
-    d = np.atleast_1d(np.asarray(data_slots, dtype=np.int64))
-    if h.shape != d.shape or h.ndim != 1:
-        raise CxlError("header/data cost vectors must be 1-D and equal length")
-    n = int(h.size)
-    if n == 0:
-        return FlitStats(0, 0, 0, 0)
-    if int(h.min()) < 1 or int(h.max()) > USABLE_HALF_SLOTS:
-        raise CxlError(
-            f"header half-slots must be in [1, {USABLE_HALF_SLOTS}]")
-    if int(d.min()) < 0:
-        raise CxlError("data slot counts must be non-negative")
-    cost = h + 2 * d
-    if int(h.max()) == int(h.min()) and int(h[0]) <= 2:
-        used = int(cost.sum())
-    else:
-        used = 0
-        for hi, ci in zip(h.tolist(), cost.tolist()):
-            left = -used % USABLE_HALF_SLOTS
-            if left < hi:            # the header cannot straddle: pad
-                used += left
-            used += ci
-    n_flits = -(-used // USABLE_HALF_SLOTS)
-    return FlitStats(
-        messages=n,
-        flits=n_flits,
-        wire_bytes=n_flits * FLIT_BYTES,
-        payload_bytes=int(d.sum()) * SLOT_BYTES,
-    )
-
-
-def pack_messages(messages: Sequence[Message]) -> FlitStats:
-    """Batched equivalent of ``FlitPacker().pack(messages)`` + measuring."""
-    return pack_stats(*half_slot_arrays(messages))
 
 
 def wire_bytes(flits: Sequence[Flit]) -> int:

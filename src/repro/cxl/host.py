@@ -6,13 +6,15 @@ CXL.mem messages, bounded by tag capacity (outstanding-request limit) and
 link-layer credits, packs them into flits, and matches responses back to
 requests.
 
-:class:`CxlMemPort` is functional — ``read_line``/``write_line`` really
-move bytes to/from the device — and keeps the wire statistics (flits,
-payload bytes, efficiency) the ablation benches report.  Bulk transfers
-go through :meth:`CxlMemPort.read_lines` / :meth:`CxlMemPort.write_lines`,
-which move whole line-batches per device call and account the wire with
-:func:`repro.cxl.flit.pack_stats` closed forms instead of per-message
-packing — same statistics, no per-transaction Python overhead.
+:class:`CxlMemPort` is functional — its calls really move bytes to/from
+the device — and keeps the wire statistics (flits, payload bytes,
+efficiency) the ablation benches report.  Every access is a span of
+whole cachelines: :meth:`CxlMemPort.read_lines` /
+:meth:`CxlMemPort.write_lines` issue it in chunks bounded by tags and
+credits, one device call per chunk, and ``read_line``/``write_line`` are
+one-line spans.  The wire is accounted per 16-message flit batch from
+three counters, exactly as :class:`repro.cxl.flit.FlitPacker` would pack
+the Req/RwD and NDR/DRS messages the spans stand for.
 """
 
 from __future__ import annotations
@@ -22,14 +24,9 @@ from dataclasses import dataclass
 
 from repro import faults, obs
 from repro.cxl.device import Type3Device
-from repro.cxl.flit import USABLE_HALF_SLOTS, class_half_slots, pack_stats
+from repro.cxl.flit import USABLE_HALF_SLOTS, class_half_slots
 from repro.cxl.link import CreditPool, CxlLink
-from repro.cxl.spec import (
-    CACHELINE_BYTES,
-    FLIT_BYTES,
-    M2SReqOpcode,
-    M2SRwDOpcode,
-)
+from repro.cxl.spec import CACHELINE_BYTES, FLIT_BYTES
 from repro.cxl.transaction import (
     M2SReq,
     M2SRwD,
@@ -44,12 +41,11 @@ from repro.errors import (
     CxlTransientError,
 )
 
-#: (header half-slots, data full-slots) per message class — the batches
-#: below carry these cost tuples instead of message objects.
-_REQ_HD = class_half_slots(M2SReq)
-_RWD_HD = class_half_slots(M2SRwD)
-_NDR_HD = class_half_slots(S2MNDR)
-_DRS_HD = class_half_slots(S2MDRS)
+#: flit half-slots one message of each class fills: its header plus two
+#: per data slot
+_REQ, _RWD, _NDR, _DRS = (
+    header + 2 * data for header, data in
+    map(class_half_slots, (M2SReq, M2SRwD, S2MNDR, S2MDRS)))
 
 
 @dataclass(frozen=True)
@@ -128,9 +124,9 @@ class CxlMemPort:
     """A host CXL.mem port bound to one Type-3 device.
 
     The port batches outstanding requests up to the tag limit, respects
-    per-message-class credits, and flushes message batches through the
-    flit cost model — so its statistics reflect realistic wire behaviour
-    rather than one-flit-per-message accounting.
+    per-message-class credits, and charges flits per 16-message batch —
+    so its statistics reflect realistic wire behaviour rather than
+    one-flit-per-message accounting.
     """
 
     def __init__(self, link: CxlLink, device: Type3Device,
@@ -146,8 +142,11 @@ class CxlMemPort:
         self.stats = PortStats()
         self._retry_rng = random.Random(self.retry.seed)
         self._transient_errors = 0
-        self._m2s_batch: list[tuple[int, int]] = []
-        self._s2m_batch: list[tuple[int, int]] = []
+        # the open flit batch: its messages, and the half-slots they fill
+        # in each direction
+        self._open = 0
+        self._m2s_half = 0
+        self._s2m_half = 0
 
     # ------------------------------------------------------------------
     # transient-fault absorption (timeout detection + retry/backoff)
@@ -219,76 +218,34 @@ class CxlMemPort:
     # ------------------------------------------------------------------
 
     def read_line(self, dpa: int) -> bytes:
-        """Read one 64-byte cacheline from the device.
-
-        Raises:
-            CxlPoisonError: poisoned line (media error reached the host).
-        """
-        self.req_credits.acquire()
-        tag = self.tags.allocate()
-        try:
-            req = M2SReq(M2SReqOpcode.MEM_RD, dpa, tag)
-            self._m2s_batch.append(_REQ_HD)
-            resp = self._device_call(
-                "read", dpa, 1, lambda: self.device.process_req(req))
-            self.stats.reads += 1
-            obs.inc("cxl.reads")
-            if isinstance(resp, S2MDRS):
-                self._s2m_batch.append(_DRS_HD)
-                if resp.poison:
-                    self.stats.poisoned_reads += 1
-                    obs.inc("cxl.poison_reads")
-                    raise CxlPoisonError(
-                        f"poisoned read at DPA {dpa:#x} "
-                        f"({resp.opcode.value})",
-                        dpas=(resp.addr if resp.addr is not None else dpa,),
-                    )
-                self.stats.payload_bytes += CACHELINE_BYTES
-                return resp.data
-            raise CxlError(f"unexpected response {resp!r} to MemRd")
-        finally:
-            self.tags.retire(tag)
-            self.req_credits.release()
-            self._maybe_flush()
+        """Read one 64-byte cacheline: a one-line :meth:`read_lines`."""
+        return self.read_lines(dpa, 1)
 
     def write_line(self, dpa: int, data: bytes) -> None:
-        """Write one 64-byte cacheline to the device."""
+        """Write one 64-byte cacheline: a one-line :meth:`write_lines`."""
         if len(data) != CACHELINE_BYTES:
             raise CxlError(
                 f"write_line takes {CACHELINE_BYTES} bytes, got {len(data)}"
             )
-        self.rwd_credits.acquire()
-        tag = self.tags.allocate()
-        try:
-            rwd = M2SRwD(M2SRwDOpcode.MEM_WR, dpa, tag, data)
-            self._m2s_batch.append(_RWD_HD)
-            resp: S2MNDR = self._device_call(
-                "write", dpa, 1, lambda: self.device.process_rwd(rwd))
-            self._s2m_batch.append(_NDR_HD)
-            self.stats.writes += 1
-            self.stats.payload_bytes += CACHELINE_BYTES
-            obs.inc("cxl.writes")
-        finally:
-            self.tags.retire(tag)
-            self.rwd_credits.release()
-            self._maybe_flush()
+        self.write_lines(dpa, data)
 
     # ------------------------------------------------------------------
-    # batched line operations
+    # span operations
     # ------------------------------------------------------------------
 
     def read_lines(self, dpa: int, count: int) -> bytes:
         """Read ``count`` consecutive cachelines starting at ``dpa``.
 
         Issues the span in chunks bounded by tag capacity and request
-        credits; each chunk is one bulk device access.  Wire statistics
-        are identical to ``count`` calls of :meth:`read_line` (same
-        flush boundaries, same flit counts).
+        credits; each chunk is one bulk device access, and each of its
+        lines adds a Req/DRS pair to the open flit batch.
 
         Raises:
             CxlPoisonError: a poisoned line anywhere in the current
                 chunk fails that whole chunk (earlier chunks were
-                already delivered; the chunk's lines are not counted).
+                already delivered; the chunk's lines are not counted
+                as reads or on the wire).
+            CxlError: unaligned or out-of-capacity span.
         """
         if count < 0:
             raise CxlError(f"negative line count {count}")
@@ -311,7 +268,7 @@ class CxlMemPort:
             finally:
                 self.tags.retire_many(tags)
                 self.req_credits.release(n)
-            self._account(_REQ_HD, _DRS_HD, n)
+            self._account(_REQ, _DRS, n)
             self.stats.reads += n
             self.stats.payload_bytes += n * CACHELINE_BYTES
             obs.inc("cxl.reads", n)
@@ -323,8 +280,8 @@ class CxlMemPort:
     def write_lines(self, dpa: int, data: bytes) -> None:
         """Write whole consecutive cachelines starting at ``dpa``.
 
-        Chunked by tag capacity and RwD credits; statistics match the
-        equivalent :meth:`write_line` loop exactly.
+        Chunked by tag capacity and RwD credits; each line adds an
+        RwD/NDR pair to the open flit batch.
         """
         if len(data) % CACHELINE_BYTES:
             raise CxlError(
@@ -347,7 +304,7 @@ class CxlMemPort:
             finally:
                 self.tags.retire_many(tags)
                 self.rwd_credits.release(n)
-            self._account(_RWD_HD, _NDR_HD, n)
+            self._account(_RWD, _NDR, n)
             self.stats.writes += n
             self.stats.payload_bytes += n * CACHELINE_BYTES
             obs.inc("cxl.writes", n)
@@ -399,80 +356,52 @@ class CxlMemPort:
             self.write_line(pos, bytes(current))
 
     # ------------------------------------------------------------------
-    # flit flushing
+    # flit accounting
     # ------------------------------------------------------------------
 
+    #: messages per flit batch
     _BATCH = 16
 
-    def _maybe_flush(self) -> None:
-        if len(self._m2s_batch) >= self._BATCH:
-            self.flush_flits()
-
-    def _account(self, m2s_hd: tuple[int, int], s2m_hd: tuple[int, int],
-                 count: int) -> None:
-        """Account ``count`` identical message pairs on the wire.
-
-        Preserves the exact ``_BATCH``-message flush boundaries of the
-        per-line path; full batches of identical messages are accounted
-        closed-form without touching the pending lists.
-        """
+    def _account(self, m2s: int, s2m: int, count: int) -> None:
+        """Add ``count`` message pairs, filling ``m2s`` and ``s2m``
+        half-slots each, to the open batch; close it at every
+        ``_BATCH`` messages."""
         while count:
-            if not self._m2s_batch and count >= self._BATCH:
-                full = count // self._BATCH
-                self._flush_uniform(m2s_hd, s2m_hd, full)
-                count -= full * self._BATCH
-                continue
-            take = min(count, self._BATCH - len(self._m2s_batch))
-            self._m2s_batch.extend([m2s_hd] * take)
-            self._s2m_batch.extend([s2m_hd] * take)
+            take = min(count, self._BATCH - self._open)
+            self._open += take
+            self._m2s_half += take * m2s
+            self._s2m_half += take * s2m
             count -= take
-            self._maybe_flush()
+            if self._open == self._BATCH:
+                self._close_batch()
 
-    def _flush_uniform(self, m2s_hd: tuple[int, int],
-                       s2m_hd: tuple[int, int], n_batches: int) -> None:
-        """Wire accounting for ``n_batches`` full uniform flit batches.
+    def _close_batch(self) -> None:
+        """Charge the open batch its flits in each direction.
 
-        A batch of ``_BATCH`` identical messages never pads (header
-        half-slots are 1 or 2; see :func:`repro.cxl.flit.pack_stats`),
-        so flits per batch is a ceiling division.
+        Every M2S header is 2 half-slots and every S2M header 1, so no
+        header meets a flit with too little room and greedy packing
+        never pads: a batch fills exactly ``ceil(half-slots /
+        USABLE_HALF_SLOTS)`` flits per direction.
         """
-        for hd, flits_attr, wire_attr in (
-            (m2s_hd, "m2s_flits", "m2s_wire_bytes"),
-            (s2m_hd, "s2m_flits", "s2m_wire_bytes"),
-        ):
-            used = self._BATCH * (hd[0] + 2 * hd[1])
-            flits = -(-used // USABLE_HALF_SLOTS) * n_batches
-            setattr(self.stats, flits_attr,
-                    getattr(self.stats, flits_attr) + flits)
-            setattr(self.stats, wire_attr,
-                    getattr(self.stats, wire_attr) + flits * FLIT_BYTES)
-            if obs.metrics_enabled():
-                direction = flits_attr.split("_", 1)[0]
-                obs.inc(f"cxl.flits.{direction}", flits)
-                obs.inc(f"cxl.wire_bytes.{direction}", flits * FLIT_BYTES)
+        s = self.stats
+        m2s = -(-self._m2s_half // USABLE_HALF_SLOTS)
+        s2m = -(-self._s2m_half // USABLE_HALF_SLOTS)
+        s.m2s_flits += m2s
+        s.s2m_flits += s2m
+        s.m2s_wire_bytes += m2s * FLIT_BYTES
+        s.s2m_wire_bytes += s2m * FLIT_BYTES
+        self._open = self._m2s_half = self._s2m_half = 0
+        if obs.metrics_enabled():
+            obs.inc("cxl.flits.m2s", m2s)
+            obs.inc("cxl.flits.s2m", s2m)
+            obs.inc("cxl.wire_bytes.m2s", m2s * FLIT_BYTES)
+            obs.inc("cxl.wire_bytes.s2m", s2m * FLIT_BYTES)
+            obs.gauge("cxl.wire_efficiency", s.efficiency())
 
     def flush_flits(self) -> None:
-        """Pack the pending message batches and account the wire bytes."""
-        if self._m2s_batch:
-            st = pack_stats([h for h, _ in self._m2s_batch],
-                            [d for _, d in self._m2s_batch])
-            self.stats.m2s_flits += st.flits
-            self.stats.m2s_wire_bytes += st.wire_bytes
-            self._m2s_batch.clear()
-            if obs.metrics_enabled():
-                obs.inc("cxl.flits.m2s", st.flits)
-                obs.inc("cxl.wire_bytes.m2s", st.wire_bytes)
-        if self._s2m_batch:
-            st = pack_stats([h for h, _ in self._s2m_batch],
-                            [d for _, d in self._s2m_batch])
-            self.stats.s2m_flits += st.flits
-            self.stats.s2m_wire_bytes += st.wire_bytes
-            self._s2m_batch.clear()
-            if obs.metrics_enabled():
-                obs.inc("cxl.flits.s2m", st.flits)
-                obs.inc("cxl.wire_bytes.s2m", st.wire_bytes)
-        if obs.metrics_enabled():
-            obs.gauge("cxl.wire_efficiency", self.stats.efficiency())
+        """Close the open flit batch early and account its wire bytes."""
+        if self._open:
+            self._close_batch()
 
     def describe(self) -> str:
         s = self.stats

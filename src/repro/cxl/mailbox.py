@@ -90,7 +90,8 @@ class Mailbox:
         self._busy = True
         try:
             out = handler(payload)
-        except (ValueError, KeyError, CxlError) as exc:
+        except (ValueError, KeyError, TypeError, CxlError) as exc:
+            # a payload field of the wrong type is malformed input too
             return MailboxResponse(
                 opcode, ReturnCode.INVALID_INPUT, {"error": str(exc)}
             )

@@ -9,7 +9,10 @@ Four message classes cross a CXL.mem link:
 
 Messages are immutable and validated on construction (alignment, tag range,
 payload size), which is where a surprising number of real transaction-layer
-bugs live.
+bugs live.  The host port and the device exchange spans of lines, not
+message objects; these classes are what those spans stand for on the
+wire, and :class:`repro.cxl.flit.FlitPacker` packs them — the oracle the
+port's flit accounting is checked against.
 """
 
 from __future__ import annotations
@@ -85,10 +88,6 @@ class M2SRwD:
         if not 0 < self.byte_enable < (1 << CACHELINE_BYTES) + 1:
             raise CxlError("byte_enable must select at least one byte")
 
-    def enabled_bytes(self) -> list[int]:
-        """Offsets within the cacheline this write touches."""
-        return [i for i in range(CACHELINE_BYTES) if self.byte_enable >> i & 1]
-
 
 @dataclass(frozen=True)
 class S2MNDR:
@@ -103,19 +102,12 @@ class S2MNDR:
 
 @dataclass(frozen=True)
 class S2MDRS:
-    """Subordinate-to-master data response.
-
-    ``addr`` optionally carries the serviced DPA back to the master —
-    real DRS messages are matched by tag alone, but RAS handling (poison
-    quarantine, scrub-on-read) needs the failing line's address, so the
-    device fills it in on poisoned responses.
-    """
+    """Subordinate-to-master data response."""
 
     opcode: S2MDRSOpcode
     tag: int
     data: bytes = field(repr=False)
     poison: bool = False
-    addr: int | None = None
 
     def __post_init__(self) -> None:
         _check_tag(self.tag)
@@ -123,8 +115,6 @@ class S2MDRS:
             raise CxlError(
                 f"DRS payload must be {CACHELINE_BYTES} B, got {len(self.data)}"
             )
-        if self.addr is not None:
-            _check_addr(self.addr)
 
 
 class TagAllocator:

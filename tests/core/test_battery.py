@@ -5,8 +5,6 @@ import pytest
 from repro import units
 from repro.core.battery import Battery, PowerDomain, battery_cost_comparison
 from repro.cxl.device import MediaController, Type3Device
-from repro.cxl.spec import M2SRwDOpcode
-from repro.cxl.transaction import M2SRwD
 from repro.errors import PersistenceDomainError
 from repro.machine.dram import DDR4_1333
 
@@ -19,7 +17,7 @@ def _device(name="d0") -> Type3Device:
 
 
 def _dirty(dev: Type3Device) -> None:
-    dev.process_rwd(M2SRwD(M2SRwDOpcode.MEM_WR, 0, 1, LINE))
+    dev.write_lines(0, LINE)
 
 
 class TestBattery:
@@ -104,8 +102,7 @@ class TestPowerDomain:
         dev = _device()
         dom.attach(dev)
         for i in range(8):
-            dev.process_rwd(M2SRwD(M2SRwDOpcode.MEM_WR, i * 64, 1,
-                                   bytes([i]) * 64))
+            dev.write_lines(i * 64, bytes([i]) * 64)
         assert battery.coverage_fraction(dom.FLUSH_SECONDS) == 0.5
         with pytest.raises(PersistenceDomainError) as ei:
             dom.power_fail()

@@ -108,9 +108,7 @@ class TestShutdown:
         region = ns.region()
         dev = rt.device("cxl0")
         # park a dirty line in the device write buffer
-        from repro.cxl.spec import M2SRwDOpcode
-        from repro.cxl.transaction import M2SRwD
-        dev.process_rwd(M2SRwD(M2SRwDOpcode.MEM_WR, 0, 1, b"\x01" * 64))
+        dev.write_lines(0, b"\x01" * 64)
         flushed = rt.clean_shutdown()
         assert flushed["cxl0"] >= 1
         assert dev.shutdown_state.value == "clean"

@@ -4,14 +4,7 @@ import pytest
 
 from repro import units
 from repro.cxl.device import MediaController, SparseMemory, Type3Device
-from repro.cxl.spec import (
-    M2SReqOpcode,
-    M2SRwDOpcode,
-    S2MDRSOpcode,
-    S2MNDROpcode,
-)
-from repro.cxl.transaction import M2SReq, M2SRwD
-from repro.errors import CxlError
+from repro.errors import CxlError, CxlPoisonError
 from repro.machine.dram import DDR4_1333
 
 LINE = bytes(range(64))
@@ -111,64 +104,39 @@ class TestMediaController:
 
 class TestCxlMemTransactions:
     def test_read_of_fresh_memory_is_zero(self, dev):
-        resp = dev.process_req(M2SReq(M2SReqOpcode.MEM_RD, 0x40, 1))
-        assert resp.opcode is S2MDRSOpcode.MEM_DATA
-        assert resp.data == b"\x00" * 64
+        assert dev.read_lines(0x40, 1) == b"\x00" * 64
 
     def test_write_then_read(self, dev):
-        dev.process_rwd(M2SRwD(M2SRwDOpcode.MEM_WR, 0x80, 2, LINE))
-        resp = dev.process_req(M2SReq(M2SReqOpcode.MEM_RD, 0x80, 3))
-        assert resp.data == LINE
-
-    def test_write_completion_is_cmp(self, dev):
-        resp = dev.process_rwd(M2SRwD(M2SRwDOpcode.MEM_WR, 0, 1, LINE))
-        assert resp.opcode is S2MNDROpcode.CMP
-
-    def test_partial_write_merges(self, dev):
-        dev.process_rwd(M2SRwD(M2SRwDOpcode.MEM_WR, 0, 1, LINE))
-        patch = bytes([0xFF]) * 64
-        dev.process_rwd(M2SRwD(M2SRwDOpcode.MEM_WR_PTL, 0, 2, patch,
-                               byte_enable=0b11))
-        got = dev.process_req(M2SReq(M2SReqOpcode.MEM_RD, 0, 3)).data
-        assert got[:2] == b"\xff\xff" and got[2:] == LINE[2:]
-
-    def test_out_of_capacity_read_returns_nxm(self, dev):
-        far = dev.capacity_bytes + 0x40
-        resp = dev.process_req(M2SReq(M2SReqOpcode.MEM_RD, far, 1))
-        assert resp.opcode is S2MDRSOpcode.MEM_DATA_NXM and resp.poison
-
-    def test_invalidate_completes_without_data(self, dev):
-        resp = dev.process_req(M2SReq(M2SReqOpcode.MEM_INV, 0x40, 1))
-        assert resp.opcode is S2MNDROpcode.CMP_E
+        dev.write_lines(0x80, LINE)
+        assert dev.read_lines(0x80, 1) == LINE
 
     def test_out_of_capacity_write_raises(self, dev):
         with pytest.raises(CxlError):
-            dev.process_rwd(M2SRwD(M2SRwDOpcode.MEM_WR,
-                                   dev.capacity_bytes, 1, LINE))
+            dev.write_lines(dev.capacity_bytes, LINE)
 
     def test_write_buffer_eviction(self, dev):
         for i in range(dev.WRITE_BUFFER_LINES + 10):
-            dev.process_rwd(M2SRwD(M2SRwDOpcode.MEM_WR, i * 64, 1, LINE))
+            dev.write_lines(i * 64, LINE)
         assert dev.dirty_lines <= dev.WRITE_BUFFER_LINES
         # evicted line readable from media
         assert dev.memory.read(0, 64) == LINE
 
     def test_stats_accumulate(self, dev):
-        dev.process_rwd(M2SRwD(M2SRwDOpcode.MEM_WR, 0, 1, LINE))
-        dev.process_req(M2SReq(M2SReqOpcode.MEM_RD, 0, 2))
+        dev.write_lines(0, LINE)
+        dev.read_lines(0, 1)
         assert dev.stats["writes"] == 1 and dev.stats["reads"] == 1
 
 
 class TestPersistenceDomain:
     def test_battery_backed_power_fail_loses_nothing(self, dev):
-        dev.process_rwd(M2SRwD(M2SRwDOpcode.MEM_WR, 0, 1, LINE))
+        dev.write_lines(0, LINE)
         lost = dev.power_fail()
         assert lost == 0
         dev.power_on()
         assert dev.memory.read(0, 64) == LINE
 
     def test_no_battery_gpf_runs_on_power_fail(self, nobat):
-        nobat.process_rwd(M2SRwD(M2SRwDOpcode.MEM_WR, 0, 1, LINE))
+        nobat.write_lines(0, LINE)
         gpf_before = nobat.stats["gpf"]
         lost = nobat.power_fail()          # hold-up energy ran the GPF
         assert lost == 0
@@ -177,14 +145,14 @@ class TestPersistenceDomain:
         assert nobat.memory.read(0, 64) == LINE
 
     def test_no_battery_failed_gpf_drops_dirty_lines(self, nobat):
-        nobat.process_rwd(M2SRwD(M2SRwDOpcode.MEM_WR, 0, 1, LINE))
+        nobat.write_lines(0, LINE)
         lost = nobat.power_fail(gpf_energy_ok=False)
         assert lost == 1
         nobat.power_on()
         assert nobat.memory.read(0, 64) == b"\x00" * 64
 
     def test_gpf_saves_the_day(self, nobat):
-        nobat.process_rwd(M2SRwD(M2SRwDOpcode.MEM_WR, 0, 1, LINE))
+        nobat.write_lines(0, LINE)
         nobat.global_persistent_flush()
         assert nobat.power_fail() == 0
         nobat.power_on()
@@ -198,19 +166,19 @@ class TestPersistenceDomain:
         assert not dev.persistence_guaranteed
 
     def test_dirty_shutdown_state(self, nobat):
-        nobat.process_rwd(M2SRwD(M2SRwDOpcode.MEM_WR, 0, 1, LINE))
+        nobat.write_lines(0, LINE)
         nobat.power_fail(gpf_energy_ok=False)
         assert nobat.shutdown_state.value == "dirty"
 
     def test_clean_shutdown_state(self, dev):
-        dev.process_rwd(M2SRwD(M2SRwDOpcode.MEM_WR, 0, 1, LINE))
+        dev.write_lines(0, LINE)
         dev.mark_clean_shutdown()
         assert dev.shutdown_state.value == "clean"
 
     def test_powered_off_device_rejects_traffic(self, dev):
         dev.power_fail()
         with pytest.raises(CxlError):
-            dev.process_req(M2SReq(M2SReqOpcode.MEM_RD, 0, 1))
+            dev.read_lines(0, 1)
 
 
 class TestPartitions:
@@ -238,11 +206,10 @@ class TestPartitions:
 class TestPoison:
     def test_poisoned_read_flagged(self, dev):
         dev.inject_poison(0x40)
-        resp = dev.process_req(M2SReq(M2SReqOpcode.MEM_RD, 0x40, 1))
-        assert resp.poison
+        with pytest.raises(CxlPoisonError):
+            dev.read_lines(0x40, 1)
 
     def test_write_clears_poison(self, dev):
         dev.inject_poison(0x40)
-        dev.process_rwd(M2SRwD(M2SRwDOpcode.MEM_WR, 0x40, 1, LINE))
-        resp = dev.process_req(M2SReq(M2SReqOpcode.MEM_RD, 0x40, 2))
-        assert not resp.poison
+        dev.write_lines(0x40, LINE)
+        assert dev.read_lines(0x40, 1) == LINE

@@ -7,7 +7,7 @@ from repro.cxl.device import MediaController, Type3Device
 from repro.cxl.host import CxlMemPort
 from repro.cxl.link import CxlLink
 from repro.cxl.spec import CxlVersion
-from repro.errors import CxlError
+from repro.errors import CxlError, CxlPoisonError
 from repro.machine.dram import DDR4_1333
 
 LINE = bytes(range(64))
@@ -38,6 +38,24 @@ class TestLineOps:
         with pytest.raises(CxlError):
             port.read_line(0x40)
         assert port.stats.poisoned_reads == 1
+
+    def test_poisoned_line_counts_no_read(self, port):
+        """A poisoned read fails its span: no read and no Req/DRS pair
+        is counted."""
+        port.device.inject_poison(0x40)
+        with pytest.raises(CxlPoisonError):
+            port.read_line(0x40)
+        port.flush_flits()
+        assert port.stats.reads == 0 and port.device.stats["reads"] == 0
+        assert port.stats.m2s_flits == port.stats.s2m_flits == 0
+
+    @pytest.mark.parametrize("dpa", [0x41, units.mib(64)])
+    def test_bad_address_read_is_not_poison(self, port, dpa):
+        """Unaligned and out-of-capacity reads are address errors."""
+        with pytest.raises(CxlError) as excinfo:
+            port.read_line(dpa)
+        assert not isinstance(excinfo.value, CxlPoisonError)
+        assert port.stats.reads == 0 and port.stats.poisoned_reads == 0
 
     def test_stats_count_operations(self, port):
         port.write_line(0, LINE)

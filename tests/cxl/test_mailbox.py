@@ -95,6 +95,20 @@ class TestDeviceCommands:
             MailboxOpcode.SET_LSA, {"offset": 1 << 20, "data": b"x"})
         assert resp.return_code is ReturnCode.INVALID_INPUT
 
+    def test_lsa_negative_length_rejected(self, dev):
+        resp = dev.mailbox.execute(MailboxOpcode.GET_LSA,
+                                   {"offset": 0, "length": -1})
+        assert resp.return_code is ReturnCode.INVALID_INPUT
+
+    def test_lsa_data_of_wrong_type_rejected(self, dev):
+        resp = dev.mailbox.execute(MailboxOpcode.SET_LSA, {"data": 5})
+        assert resp.return_code is ReturnCode.INVALID_INPUT
+
+    def test_partition_size_of_wrong_type_rejected(self, dev):
+        resp = dev.mailbox.execute(MailboxOpcode.SET_PARTITION_INFO,
+                                   {"volatile_bytes": None})
+        assert resp.return_code is ReturnCode.INVALID_INPUT
+
     def test_health_reflects_poison(self, dev):
         assert dev.mailbox.execute(
             MailboxOpcode.GET_HEALTH_INFO).payload["health_status"] == "ok"

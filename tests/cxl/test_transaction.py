@@ -44,7 +44,7 @@ class TestM2SRwD:
     def test_valid_full_write(self):
         w = M2SRwD(M2SRwDOpcode.MEM_WR, 0x40, tag=1, data=LINE)
         assert len(w.data) == 64
-        assert len(w.enabled_bytes()) == 64
+        assert w.byte_enable == (1 << 64) - 1
 
     def test_payload_must_be_one_line(self):
         with pytest.raises(CxlError):
@@ -54,11 +54,6 @@ class TestM2SRwD:
         with pytest.raises(CxlError):
             M2SRwD(M2SRwDOpcode.MEM_WR, 0, tag=1, data=LINE,
                    byte_enable=0xFF)
-
-    def test_partial_write_byte_enable(self):
-        w = M2SRwD(M2SRwDOpcode.MEM_WR_PTL, 0, tag=1, data=LINE,
-                   byte_enable=0b1010)
-        assert w.enabled_bytes() == [1, 3]
 
     def test_empty_byte_enable_rejected(self):
         with pytest.raises(CxlError):

@@ -60,9 +60,7 @@ class TestPowerLossInjection:
         dom.refresh()
         faults.bind_domain(dom)
         # dirty one line on the device so the drill has something to lose
-        from repro.cxl.spec import M2SRwDOpcode
-        from repro.cxl.transaction import M2SRwD
-        dev.process_rwd(M2SRwD(M2SRwDOpcode.MEM_WR, 0, 1, b"\x11" * 64))
+        dev.write_lines(0, b"\x11" * 64)
         faults.install(FaultPlan(faults=[
             PowerLossSpec(domain="dom0", at_persist=1)]))
         region = VolatileRegion(1024)

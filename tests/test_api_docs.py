@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
-from gen_api_docs import generate  # noqa: E402
+from gen_api_docs import OUT, generate  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -41,8 +41,13 @@ def test_no_private_modules_leak(api_md):
 
 
 def test_generated_file_is_current_or_regenerable(api_md):
-    """docs/API.md exists and was produced by this generator (header
-    check; content drift is fine — regeneration is one command)."""
+    """docs/API.md exists and was produced by this generator."""
     out = Path(__file__).resolve().parent.parent / "docs" / "API.md"
     assert out.exists()
     assert out.read_text().startswith("# API reference")
+
+
+def test_api_md_is_current(api_md):
+    """docs/API.md is exactly what the generator renders now
+    (``python tools/gen_api_docs.py`` regenerates it)."""
+    assert api_md == OUT.read_text()

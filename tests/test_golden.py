@@ -12,7 +12,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 from gen_golden import (  # noqa: E402
     DIGESTS,
     OUT,
+    chaos_cross_plane,
+    cxl_datapath,
     des_ladder,
+    kvserve_drill,
     sweep_paper,
     tiering_memory_mode,
     tiering_policies,
@@ -46,3 +49,19 @@ def test_tiering_policies(golden):
 
 def test_tiering_memory_mode(golden):
     assert tiering_memory_mode() == golden["tiering.memory_mode"]
+
+
+def test_cxl_datapath(golden):
+    """Port and device stats, write-buffer order, media and every byte
+    read of a seeded mix of CXL.mem port calls."""
+    assert cxl_datapath() == golden["cxl.datapath"]
+
+
+def test_kvserve_drill(golden):
+    assert kvserve_drill() == golden["kvserve.drill"]
+
+
+def test_chaos_cross_plane(golden):
+    """Survivor digests and conservation audit of the cross-plane
+    chaos plan."""
+    assert chaos_cross_plane() == golden["chaos.cross_plane"]

@@ -10,6 +10,7 @@ Run:  python tools/gen_api_docs.py
 
 from __future__ import annotations
 
+import enum
 import importlib
 import inspect
 import pkgutil
@@ -57,8 +58,16 @@ def _signature(obj) -> str:
         return "(...)"
 
 
+def _class_doc(cls) -> str | None:
+    # Python 3.10 gives an Enum without a docstring "An enumeration.";
+    # 3.11 onwards leave it None.  Render both the same.
+    if issubclass(cls, enum.Enum) and cls.__doc__ == "An enumeration.":
+        return None
+    return cls.__doc__
+
+
 def _class_section(name: str, cls) -> list[str]:
-    lines = [f"### `{name}`", "", _first_paragraph(cls.__doc__), ""]
+    lines = [f"### `{name}`", "", _first_paragraph(_class_doc(cls)), ""]
     methods = []
     for mname, member in sorted(vars(cls).items()):
         if mname.startswith("_"):

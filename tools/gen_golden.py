@@ -13,11 +13,20 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
+import random
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
+from repro import faults, units
 from repro.core.tiering import MemoryModeTier, sequential_trace, zipf_trace
+from repro.cxl.device import MediaController, Type3Device
+from repro.cxl.host import CxlMemPort
+from repro.cxl.link import CxlLink
+from repro.cxl.spec import CxlVersion
 from repro.machine.affinity import place_threads
+from repro.machine.dram import DDR4_1333
 from repro.machine.numa import NumaPolicy, PolicyKind
 from repro.machine.presets import setup1
 from repro.memsim.des import simulate_stream_des
@@ -26,9 +35,10 @@ from repro.streamer.configs import tiering_group
 from repro.streamer.runner import StreamerRunner
 from repro.tiering.evaluate import TRACE_KINDS, TieringSpec, evaluate_policy
 from repro.tiering.policy import POLICIES
+from repro.workloads.kvcache import KvWorkloadSpec, kill_worker_drill
 
-OUT = (Path(__file__).resolve().parent.parent
-       / "tests" / "golden" / "digests.json")
+ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "tests" / "golden" / "digests.json"
 
 
 def sha256_json(doc) -> str:
@@ -100,9 +110,87 @@ def tiering_memory_mode() -> str:
     return sha256_json(profiles)
 
 
+#: the datapath mix stays inside this many lines; its final span sits
+#: just past them, touches no buffered line and so takes the device's
+#: drain-and-bulk write branch
+DATAPATH_LINES = 2048
+DATAPATH_SPAN = 640
+
+
+def cxl_datapath() -> str:
+    """Digest of a seeded, fault-free mix of every CXL.mem port call on
+    one Type-3 device: line and span reads and writes, unaligned
+    ``read``/``write`` and explicit ``flush_flits``, ending with one
+    :data:`DATAPATH_SPAN`-line write (larger than the device write
+    buffer).  Hashes the port and device stats, the write buffer's
+    addresses in order, the media and every byte read."""
+    rng = random.Random(18)
+    media = MediaController("m", DDR4_1333, 2, 2, units.mib(32), 0.6, 130.0)
+    device = Type3Device("dut", media)
+    port = CxlMemPort(CxlLink(CxlVersion.CXL_2_0, 16, 330.0), device)
+    read = hashlib.sha256()
+    for _ in range(600):
+        op = rng.randrange(7)
+        dpa = rng.randrange(DATAPATH_LINES - 128) * 64
+        if op == 0:
+            port.write_line(dpa, rng.randbytes(64))
+        elif op == 1:
+            read.update(port.read_line(dpa))
+        elif op == 2:
+            port.write_lines(dpa, rng.randbytes(64 * rng.randint(1, 128)))
+        elif op == 3:
+            read.update(port.read_lines(dpa, rng.randint(1, 128)))
+        elif op == 4:
+            port.write(dpa + rng.randrange(64),
+                       rng.randbytes(rng.randint(1, 300)))
+        elif op == 5:
+            read.update(port.read(dpa + rng.randrange(64),
+                                  rng.randint(1, 300)))
+        else:
+            port.flush_flits()
+    port.write_lines(DATAPATH_LINES * 64, rng.randbytes(64 * DATAPATH_SPAN))
+    total = (DATAPATH_LINES + DATAPATH_SPAN) * 64
+    read.update(port.read_lines(0, total // 64))
+    port.flush_flits()
+    return sha256_json({
+        "port": asdict(port.stats),
+        "device": device.stats,
+        "write_buffer": list(device._write_buffer),
+        "media": hashlib.sha256(device.memory.read(0, total)).hexdigest(),
+        "read": read.hexdigest(),
+    })
+
+
+def kvserve_drill() -> str:
+    """Digest of :func:`kill_worker_drill` on the default spec: the
+    per-sequence digests and recovery report of the clean, pooled and
+    re-prefill runs."""
+    return sha256_json(kill_worker_drill(KvWorkloadSpec()))
+
+
+def chaos_cross_plane() -> str:
+    """Digest of the survivors of the cross-plane chaos test's plan
+    (worker kill, host detach and migration abort in one run): every
+    sequence's KV digest and the block store's conservation audit."""
+    if str(ROOT) not in sys.path:
+        sys.path.insert(0, str(ROOT))
+    from tests.integration.test_chaos_cross_plane import _chaos_plan, _engine
+
+    engine = _engine()
+    with faults.use_plan(_chaos_plan()):
+        engine.run()
+    return sha256_json({
+        "digests": {str(k): v for k, v in engine.digests().items()},
+        "audit": engine.store.check_conservation(),
+    })
+
+
 #: every golden key and the function recomputing it
 DIGESTS = {
+    "chaos.cross_plane": chaos_cross_plane,
+    "cxl.datapath": cxl_datapath,
     "des.ladder": des_ladder,
+    "kvserve.drill": kvserve_drill,
     "sweep.paper": sweep_paper,
     "tiering.policies": tiering_policies,
     "tiering.memory_mode": tiering_memory_mode,
@@ -110,6 +198,8 @@ DIGESTS = {
 
 
 def main() -> int:
+    # the drills log their worker kills and host detach as warnings
+    logging.getLogger("repro").addHandler(logging.NullHandler())
     old = json.loads(OUT.read_text()) if OUT.exists() else {}
     new = {key: fn() for key, fn in DIGESTS.items()}
     for key in sorted(old.keys() | new.keys()):
