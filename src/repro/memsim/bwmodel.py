@@ -9,20 +9,16 @@ max-min fair allocation, extended with per-flow resource *weights* so a
 UPI-crossing flow can load the target memory controller more than 1:1
 (directory/snoop amplification).
 
-Two interchangeable implementations sit behind :func:`solve_max_min`:
+Progressive filling over plain dicts is the only implementation: the
+flow sets the sweep and the fabric build (at most 34 flows) solve as
+fast this way as on a NumPy flows×resources matrix (MODEL.md §6.1).
 
-* a **scalar** dict-loop path, kept for tiny flow sets where NumPy call
-  overhead dominates, and as the reference the vectorized path is
-  property-tested against;
-* a **vectorized** path over a flows×resources usage matrix with
-  per-round ``residual / load`` minimization and boolean freeze masks —
-  each round is O(F·R) NumPy work instead of O(F·R) Python-level dict
-  operations, which is what makes sweep-scale solving cheap.
-
-Invariants (property-tested, for both paths):
+Invariants (property-tested):
 
 * no resource's total weighted load exceeds its capacity (within epsilon);
 * no flow exceeds its cap;
+* every reported bottleneck is a saturated resource the flow uses, or
+  the flow's own reached cap;
 * the allocation is max-min fair: a flow's rate can only be increased by
   decreasing the rate of some flow with an equal-or-smaller rate.
 """
@@ -32,14 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from repro.errors import SimulationError
 
 _EPS = 1e-9
-
-#: Below this many flows the scalar path wins (NumPy per-call overhead).
-VECTORIZE_THRESHOLD = 8
 
 
 @dataclass(frozen=True)
@@ -107,37 +98,18 @@ def _validate(flows: Sequence[Flow], capacities: Mapping[str, float]) -> None:
 
 
 def solve_max_min(flows: Sequence[Flow],
-                  capacities: Mapping[str, float],
-                  method: str = "auto") -> FlowAllocation:
-    """Compute the max-min fair allocation.
+                  capacities: Mapping[str, float]) -> FlowAllocation:
+    """Compute the max-min fair allocation by progressive filling.
 
     Args:
         flows: the flow set to allocate.
         capacities: resource name → capacity in GB/s.
-        method: ``"auto"`` (default) picks the vectorized path for flow
-            sets of :data:`VECTORIZE_THRESHOLD` or more, ``"scalar"`` /
-            ``"vector"`` force one implementation (used by the
-            equivalence property tests).
 
     Raises:
         SimulationError: a flow references an unknown resource, or a
             capacity is non-positive.
     """
     _validate(flows, capacities)
-    if method == "scalar":
-        return _solve_scalar(flows, capacities)
-    if method == "vector":
-        return _solve_vectorized(flows, capacities)
-    if method != "auto":
-        raise SimulationError(f"unknown solver method {method!r}")
-    if len(flows) >= VECTORIZE_THRESHOLD:
-        return _solve_vectorized(flows, capacities)
-    return _solve_scalar(flows, capacities)
-
-
-def _solve_scalar(flows: Sequence[Flow],
-                  capacities: Mapping[str, float]) -> FlowAllocation:
-    """Reference progressive filling over plain dicts."""
     rates: dict[str, float] = {f.name: 0.0 for f in flows}
     bottleneck: dict[str, str] = {}
     active: list[Flow] = list(flows)
@@ -183,63 +155,3 @@ def _solve_scalar(flows: Sequence[Flow],
         for res in capacities
     }
     return FlowAllocation(rates=rates, bottleneck=bottleneck, resource_load=load)
-
-
-def _solve_vectorized(flows: Sequence[Flow],
-                      capacities: Mapping[str, float]) -> FlowAllocation:
-    """Progressive filling on a flows×resources usage matrix."""
-    res_names = list(capacities)
-    res_idx = {r: i for i, r in enumerate(res_names)}
-    n_flows, n_res = len(flows), len(res_names)
-
-    usage = np.zeros((n_flows, n_res))
-    flow_caps = np.empty(n_flows)
-    for i, f in enumerate(flows):
-        flow_caps[i] = f.cap_gbps
-        for res, w in f.usage.items():
-            usage[i, res_idx[res]] = w
-    uses = usage > 0.0
-
-    res_caps = np.asarray([capacities[r] for r in res_names])
-    sat_eps = _EPS * np.maximum(1.0, res_caps)
-    residual = res_caps.copy()
-    rates = np.zeros(n_flows)
-    active = np.ones(n_flows, dtype=bool)
-    bottleneck: dict[str, str] = {}
-
-    while active.any():
-        # Largest uniform increment every active flow can take.
-        delta = float((flow_caps[active] - rates[active]).min())
-        load = usage[active].sum(axis=0)
-        busy = load > _EPS
-        if busy.any():
-            inc = float((residual[busy] / load[busy]).min())
-            if inc < delta - _EPS:
-                delta = inc
-        delta = max(delta, 0.0)
-
-        rates[active] += delta
-        residual -= delta * load
-
-        # Freeze flows: first those on saturated resources, then capped ones.
-        saturated = residual <= sat_eps
-        on_saturated = active & (uses & saturated).any(axis=1)
-        at_cap = active & ~on_saturated & (rates >= flow_caps - _EPS)
-        frozen = on_saturated | at_cap
-        if not frozen.any():  # pragma: no cover - safety
-            raise SimulationError("solver failed to make progress")
-        for i in np.flatnonzero(on_saturated):
-            f = flows[i]
-            bottleneck[f.name] = next(
-                res for res in f.usage if saturated[res_idx[res]])
-        for i in np.flatnonzero(at_cap):
-            bottleneck[flows[i].name] = "cap"
-        active &= ~frozen
-
-    total_load = rates @ usage
-    return FlowAllocation(
-        rates={f.name: float(rates[i]) for i, f in enumerate(flows)},
-        bottleneck=bottleneck,
-        resource_load={res: float(total_load[j])
-                       for j, res in enumerate(res_names)},
-    )

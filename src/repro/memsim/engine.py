@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro import obs
-from repro.calibration import DEFAULT_CALIBRATION, CalibrationProfile
 from repro.errors import SimulationError
 from repro.machine.numa import NumaPolicy
 from repro.machine.topology import Core, Machine
@@ -70,15 +69,6 @@ class StreamSimResult:
         return (f"{self.machine} {self.kernel:>5s} {self.mode.value:>4s} "
                 f"x{self.n_threads:<3d} -> {self.reported_gbps:7.2f} GB/s "
                 f"({self.policy})")
-
-
-def _calibration(machine: Machine) -> CalibrationProfile:
-    cal = machine.metadata.get("calibration", DEFAULT_CALIBRATION)
-    if not isinstance(cal, CalibrationProfile):
-        raise SimulationError(
-            f"machine {machine.name} carries a bad calibration object"
-        )
-    return cal
 
 
 def _result_from_plan(plan: SimulationPlan, kernel_name: str,

@@ -4,12 +4,13 @@ The one-shot CLI pays process-pool spawn, state shipping and compiled-
 tier JIT on every invocation; this package keeps all three warm:
 
 * :mod:`repro.serve.pool` — :class:`~repro.serve.pool.WarmWorkerPool`,
-  a persistent pre-warmed process pool (plus the module-level
-  :func:`~repro.serve.pool.shared_pool`);
+  a persistent pre-warmed process pool, and
+  :func:`~repro.serve.pool.run_shard`, the one task function it runs;
 * :mod:`repro.serve.service` — :class:`~repro.serve.service.SweepService`,
   the asyncio front-end with request coalescing, an in-memory result
   LRU, per-tenant quotas, bounded-queue admission control and deadline
-  enforcement;
+  enforcement; its pooled outcomes heal through the same collector as
+  ``StreamerRunner.run_all``;
 * :mod:`repro.serve.server` — :class:`~repro.serve.server.SweepServer`,
   the newline-delimited-JSON TCP front door
   (``python -m repro.streamer serve``).
@@ -19,12 +20,12 @@ speedup, dedup hit ratio, and open-loop p50/p99 into
 ``results/BENCH_serve.json``.
 """
 
-from repro.serve.pool import WarmWorkerPool, shared_pool, shutdown_shared_pool
+from repro.serve.pool import WarmWorkerPool
 from repro.serve.server import SweepServer, request
 from repro.serve.service import ServeResult, SweepRequest, SweepService
 
 __all__ = [
-    "WarmWorkerPool", "shared_pool", "shutdown_shared_pool",
+    "WarmWorkerPool",
     "SweepService", "SweepRequest", "ServeResult",
     "SweepServer", "request",
 ]

@@ -16,10 +16,12 @@ is created once and reused across requests:
   abandons the old executor and respawns warm workers, so one stuck
   task cannot take the resident service down.
 
-Task functions (:func:`run_series_task`, :func:`run_shard`) live at
-module level so they pickle cleanly into the pool; both preserve the
-exact record construction of the serial path, which is what keeps
-pooled, sharded and serial sweeps byte-identical.
+The one task function, :func:`run_shard`, lives at module level so it
+pickles cleanly into the pool.  It runs the serial path's task body,
+:func:`repro.streamer.runner.run_task`, and returns one outcome per
+task — records or the raised exception — for the runner's collector to
+heal and assemble, which is what keeps pooled, sharded and serial
+sweeps byte-identical.
 """
 
 from __future__ import annotations
@@ -36,12 +38,11 @@ from typing import Sequence
 from repro import compiled, faults, obs
 from repro.errors import BenchmarkError
 from repro.faults.plan import FaultPlan
-from repro.stream.simulated import simulate_sweep
 from repro.streamer.results import ResultRecord
+from repro.streamer.runner import Task, run_task
 
 __all__ = [
-    "WarmWorkerPool", "pack_state", "run_series_task", "run_shard",
-    "shared_pool", "shutdown_shared_pool", "MAX_WORKER_STATES",
+    "WarmWorkerPool", "pack_state", "run_shard", "MAX_WORKER_STATES",
 ]
 
 #: worker-side cap on cached sweep states (machines + config pairs);
@@ -90,28 +91,22 @@ def _ensure_state(key: str, blob: bytes) -> tuple:
     return state
 
 
-def run_series_task(state_key: str, state_blob: bytes,
-                    task: tuple) -> list[ResultRecord]:
-    """Execute one (group, series, kernel) sweep in a pool worker."""
-    from repro.streamer.runner import _series_records
+def run_shard(state_key: str, state_blob: bytes, tasks: Sequence[Task]
+              ) -> list[list[ResultRecord] | Exception]:
+    """Run a contiguous chunk of tasks as **one** pool submission.
 
-    group, series, kernel = task
-    faults.on_sweep_task(series.key, kernel, 0)
-    machines, config = _ensure_state(state_key, state_blob)
-    results = simulate_sweep(machines[series.testbed], kernel, series.spec,
-                             group.thread_counts, config)
-    return _series_records(group, series, kernel, results)
-
-
-def run_shard(state_key: str, state_blob: bytes,
-              tasks: Sequence[tuple]) -> list[list[ResultRecord]]:
-    """Execute a contiguous chunk of tasks as **one** pool submission.
-
-    The sweep service packs queued tasks into shards so a request costs
-    ``n_shards`` round trips instead of ``n_tasks``; per-task record
-    order inside the shard matches the serial path exactly.
+    Returns one outcome per task, in task order: its records, or the
+    exception its attempt-0 try raised.  A failed task does not stop
+    the shard; the parent's collector heals it.
     """
-    return [run_series_task(state_key, state_blob, t) for t in tasks]
+    machines, config = _ensure_state(state_key, state_blob)
+    outcomes: list[list[ResultRecord] | Exception] = []
+    for task in tasks:
+        try:
+            outcomes.append(run_task(machines, config, task))
+        except Exception as exc:          # noqa: BLE001 — healed upstream
+            outcomes.append(exc)
+    return outcomes
 
 
 def worker_ident(_state_key: str = "", _state_blob: bytes = b"",
@@ -216,39 +211,3 @@ class WarmWorkerPool:
             self.submitted += 1
             return self._executor.submit(fn, *args)
 
-
-# ---------------------------------------------------------------------------
-# module-level shared pool (the resident service's default)
-# ---------------------------------------------------------------------------
-
-_shared: WarmWorkerPool | None = None
-_shared_lock = threading.Lock()
-
-
-def shared_pool(jobs: int | None = None) -> WarmWorkerPool:
-    """The process-wide warm pool, created (and started) on first use.
-
-    ``jobs`` pins the worker count on creation; a later call with a
-    *different* count recycles the pool at the new size.  Omitting it
-    accepts whatever is already running (default: one worker per CPU).
-    """
-    global _shared
-    with _shared_lock:
-        if _shared is not None and jobs is not None \
-                and _shared.jobs != jobs:
-            _shared.shutdown(wait=False, cancel_futures=True)
-            _shared = None
-        if _shared is None:
-            _shared = WarmWorkerPool(
-                jobs if jobs is not None else (os.cpu_count() or 1),
-                fault_plan_json=faults.export_active())
-        return _shared.start()
-
-
-def shutdown_shared_pool(wait: bool = True) -> None:
-    """Stop and drop the module-level pool (no-op when absent)."""
-    global _shared
-    with _shared_lock:
-        pool, _shared = _shared, None
-    if pool is not None:
-        pool.shutdown(wait=wait)

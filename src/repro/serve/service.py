@@ -15,7 +15,11 @@ long-lived front-end that serves concurrent callers:
 * **batching and sharding** — a request's (group, series, kernel) tasks
   are packed into contiguous shards, each one pool submission, so
   concurrent requests interleave at shard granularity across the
-  workers and the merged output stays byte-identical to ``run_all()``;
+  workers.  The shards' per-task outcomes go to the runner's collector,
+  which heals a failed task in the parent exactly as ``run_all()``
+  does, so the served output stays byte-identical to it; a request
+  whose sweep is still incomplete after healing fails with a
+  :class:`~repro.errors.BenchmarkError`;
 * **admission control** — a bounded queue sheds load with a typed
   :class:`~repro.errors.ServiceOverloadError`, per-tenant in-flight
   quotas shed with :class:`~repro.errors.ServiceQuotaError`, and
@@ -124,14 +128,21 @@ class SweepRequest:
             if not isinstance(kernels, (list, tuple)):
                 raise BenchmarkError("kernels must be a list")
             kwargs["kernels"] = tuple(str(k) for k in kernels)
-        if doc.get("array_size") is not None:
-            kwargs["array_size"] = int(doc["array_size"])
-        if "tenant" in doc:
-            kwargs["tenant"] = str(doc["tenant"])
-        if doc.get("deadline_s") is not None:
-            kwargs["deadline_s"] = float(doc["deadline_s"])
-        if "use_cache" in doc:
-            kwargs["use_cache"] = bool(doc["use_cache"])
+        # each field as sent: nothing is coerced, a JSON boolean is not a
+        # number, and null keeps the default where the default is null
+        for name, types, what, nullable in (
+                ("array_size", int, "an integer", True),
+                ("deadline_s", (int, float), "a number", True),
+                ("tenant", str, "a string", False),
+                ("use_cache", bool, "a boolean", False)):
+            if name not in doc or (nullable and doc[name] is None):
+                continue
+            value = doc[name]
+            if (isinstance(value, bool) and types is not bool) \
+                    or not isinstance(value, types):
+                raise BenchmarkError(
+                    f"{name} must be {what}, got {value!r}")
+            kwargs[name] = value
         return cls(**kwargs)
 
 
@@ -285,24 +296,13 @@ class SweepService:
         return self
 
     async def stop(self) -> None:
-        """Drain-stop: fail queued work, stop dispatchers and the pool."""
-        if not self._running:
-            return
-        self._running = False
-        for task in self._dispatch_tasks:
-            task.cancel()
-        await asyncio.gather(*self._dispatch_tasks, return_exceptions=True)
-        self._dispatch_tasks = []
-        while self._queue is not None and not self._queue.empty():
-            job = self._queue.get_nowait()
-            if not job.future.done():
-                job.future.set_exception(
-                    ServiceClosedError("service stopped before execution"))
-        self._inflight.clear()
-        self._tenant_load.clear()
-        if self._pool is not None and self._pool_owned:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-        _log.info("sweep service stopped", extra=obs.kv())
+        """Drain-stop: fail queued work, stop dispatchers and the pool.
+
+        Jobs still queued fail with
+        :class:`~repro.errors.ServiceClosedError`, and so do the ones a
+        dispatcher is running — they are cancelled.  Idempotent.
+        """
+        await self._shutdown(graceful=False)
 
     async def close(self) -> None:
         """Graceful drain: in-flight requests finish, queued ones fail.
@@ -315,37 +315,29 @@ class SweepService:
         waiters get their result.  Idempotent; safe to call while
         requests are in flight.
         """
+        await self._shutdown(graceful=True)
+
+    async def _shutdown(self, graceful: bool) -> None:
         if not self._running:
             return
+        verb = "closed" if graceful else "stopped"
         self._running = False       # submit() now sheds before queueing
+        # no await while draining: dispatchers (parked in queue.get())
+        # cannot race us for queued jobs
         drained = 0
-        # the drain loop has no await: dispatchers (parked in
-        # queue.get()) cannot race us for queued jobs
-        while self._queue is not None and not self._queue.empty():
-            job = self._queue.get_nowait()
-            if not job.future.done():
-                job.future.set_exception(ServiceClosedError(
-                    "service closed before execution"))
-            load = self._tenant_load.get(job.request.tenant, 1) - 1
-            if load > 0:
-                self._tenant_load[job.request.tenant] = load
-            else:
-                self._tenant_load.pop(job.request.tenant, None)
-            if self._inflight.get(job.key) is job.future:
-                del self._inflight[job.key]
-            self._queue.task_done()
+        while not self._queue.empty():
+            self._release(self._queue.get_nowait(), ServiceClosedError(
+                f"service {verb} before execution"))
             drained += 1
-        if self._queue is not None:
+        if graceful:
             await self._queue.join()    # dispatcher-held jobs complete
         for task in self._dispatch_tasks:
             task.cancel()
         await asyncio.gather(*self._dispatch_tasks, return_exceptions=True)
         self._dispatch_tasks = []
-        self._inflight.clear()
-        self._tenant_load.clear()
         if self._pool is not None and self._pool_owned:
             self._pool.shutdown(wait=True, cancel_futures=True)
-        _log.info("sweep service closed",
+        _log.info(f"sweep service {verb}",
                   extra=obs.kv(drained_queued=drained))
 
     async def __aenter__(self) -> "SweepService":
@@ -357,6 +349,21 @@ class SweepService:
     # ------------------------------------------------------------------
     # bookkeeping
     # ------------------------------------------------------------------
+
+    def _release(self, job: _Job, error: Exception | None = None) -> None:
+        """Finish with a dequeued job: fail its waiters with ``error``
+        (if given and still waiting), return its tenant slot, drop its
+        coalescing entry and mark the queue item done."""
+        if error is not None and not job.future.done():
+            job.future.set_exception(error)
+        load = self._tenant_load.get(job.request.tenant, 1) - 1
+        if load > 0:
+            self._tenant_load[job.request.tenant] = load
+        else:
+            self._tenant_load.pop(job.request.tenant, None)
+        if self._inflight.get(job.key) is job.future:
+            del self._inflight[job.key]
+        self._queue.task_done()
 
     def _count(self, name: str, n: int = 1) -> None:
         self.counters[name] += n
@@ -522,22 +529,14 @@ class SweepService:
         while True:
             job = await self._queue.get()
             obs.gauge("serve.queue.depth", self._queue.qsize())
+            error = None
             try:
                 await self._execute(job)
             except asyncio.CancelledError:
-                if not job.future.done():
-                    job.future.set_exception(
-                        ServiceClosedError("service stopped mid-request"))
+                error = ServiceClosedError("service stopped mid-request")
                 raise
             finally:
-                load = self._tenant_load.get(job.request.tenant, 1) - 1
-                if load > 0:
-                    self._tenant_load[job.request.tenant] = load
-                else:
-                    self._tenant_load.pop(job.request.tenant, None)
-                if self._inflight.get(job.key) is job.future:
-                    del self._inflight[job.key]
-                self._queue.task_done()
+                self._release(job, error)
 
     async def _execute(self, job: _Job) -> None:
         loop = asyncio.get_running_loop()
@@ -567,7 +566,7 @@ class SweepService:
                     job.future.set_exception(exc)
                 return
         text = results.to_json()
-        if job.request.use_cache and results.complete:
+        if job.request.use_cache:
             self._lru_put(job.key, text)
             if job.runner.cache_dir:
                 job.runner._cache_store(job.key, results)
@@ -589,7 +588,19 @@ class SweepService:
         return shards
 
     async def _run_sharded(self, job: _Job) -> ResultSet:
-        """Fan one request across the warm pool as shard submissions."""
+        """Fan one request across the warm pool as shard submissions,
+        then heal and assemble the per-task outcomes in the runner's
+        collector.
+
+        A task that failed in a worker is retried here, on the event
+        loop thread, with ``run_all``'s retries and quarantine; that
+        stalls the loop for the retried series' simulation and backoff.
+
+        Raises:
+            ServiceDeadlineError: the deadline expired mid-execution
+                (the pool is recycled).
+            BenchmarkError: a task still failed after healing.
+        """
         loop = asyncio.get_running_loop()
         runner = job.runner
         tasks = runner._tasks(job.request.kernels)
@@ -599,14 +610,14 @@ class SweepService:
         pool_futs = [self._pool.submit(run_shard, state_key, state_blob,
                                        shard)
                      for shard in shards]
-        shard_sets: list[ResultSet] = []
+        outcomes: list = []
         try:
             for fut in pool_futs:
                 timeout = None
                 if job.deadline_at is not None:
                     timeout = max(0.0, job.deadline_at - loop.time())
                 try:
-                    record_lists = await asyncio.wait_for(
+                    outcomes += await asyncio.wait_for(
                         asyncio.wrap_future(fut), timeout)
                 except asyncio.TimeoutError:
                     # the fault plane's wedged-worker machinery: abandon
@@ -617,11 +628,13 @@ class SweepService:
                         f"deadline of {job.request.deadline_s}s expired "
                         f"mid-execution; pool recycled",
                         deadline_s=job.request.deadline_s) from None
-                shard = ResultSet()
-                for records in record_lists:
-                    shard.extend(records)
-                shard_sets.append(shard)
         finally:
             for fut in pool_futs:
                 fut.cancel()
-        return ResultSet.merge_shards(shard_sets)
+        results = runner._collect(tasks, outcomes)
+        if not results.complete:
+            first = results.failures[0]
+            raise BenchmarkError(
+                f"sweep incomplete: {first.series}/{first.kernel} failed "
+                f"with {first.error_type}: {first.message}")
+        return results

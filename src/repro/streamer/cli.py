@@ -559,6 +559,7 @@ def _kvcache(args) -> int:
 
 def _serve(args) -> int:
     import asyncio
+    import signal
 
     from repro.serve.server import SweepServer
     from repro.serve.service import SweepService
@@ -582,6 +583,10 @@ def _serve(args) -> int:
               f"(workers={service.pool.workers}, "
               f"max_queue={service.max_queue})",
               flush=True)
+        # SIGTERM stops like Ctrl-C: cancelling this task runs
+        # server.stop(), which shuts the warm pool down and reaps it
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel)
         try:
             await server.serve_forever()
         except asyncio.CancelledError:

@@ -118,22 +118,6 @@ class ResultSet:
     def extend(self, records: Iterable[ResultRecord]) -> None:
         self._records.extend(records)
 
-    @classmethod
-    def merge_shards(cls, shards: Iterable["ResultSet"]) -> "ResultSet":
-        """Reassemble shard results into one ordered :class:`ResultSet`.
-
-        The sweep service splits one request's task list into contiguous
-        chunks and fans them across the warm worker pool; merging the
-        shard outputs **in submission order** restores the exact serial
-        record order, so a sharded run is byte-identical to
-        ``run_all()``.  Failure records concatenate the same way.
-        """
-        out = cls()
-        for shard in shards:
-            out.extend(shard)
-            out.failures.extend(shard.failures)
-        return out
-
     def __len__(self) -> int:
         return len(self._records)
 

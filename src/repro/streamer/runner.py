@@ -5,29 +5,37 @@ Three execution strategies, all producing byte-identical
 
 * **serial** — the reference path (one series sweep after another);
 * **parallel** — ``run_all(parallel=N)`` fans the independent series
-  sweeps out over a ``concurrent.futures`` process pool, reassembling
-  records in the exact serial order;
+  sweeps out over a warm process pool, one task per submission, and
+  reassembles records in the exact serial order;
 * **cached** — with a ``cache_dir``, ``run_all`` keys the sweep by a
   content hash of the STREAM configuration, every machine fingerprint
   (capacities, latencies, calibration) and the group specs, and replays
   the stored ``ResultSet`` JSON when nothing changed.
+
+Every tier runs one task body, :func:`run_task`, and ends in one
+collector, :meth:`StreamerRunner._collect`, which walks the task
+outcomes in serial order and heals failed tasks with retries and
+quarantine — the sweep service hands its sharded outcomes to the same
+collector.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
+import itertools
 import json
 import os
 import tempfile
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import asdict
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro import faults, obs
 from repro.errors import BenchmarkError
 from repro.machine.presets import Testbed, setup1, setup2
+from repro.machine.topology import Machine
 from repro.stream.config import StreamConfig
 from repro.stream.simulated import simulate_sweep
 from repro.streamer.configs import (
@@ -78,6 +86,28 @@ def _series_records(group: TestGroup, series: TestSeries, kernel: str,
         )
         for r in results
     ]
+
+
+#: one sweep task: a group's series under one kernel
+Task = tuple[TestGroup, TestSeries, str]
+
+
+def run_task(machines: Mapping[str, Machine], config: StreamConfig,
+             task: Task, attempt: int = 0) -> list[ResultRecord]:
+    """Run one sweep task: the fault hook, the series sweep, its records.
+
+    The serial path and the pool workers both run this body, which is
+    what keeps pooled and serial records byte-identical.
+    """
+    group, series, kernel = task
+    faults.on_sweep_task(series.key, kernel, attempt)
+    start = obs.clock()
+    with obs.span("sweep.series",
+                  meta={"series": series.key, "kernel": kernel}):
+        results = simulate_sweep(machines[series.testbed], kernel,
+                                 series.spec, group.thread_counts, config)
+    obs.observe_since("sweep.series_wall_s", start)
+    return _series_records(group, series, kernel, results)
 
 
 def _check_max_retries(max_retries: int) -> None:
@@ -206,25 +236,21 @@ class StreamerRunner:
         same retries and quarantine as :meth:`run_all`."""
         group = self._resolve_group(group)
         _check_max_retries(max_retries)
-        out = ResultSet()
-        quarantine: dict[str, str] = {}
         with obs.span("sweep.run_group", meta={"group": group.group_id}):
-            for _, series, kernel in self._tasks(kernels, group):
-                self._run_task_healed(group, series, kernel, max_retries,
-                                      out, quarantine)
-        return out
+            return self._collect(self._tasks(kernels, group),
+                                 itertools.repeat(None), max_retries)
 
     # ------------------------------------------------------------------
     # full-matrix execution
     # ------------------------------------------------------------------
 
     def _tasks(self, kernels: Sequence[str], group: TestGroup | None = None
-               ) -> list[tuple[TestGroup, TestSeries, str]]:
+               ) -> list[Task]:
         """Every (group, series, kernel) sweep of ``group`` (default: of
         every group), in serial record order."""
         groups = ([group] if group is not None
                   else [self.groups[gid] for gid in sorted(self.groups)])
-        tasks: list[tuple[TestGroup, TestSeries, str]] = []
+        tasks: list[Task] = []
         for g in groups:
             for kernel in kernels:
                 for series in g.series:
@@ -247,63 +273,73 @@ class StreamerRunner:
     # self-healing task execution
     # ------------------------------------------------------------------
 
-    def _note_quarantine_skip(self, group: TestGroup, series: TestSeries,
-                              kernel: str, out: ResultSet,
-                              quarantine: dict[str, str]) -> None:
-        obs.inc("sweep.quarantine_skips")
-        _log.warning("skipping quarantined series",
-                     extra=obs.kv(series=series.key, kernel=kernel))
-        out.add_failure(FailureRecord(
-            group=group.group_id, series=series.key, kernel=kernel,
-            testbed=series.testbed, error_type="SeriesQuarantined",
-            message=f"series benched after {quarantine[series.key]}",
-            attempts=0, quarantined=True))
+    def _collect(self, tasks: Sequence[Task], outcomes: Iterable,
+                 max_retries: int = 2) -> ResultSet:
+        """Walk task outcomes in serial order into one ResultSet.
 
-    def _run_task_healed(self, group: TestGroup, series: TestSeries,
-                         kernel: str, max_retries: int, out: ResultSet,
-                         quarantine: dict[str, str], *,
-                         start_attempt: int = 0,
-                         prior_exc: BaseException | None = None) -> None:
+        ``outcomes`` yields one entry per task: its records, the
+        exception its attempt-0 try raised in a pool worker, or ``None``
+        for a task not tried yet.  A task whose series is quarantined is
+        skipped; a failed or untried task goes to
+        :meth:`_run_task_healed`; records are kept as they are.
+        ``run_group``, ``run_all`` (serial and pooled) and the sweep
+        service all end here, so every tier heals alike.
+        """
+        machines = {name: tb.machine for name, tb in self.testbeds.items()}
+        out = ResultSet()
+        quarantine: dict[str, str] = {}
+        for task, outcome in zip(tasks, outcomes):
+            group, series, kernel = task
+            if series.key in quarantine:
+                obs.inc("sweep.quarantine_skips")
+                _log.warning("skipping quarantined series",
+                             extra=obs.kv(series=series.key, kernel=kernel))
+                out.add_failure(FailureRecord(
+                    group=group.group_id, series=series.key, kernel=kernel,
+                    testbed=series.testbed, error_type="SeriesQuarantined",
+                    message=f"series benched after {quarantine[series.key]}",
+                    attempts=0, quarantined=True))
+            elif isinstance(outcome, list):
+                obs.inc("sweep.series_runs")
+                out.extend(outcome)
+            else:
+                self._run_task_healed(machines, task, max_retries, out,
+                                      quarantine, outcome)
+        return out
+
+    def _run_task_healed(self, machines: Mapping[str, Machine],
+                         task: Task, max_retries: int, out: ResultSet,
+                         quarantine: dict[str, str],
+                         prior_exc: BaseException | None) -> None:
         """Run one sweep task with bounded retries and quarantine.
 
         On success the records land in ``out``; when every attempt fails
         (or the failure is known-deterministic) a :class:`FailureRecord`
         is appended instead and the series is quarantined so later tasks
-        on it are skipped rather than re-failed.  ``start_attempt`` /
-        ``prior_exc`` let the parallel path account for a try that
-        already failed inside a worker process.
+        on it are skipped rather than re-failed.  ``prior_exc`` is the
+        failure of an attempt 0 already tried in a pool worker; the
+        retries then start at attempt 1.
         """
-        if series.key in quarantine:
-            self._note_quarantine_skip(group, series, kernel, out, quarantine)
-            return
+        group, series, kernel = task
         last_exc = prior_exc
-        tries = start_attempt
-        deterministic = bool(getattr(prior_exc, "deterministic", False))
-        if not deterministic:
-            for attempt in range(start_attempt, max_retries + 1):
+        tries = 0 if prior_exc is None else 1
+        if not getattr(prior_exc, "deterministic", False):
+            for attempt in range(tries, max_retries + 1):
                 if attempt > 0:
                     obs.inc("sweep.retries")
                     time.sleep(self.RETRY_BACKOFF_S * (2 ** (attempt - 1)))
                 try:
-                    faults.on_sweep_task(series.key, kernel, attempt)
-                    start = obs.clock()
-                    with obs.span("sweep.series",
-                                  meta={"series": series.key,
-                                        "kernel": kernel}):
-                        results = simulate_sweep(
-                            self._testbed(series.testbed).machine, kernel,
-                            series.spec, group.thread_counts, self.config)
-                    obs.observe_since("sweep.series_wall_s", start)
-                    obs.inc("sweep.series_runs")
-                    out.extend(
-                        _series_records(group, series, kernel, results))
-                    return
+                    records = run_task(machines, self.config, task, attempt)
                 except faults.SweepFaultInjected as exc:
                     last_exc, tries = exc, attempt + 1
                     if exc.deterministic:
                         break   # retrying a fail-every-attempt spec is futile
                 except Exception as exc:          # noqa: BLE001 — heal all
                     last_exc, tries = exc, attempt + 1
+                else:
+                    obs.inc("sweep.series_runs")
+                    out.extend(records)
+                    return
         quarantine[series.key] = type(last_exc).__name__
         obs.inc("sweep.failures")
         obs.inc("sweep.quarantined")
@@ -362,27 +398,23 @@ class StreamerRunner:
         else:
             jobs = self._n_jobs(parallel)
         tasks = self._tasks(kernels)
-        out = ResultSet()
-        quarantine: dict[str, str] = {}
         with obs.span("sweep.run_all",
                       meta={"kernels": list(kernels), "jobs": jobs,
                             "tasks": len(tasks)}):
             if (jobs <= 1 and not warm) or len(tasks) <= 1:
-                for group, series, kernel in tasks:
-                    self._run_task_healed(group, series, kernel,
-                                          max_retries, out, quarantine)
+                out = self._collect(tasks, itertools.repeat(None),
+                                    max_retries)
             else:
-                self._run_pool(tasks, max_retries, worker_timeout,
-                               jobs, out, quarantine)
+                out = self._run_pool(tasks, max_retries, worker_timeout,
+                                     jobs)
 
         if cache_key is not None and out.complete:
             self._cache_store(cache_key, out)
         return out
 
-    def _run_pool(self, tasks, max_retries: int,
-                  worker_timeout: float | None, jobs: int,
-                  out: ResultSet, quarantine: dict[str, str]) -> None:
-        from repro.serve.pool import WarmWorkerPool, run_series_task
+    def _run_pool(self, tasks: Sequence[Task], max_retries: int,
+                  worker_timeout: float | None, jobs: int) -> ResultSet:
+        from repro.serve.pool import WarmWorkerPool, run_shard
         attached = self._pool is not None and self._pool.alive
         if attached:
             pool = self._pool
@@ -399,43 +431,34 @@ class StreamerRunner:
                                warm=attached))
         state_key, state_blob = self._pool_state()
         timed_out = False
+
+        def outcomes(futures):
+            # waited in submission order, so the collector sees them in
+            # serial order
+            nonlocal timed_out
+            for (_, series, kernel), fut in zip(tasks, futures):
+                try:
+                    [outcome] = fut.result(timeout=worker_timeout)
+                except FutureTimeoutError:
+                    timed_out = True
+                    obs.inc("sweep.worker_timeouts")
+                    _log.warning("sweep worker timed out",
+                                 extra=obs.kv(series=series.key,
+                                              kernel=kernel,
+                                              timeout_s=worker_timeout))
+                    outcome = BenchmarkError(
+                        f"worker exceeded {worker_timeout}s budget")
+                except Exception as exc:      # noqa: BLE001 — heal all
+                    outcome = exc               # the worker itself failed
+                yield outcome
+
         try:
-            # one future per task, results consumed in submission order
-            # → deterministic records identical to the serial path
-            futures = [pool.submit(run_series_task, state_key, state_blob, t)
+            # one-task shards, so worker_timeout bounds every task
+            futures = [pool.submit(run_shard, state_key, state_blob, (t,))
                        for t in tasks]
             with obs.span("sweep.pool",
                           meta={"workers": workers, "tasks": len(tasks)}):
-                for (group, series, kernel), fut in zip(tasks, futures):
-                    if series.key in quarantine:
-                        fut.cancel()
-                        self._note_quarantine_skip(group, series, kernel,
-                                                   out, quarantine)
-                        continue
-                    try:
-                        records = fut.result(timeout=worker_timeout)
-                    except FutureTimeoutError:
-                        timed_out = True
-                        obs.inc("sweep.worker_timeouts")
-                        _log.warning("sweep worker timed out",
-                                     extra=obs.kv(series=series.key,
-                                                  kernel=kernel,
-                                                  timeout_s=worker_timeout))
-                        self._run_task_healed(
-                            group, series, kernel, max_retries, out,
-                            quarantine, start_attempt=1,
-                            prior_exc=BenchmarkError(
-                                f"worker exceeded {worker_timeout}s budget"))
-                        continue
-                    except Exception as exc:      # noqa: BLE001 — heal all
-                        # worker try counts as attempt 0; retry here in
-                        # the parent, where the plan state is live
-                        self._run_task_healed(
-                            group, series, kernel, max_retries, out,
-                            quarantine, start_attempt=1, prior_exc=exc)
-                        continue
-                    obs.inc("sweep.series_runs")
-                    out.extend(records)
+                out = self._collect(tasks, outcomes(futures), max_retries)
         finally:
             if attached:
                 if timed_out:
@@ -446,6 +469,7 @@ class StreamerRunner:
                 # a wedged worker must not hang shutdown; abandon it
                 pool.shutdown(wait=not timed_out, cancel_futures=timed_out)
         _log.info("sweep pool drained", extra=obs.kv(tasks=len(tasks)))
+        return out
 
     def run_figure(self, figure: int, parallel: int | bool | None = None,
                    use_cache: bool = True, max_retries: int = 2,

@@ -10,11 +10,11 @@ EPS = 1e-6
 
 
 @st.composite
-def _problems(draw):
+def _problems(draw, max_flows=12):
     n_resources = draw(st.integers(1, 5))
     resources = {f"r{i}": draw(st.floats(1.0, 100.0))
                  for i in range(n_resources)}
-    n_flows = draw(st.integers(1, 12))
+    n_flows = draw(st.integers(1, max_flows))
     flows = []
     for i in range(n_flows):
         n_used = draw(st.integers(1, n_resources))
@@ -72,6 +72,25 @@ def test_allocation_is_maximal(problem):
                 saturated = True
                 break
         assert saturated, f"flow {f.name} could still grow"
+
+
+@given(_problems(max_flows=24))
+@settings(max_examples=100, deadline=None)
+def test_bottlenecks_are_valid(problem):
+    """Every bottleneck attribution holds up: ``cap`` means the flow
+    reached its own cap; a resource name means that resource is
+    saturated and the flow uses it."""
+    flows, resources = problem
+    alloc = solve_max_min(flows, resources)
+    for f in flows:
+        res = alloc.bottleneck[f.name]
+        if res == "cap":
+            assert alloc.rates[f.name] >= f.cap_gbps - EPS
+            continue
+        assert res in f.usage
+        load = sum(alloc.rates[g.name] * g.usage.get(res, 0.0)
+                   for g in flows)
+        assert load >= resources[res] - EPS * max(1.0, resources[res])
 
 
 @given(_problems())

@@ -1,14 +1,13 @@
 """Serving-layer fixtures.
 
-The serve stack touches two process-wide singletons — the fault plane
-and the shared warm pool — so every test starts and ends with both
-clean, and obs reset, mirroring ``tests/faults/conftest.py``.
+The serve stack touches the process-wide fault plane, so every test
+starts and ends with it clean, and obs reset, mirroring
+``tests/faults/conftest.py``.
 """
 
 import pytest
 
 from repro import faults, obs
-from repro.serve.pool import shutdown_shared_pool
 
 
 @pytest.fixture(autouse=True)
@@ -17,7 +16,6 @@ def clean_serve_state():
     obs.disable()
     obs.reset()
     yield
-    shutdown_shared_pool()
     faults.clear()
     obs.disable()
     obs.reset()

@@ -1,13 +1,16 @@
-"""Warm worker pool: reuse, recycling and the shared singleton."""
+"""Warm worker pool: reuse, recycling and state shipping."""
 
 import os
 
 import pytest
 
+from repro import faults
 from repro.errors import BenchmarkError
-from repro.serve.pool import (WarmWorkerPool, pack_state, shared_pool,
-                              shutdown_shared_pool, worker_ident)
+from repro.faults.plan import FaultPlan, SweepFailSpec
+from repro.serve.pool import (WarmWorkerPool, pack_state, run_shard,
+                              worker_ident)
 from repro.stream.config import StreamConfig
+from repro.streamer.runner import StreamerRunner
 
 
 class TestWarmWorkerPool:
@@ -58,17 +61,16 @@ class TestPackState:
         assert k3 != k1
 
 
-class TestSharedPool:
-    def test_singleton_reuse(self):
-        p1 = shared_pool(1)
-        p2 = shared_pool()
-        assert p1 is p2
-        shutdown_shared_pool()
-
-    def test_resize_replaces_pool(self):
-        p1 = shared_pool(1)
-        p2 = shared_pool(2)
-        assert p2 is not p1
-        assert p2.workers == 2
-        assert not p1.alive
-        shutdown_shared_pool()
+class TestRunShard:
+    def test_one_outcome_per_task_and_a_failure_does_not_stop_the_shard(
+            self):
+        runner = StreamerRunner(config=StreamConfig(array_size=10_000))
+        tasks = runner._tasks(("triad",))[:3]
+        key, blob = runner._pool_state()
+        clean = run_shard(key, blob, tasks)
+        faults.install(FaultPlan(faults=[SweepFailSpec(
+            series=tasks[0][1].key, kernel="triad", attempts=1)]))
+        outcomes = run_shard(key, blob, tasks)
+        assert isinstance(outcomes[0], faults.SweepFaultInjected)
+        assert outcomes[1:] == clean[1:]
+        assert all(isinstance(o, list) and o for o in clean)

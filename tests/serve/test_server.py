@@ -2,7 +2,17 @@
 
 import asyncio
 import json
+import os
+import re
+import select
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import repro
 from repro.serve.server import SweepServer, request
 from repro.serve.service import SweepService
 from repro.stream.config import StreamConfig
@@ -77,3 +87,52 @@ def test_malformed_line_gets_reply_not_disconnect():
     first, second = asyncio.run(body())
     assert not first["ok"] and first["error"] == "BadRequest"
     assert second == {"ok": True, "op": "ping"}
+
+
+def _alive(pid: int) -> bool:
+    """The process exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def test_sigterm_exits_cleanly_and_reaps_the_warm_pool():
+    """``streamer serve`` handles SIGTERM like Ctrl-C: it exits 0 and
+    its warm pool's workers do not outlive it."""
+    me = os.getpid()
+    if not Path(f"/proc/{me}/task/{me}/children").exists():
+        pytest.skip("no /proc/<pid>/task/<pid>/children on this kernel")
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.streamer", "serve", "--port", "0",
+         "--jobs", "2", "--no-cache"],
+        stdout=subprocess.PIPE, text=True, env=env)
+    children: list[int] = []
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 60)
+        assert ready, "the server printed no banner within 60 s"
+        banner = proc.stdout.readline()
+        port = int(re.search(r":(\d+) \(", banner).group(1))
+        reply = asyncio.run(request(
+            "127.0.0.1", port,
+            {"kernels": ["triad"], "array_size": ELEMENTS}))
+        assert reply["ok"] and reply["results"]["records"], reply
+        children = [int(pid) for pid in Path(
+            f"/proc/{proc.pid}/task/{proc.pid}/children").read_text().split()]
+        assert children, "the warm pool must have spawned workers"
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 0
+        assert not [pid for pid in children if _alive(pid)]
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+        for pid in children:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)

@@ -93,6 +93,24 @@ class TestCoalescing:
         assert counters["lru_hits"] == 0 and counters["disk_hits"] == 0
 
 
+class TestHealing:
+    def test_transient_task_failure_heals_to_run_all_bytes(self):
+        """A task that fails its first try in a worker is retried in the
+        parent, like ``run_all``: the served JSON is byte-identical to
+        a fault-free run."""
+        async def body(service):
+            return (await service.submit(_req(use_cache=False))).json
+
+        runner = StreamerRunner(config=StreamConfig(array_size=ELEMENTS))
+        clean = runner.run_all(kernels=KERNELS).to_json()
+        series = runner._tasks(KERNELS)[0][1].key
+        plan = FaultPlan(faults=[
+            SweepFailSpec(series=series, kernel="triad", attempts=1)])
+        with faults.use_plan(plan):     # shipped into the pool workers
+            served = asyncio.run(_with_service(body))
+        assert served == clean
+
+
 class TestCacheTiers:
     def test_repeat_request_hits_memory_lru(self):
         async def body(service):
@@ -309,6 +327,19 @@ class TestRequestValidation:
     def test_from_doc_rejects_unknown_fields(self):
         with pytest.raises(BenchmarkError, match="unknown"):
             SweepRequest.from_doc({"kernels": ["triad"], "frobnicate": 1})
+
+    @pytest.mark.parametrize("doc", [
+        {"use_cache": "false"},
+        {"array_size": 100000.9},
+        {"array_size": True},
+        {"tenant": 7},
+        {"deadline_s": True},
+    ], ids=lambda d: "-".join(f"{k}={v!r}" for k, v in d.items()))
+    def test_from_doc_rejects_wrong_wire_types(self, doc):
+        """Wire values are taken as sent: none is coerced."""
+        [field] = doc
+        with pytest.raises(BenchmarkError, match=field):
+            SweepRequest.from_doc(doc)
 
     def test_from_doc_round_trip(self):
         req = SweepRequest.from_doc(

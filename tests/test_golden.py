@@ -15,7 +15,10 @@ from gen_golden import (  # noqa: E402
     chaos_cross_plane,
     cxl_datapath,
     des_ladder,
+    fabric_scheduler,
     kvserve_drill,
+    machine_fingerprints,
+    stream_pmem_arrays,
     sweep_paper,
     tiering_memory_mode,
     tiering_policies,
@@ -65,3 +68,20 @@ def test_chaos_cross_plane(golden):
     """Survivor digests and conservation audit of the cross-plane
     chaos plan."""
     assert chaos_cross_plane() == golden["chaos.cross_plane"]
+
+
+def test_machine_fingerprints(golden):
+    """Every preset's and every ablation variant's machine fingerprint
+    (the sweep cache keys)."""
+    assert machine_fingerprints() == golden["machine.fingerprints"]
+
+
+def test_stream_pmem_arrays(golden):
+    """STREAM-PMem array CRCs and flush counts on mem, file and cxl."""
+    assert stream_pmem_arrays() == golden["stream_pmem.arrays"]
+
+
+def test_fabric_scheduler(golden):
+    """The default fabric spec's pooling sweep and noisy-neighbour
+    solves."""
+    assert fabric_scheduler() == golden["fabric.scheduler"]

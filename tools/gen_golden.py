@@ -16,21 +16,34 @@ import json
 import logging
 import random
 import sys
+import tempfile
+import zlib
 from dataclasses import asdict
 from pathlib import Path
 
 from repro import faults, units
+from repro.core.runtime import CxlPmemRuntime
 from repro.core.tiering import MemoryModeTier, sequential_trace, zipf_trace
 from repro.cxl.device import MediaController, Type3Device
 from repro.cxl.host import CxlMemPort
 from repro.cxl.link import CxlLink
 from repro.cxl.spec import CxlVersion
+from repro.fabric.evaluate import FabricSpec, noisy_neighbor, pooling_sweep
 from repro.machine.affinity import place_threads
 from repro.machine.dram import DDR4_1333
 from repro.machine.numa import NumaPolicy, PolicyKind
-from repro.machine.presets import setup1
+from repro.machine.presets import (
+    ablation_variants,
+    multihost_cxl,
+    setup1,
+    setup1_switched,
+    setup1_variant,
+    setup1_with_dcpmm,
+    setup2,
+)
 from repro.memsim.des import simulate_stream_des
 from repro.stream.config import StreamConfig
+from repro.stream.pmem_stream import StreamPmem
 from repro.streamer.configs import tiering_group
 from repro.streamer.runner import StreamerRunner
 from repro.tiering.evaluate import TRACE_KINDS, TieringSpec, evaluate_policy
@@ -185,12 +198,68 @@ def chaos_cross_plane() -> str:
     })
 
 
+def machine_fingerprints() -> str:
+    """Digest of :meth:`Machine.fingerprint` of every preset and of every
+    :func:`ablation_variants` entry built by :func:`setup1_variant`."""
+    testbeds = {
+        "setup1": setup1(),
+        "setup1(battery_backed=False)": setup1(battery_backed=False),
+        "setup2": setup2(),
+        "setup1_with_dcpmm": setup1_with_dcpmm(),
+        "multihost_cxl(4)": multihost_cxl(4),
+        "setup1_switched": setup1_switched(),
+    }
+    for name, kw in ablation_variants().items():
+        testbeds[f"setup1_variant({name})"] = setup1_variant(**kw)
+    return sha256_json({name: tb.machine.fingerprint()
+                        for name, tb in testbeds.items()})
+
+
+def stream_pmem_arrays() -> str:
+    """Digest of STREAM-PMem on ``mem://``, ``file://`` and a namespace of
+    setup #1's ``cxl0``: per backend, the CRC-32 of each of the three
+    arrays and the flush counts of one ``run_transactional()`` followed
+    by one ``run(persist_each_iteration=True)`` on 20,000-element
+    arrays, three iterations each."""
+    cfg = StreamConfig(array_size=20_000, ntimes=3)
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        backends = (
+            ("mem", "mem://", None),
+            ("file", f"file://{tmp}/stream.pool", None),
+            ("cxl", "cxl://cxl0/stream",
+             CxlPmemRuntime(setup1().host_bridges)),
+        )
+        for name, uri, runtime in backends:
+            with StreamPmem.create(uri, cfg, runtime=runtime) as sp:
+                tx = sp.run_transactional()
+                app = sp.run(persist_each_iteration=True)
+                out[name] = {
+                    "crc32": [zlib.crc32(memoryview(arr.as_ndarray()).cast("B"))
+                              for arr in sp.arrays],
+                    "flushes": [tx.flushes, app.flushes],
+                }
+    return sha256_json(out)
+
+
+def fabric_scheduler() -> str:
+    """Digest of the default fabric spec's pooling sweep and its
+    noisy-neighbour scenario (fair and QoS max-min solves over 34
+    flows)."""
+    spec = FabricSpec()
+    return sha256_json({"pooling_sweep": pooling_sweep(spec),
+                        "noisy_neighbor": noisy_neighbor(spec)})
+
+
 #: every golden key and the function recomputing it
 DIGESTS = {
     "chaos.cross_plane": chaos_cross_plane,
     "cxl.datapath": cxl_datapath,
     "des.ladder": des_ladder,
+    "fabric.scheduler": fabric_scheduler,
     "kvserve.drill": kvserve_drill,
+    "machine.fingerprints": machine_fingerprints,
+    "stream_pmem.arrays": stream_pmem_arrays,
     "sweep.paper": sweep_paper,
     "tiering.policies": tiering_policies,
     "tiering.memory_mode": tiering_memory_mode,
