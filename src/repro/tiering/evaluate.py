@@ -17,7 +17,8 @@ it converts a policy's steady near/far traffic split into the weighted
 NUMA policy :func:`repro.memsim.engine.simulate_stream` understands
 (exactly how ``core/tiering`` translates Memory-Mode hit rates), and is
 memoized per (machine, spec) so a 10-point thread sweep pays for one
-evaluation.
+evaluation.  Policies evaluated on one machine share one read-only
+trace: :class:`TraceGen` reads no policy knob.
 
 Everything is deterministic under a fixed :attr:`TieringSpec.seed`:
 same spec → same trace → same decisions → identical results, which is
@@ -195,6 +196,32 @@ class TraceGen:
         return out
 
 
+#: the spec fields :class:`TraceGen` reads
+_TRACE_FIELDS = ("n_pages", "near_fraction", "trace", "epochs",
+                 "epoch_accesses", "alpha", "hot_fraction", "seed")
+
+#: ``(weakref to machine, trace key, trace)``, read and written as one
+#: tuple: a thread race costs a regeneration, never a wrong trace
+_TRACE_SLOT: tuple | None = None
+
+
+def _trace(spec: TieringSpec, machine: Machine | None) -> tuple:
+    """The spec's read-only epoch batches, shared per machine."""
+    global _TRACE_SLOT
+    key = tuple(getattr(spec, name) for name in _TRACE_FIELDS)
+    slot = _TRACE_SLOT
+    if (machine is not None and slot is not None
+            and slot[0]() is machine and slot[1] == key):
+        return slot[2]
+    gen = TraceGen(spec)
+    trace = tuple(gen.epoch(epoch) for epoch in range(spec.epochs))
+    for batch in trace:
+        batch.flags.writeable = False
+    if machine is not None:
+        _TRACE_SLOT = (weakref.ref(machine), key, trace)
+    return trace
+
+
 @dataclass
 class TieringResult:
     """Outcome of one policy evaluation (all values modelled, no
@@ -264,30 +291,26 @@ def evaluate_policy(spec: TieringSpec, near_ns: float | None = None,
                              link_gbps=spec.link_gbps,
                              remap_ns=spec.remap_ns, port=port,
                              far_base_dpa=far_base_dpa)
-    gen = TraceGen(spec)
     workload_ns = 0.0
     near_hits = 0
-    total = 0
-    aborted = 0
+    total = spec.epochs * spec.epoch_accesses
     epoch_latency: list[float] = []
     with obs.span("tiering.evaluate",
                   meta={"policy": spec.policy, "trace": spec.trace,
                         "pages": n, "epochs": spec.epochs}):
+        trace = _trace(spec, machine)
         for epoch in range(spec.epochs):
             with obs.span("tiering.epoch", meta={"epoch": epoch}):
-                batch = gen.epoch(epoch)
+                batch = trace[epoch]
                 tracker.record(batch)
                 hits = int(np.count_nonzero(state.placement[batch] == NEAR))
                 miss = batch.size - hits
                 epoch_ns = hits * near_ns + miss * far_ns
                 near_hits += hits
-                total += batch.size
                 tracker.end_epoch()
                 decision = policy.decide(tracker.heat, batch, state, epoch)
                 report = engine.apply(decision)
                 state.check_conservation()
-                if report.aborted_window:
-                    aborted += report.aborted
                 epoch_ns += report.move_ns
                 workload_ns += hits * near_ns + miss * far_ns
                 epoch_latency.append(epoch_ns / batch.size)
@@ -301,7 +324,7 @@ def evaluate_policy(spec: TieringSpec, near_ns: float | None = None,
         effective_latency_ns=(workload_ns + engine.stats.move_ns) / total,
         promotions=engine.stats.promotions,
         demotions=engine.stats.demotions,
-        aborted=aborted,
+        aborted=engine.stats.aborted,
         migration_bytes=engine.stats.migration_bytes,
         final_near_pages=state.near_count,
         epoch_latency_ns=epoch_latency,

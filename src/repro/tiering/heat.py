@@ -34,6 +34,14 @@ __all__ = [
 ]
 
 
+def _page_ids(pages) -> np.ndarray:
+    """``pages`` as int64 ids; non-integer ids raise, empty ones pass."""
+    arr = np.asarray(pages)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise TieringError(f"page ids must be integers, got {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 def fold_reference(heat: np.ndarray, pages, decay: float) -> np.ndarray:
     """One ``record`` + ``end_epoch`` pair as a per-element loop.
 
@@ -82,7 +90,7 @@ class HeatTracker:
         ``pages`` is any 1-D integer array-like of page ids; ids must
         lie in ``[0, n_pages)``.
         """
-        arr = np.ascontiguousarray(pages, dtype=np.int64)
+        arr = _page_ids(pages)
         if arr.ndim != 1:
             raise TieringError(
                 f"record takes a 1-D batch of page ids, got shape {arr.shape}")

@@ -26,6 +26,10 @@ every page.  An injected :class:`~repro.errors.MigrationAbortError`
 page's move — the page stays fully in its source tier — and closes the
 epoch's migration window (remaining decisions are dropped, reported as
 ``aborted_window``).
+
+Pages are copied one at a time only when a port or a plan targeting the
+``migration`` site can intervene; either way one step remaps the pages
+whose copy finished and bills them.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from repro.errors import (
     MigrationAbortError,
     TieringError,
 )
+from repro.tiering.heat import _page_ids
 
 __all__ = [
     "NEAR",
@@ -119,13 +124,14 @@ class TierState:
         if placement is None:
             placement = np.full(n_pages, FAR, dtype=np.int8)
         else:
-            placement = np.asarray(placement, dtype=np.int8).copy()
+            placement = np.asarray(placement)   # int8 would wrap/truncate
             if placement.shape != (n_pages,):
                 raise TieringError(
                     f"placement must have shape ({n_pages},), "
                     f"got {placement.shape}")
             if not np.isin(placement, (NEAR, FAR)).all():
                 raise TieringError("placement entries must be NEAR or FAR")
+            placement = placement.astype(np.int8)
         self.placement = placement
         self.near_pages: set[int] = set(
             np.flatnonzero(placement == NEAR).tolist())
@@ -147,15 +153,16 @@ class TierState:
     def tier_of(self, page: int) -> int:
         return int(self.placement[page])
 
-    def _move(self, page: int, dst: int) -> None:
-        """Atomically remap one page (placement + both set mirrors)."""
-        if dst == NEAR:
-            self.far_pages.discard(page)
-            self.near_pages.add(page)
-        else:
-            self.near_pages.discard(page)
-            self.far_pages.add(page)
-        self.placement[page] = dst
+    def _remap(self, demoted: np.ndarray, promoted: np.ndarray) -> None:
+        """Remap pages across tiers; the placement array and each set
+        mirror are updated on their own, so they can be audited."""
+        self.placement[demoted] = FAR
+        self.placement[promoted] = NEAR
+        down, up = demoted.tolist(), promoted.tolist()
+        self.near_pages.difference_update(down)
+        self.far_pages.update(down)
+        self.far_pages.difference_update(up)
+        self.near_pages.update(up)
 
     def check_conservation(self) -> None:
         """Every page in exactly one tier; capacity respected.
@@ -259,22 +266,31 @@ class MigrationEngine:
         CXL datapath error) leaves the in-flight page in its source tier
         and drops the rest of the decision.
         """
-        promos, demos = decision.promotions, decision.demotions
-        self._validate(promos, demos)
+        demos, promos = self._validate(decision)
+        moves = np.concatenate((demos, promos))
         report = EpochMoveReport(epoch=decision.epoch)
         with obs.span("tiering.migrate",
                       meta={"epoch": decision.epoch,
                             "moves": decision.moves}):
-            try:
-                for page in demos:
-                    self._move_page(int(page), NEAR, FAR, report)
-                for page in promos:
-                    self._move_page(int(page), FAR, NEAR, report)
-            except MigrationAbortError:
-                report.aborted += 1
+            plan = faults.active()
+            per_page = self.port is not None or (
+                plan is not None and "migration" in plan.sites)
+            done = self._copy(moves, demos.size) if per_page else moves.size
+            if done < moves.size:
+                report.aborted = 1
                 report.aborted_window = True
                 self.stats.aborted += 1
                 obs.inc("tiering.migration_aborts")
+            # remap the finished prefix, demotions first
+            report.demoted = min(done, demos.size)
+            report.promoted = done - report.demoted
+            self.state._remap(moves[:report.demoted], moves[demos.size:done])
+            self.stats.remaps += done
+            report.migration_bytes = done * self.page_bytes
+            per_page = self.page_bytes / self.link_gbps + self.remap_ns
+            for _ in range(done):
+                # one add per page: the sum's rounding is part of the output
+                report.move_ns += per_page
         self.stats.promotions += report.promoted
         self.stats.demotions += report.demoted
         self.stats.migration_bytes += report.migration_bytes
@@ -285,65 +301,56 @@ class MigrationEngine:
             obs.inc("tiering.migration_bytes", report.migration_bytes)
         return report
 
-    def _validate(self, promos, demos) -> None:
-        n = self.state.n_pages
-        outside = [p for p in (*promos, *demos) if not 0 <= p < n]
+    def _validate(self, decision: MigrationDecision
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """Check a decision whole; returns its demotions and promotions
+        as int64 page-id arrays."""
+        state = self.state
+        n = state.n_pages
+        p, d = _page_ids(decision.promotions), _page_ids(decision.demotions)
+        ids = np.concatenate((p, d))
+        outside = ids[(ids < 0) | (ids >= n)][:8].tolist()
         if outside:
             raise TieringError(
-                f"decision names pages outside [0, {n}): {outside[:8]}")
-        pset, dset = set(promos), set(demos)
-        if len(pset) != len(promos) or len(dset) != len(demos):
+                f"decision names pages outside [0, {n}): {outside}")
+        p_count = np.bincount(p, minlength=n)
+        d_count = np.bincount(d, minlength=n)
+        if p_count.max() > 1 or d_count.max() > 1:
             raise TieringError("decision repeats a page")
-        if pset & dset:
-            raise TieringError(
-                f"pages both promoted and demoted: {sorted(pset & dset)[:8]}")
-        bad_p = [p for p in promos if self.state.tier_of(p) != FAR]
+        both = np.flatnonzero(p_count & d_count)[:8].tolist()
+        if both:
+            raise TieringError(f"pages both promoted and demoted: {both}")
+        bad_p = p[state.placement[p] != FAR][:8].tolist()
         if bad_p:
             raise TieringError(
-                f"promotions must target far pages; {bad_p[:8]} are near")
-        bad_d = [p for p in demos if self.state.tier_of(p) != NEAR]
+                f"promotions must target far pages; {bad_p} are near")
+        bad_d = d[state.placement[d] != NEAR][:8].tolist()
         if bad_d:
             raise TieringError(
-                f"demotions must target near pages; {bad_d[:8]} are far")
-        if (self.state.near_count - len(demos) + len(promos)
-                > self.state.near_capacity_pages):
+                f"demotions must target near pages; {bad_d} are far")
+        if (state.near_count - d.size + p.size
+                > state.near_capacity_pages):
             raise TieringError(
                 f"decision overflows the near tier: "
-                f"{self.state.near_count} - {len(demos)} + {len(promos)} > "
-                f"{self.state.near_capacity_pages}")
+                f"{state.near_count} - {d.size} + {p.size} > "
+                f"{state.near_capacity_pages}")
+        return d, p
 
-    def _move_page(self, page: int, src: int, dst: int,
-                   report: EpochMoveReport) -> None:
-        """Copy one page across tiers, then remap it.
-
-        The copy is split in two half-spans with the fault hook between
-        them, so an injected abort genuinely strikes *mid-copy*; the
-        remap (the only state change) happens strictly after the full
-        copy, which is what makes aborts conservation-safe.
-        """
-        direction = "promote" if dst == NEAR else "demote"
+    def _copy(self, moves: np.ndarray, n_demos: int) -> int:
+        """Copy ``moves`` (the first ``n_demos`` demote) page by page,
+        the fault hook mid-copy; returns how many finished before an
+        abort (injected, or a CXL poison or timeout on the copy)."""
         half = self._lines_per_page // 2
         rest = self._lines_per_page - half
-        try:
-            self._copy_lines(page, direction, 0, half)
-            faults.on_migration(page, direction)
-            self._copy_lines(page, direction, half, rest)
-        except MigrationAbortError:
-            raise
-        except CxlError as exc:
-            # poison / timeout on the copy path: same abort semantics
-            raise MigrationAbortError(
-                f"{direction} of page {page} failed on the CXL datapath: "
-                f"{exc}", page=page, direction=direction) from exc
-        self.state._move(page, dst)
-        self.stats.remaps += 1
-        report.migration_bytes += self.page_bytes
-        report.move_ns += (self.page_bytes / self.link_gbps
-                           + self.remap_ns)
-        if dst == NEAR:
-            report.promoted += 1
-        else:
-            report.demoted += 1
+        for i, page in enumerate(moves.tolist()):
+            direction = "demote" if i < n_demos else "promote"
+            try:
+                self._copy_lines(page, direction, 0, half)
+                faults.on_migration(page, direction)
+                self._copy_lines(page, direction, half, rest)
+            except (MigrationAbortError, CxlError):
+                return i
+        return len(moves)
 
     def _copy_lines(self, page: int, direction: str, line0: int,
                     nlines: int) -> None:

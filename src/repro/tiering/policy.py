@@ -188,10 +188,10 @@ class LruCache(TieringPolicy):
 
     def candidates(self, heat, accesses, state):
         batch = np.asarray(accesses, dtype=np.int64)
-        # each page's last use is its first occurrence in the reversed batch
-        pages, rev_first = np.unique(batch[::-1], return_index=True)
         stamp = self._stamp
-        stamp[pages] = self._clock + batch.size - 1 - rev_first
+        # positions rise along the batch and past every older stamp, so
+        # the running max leaves each touched page its last use
+        np.maximum.at(stamp, batch, self._clock + np.arange(batch.size))
         self._clock += batch.size
         # touched pages' stamps are distinct, so the k-th smallest is the
         # capacity-th newest (or -1 while fewer pages are touched)

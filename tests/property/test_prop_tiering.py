@@ -14,15 +14,23 @@ Three contracts worth hammering with hypothesis:
 * **determinism** — the same spec/seed always produces the same
   decisions and the same evaluation result, which is what the sweep
   cache's byte-identity guarantee sits on.
+
+The per-page copy loop, which runs when a fault plan targets the
+``migration`` site, is the oracle of the bulk remap taken without one.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import faults
 from repro.core.tiering import PageCache
-from repro.tiering.evaluate import TieringSpec, evaluate_policy
+from repro.faults.plan import FaultPlan, MigrationAbortSpec
+from repro.tiering.evaluate import TRACE_KINDS, TieringSpec, evaluate_policy
 from repro.tiering.heat import HeatTracker, fold_reference
 from repro.tiering.migrate import (
     FAR,
@@ -31,7 +39,7 @@ from repro.tiering.migrate import (
     MigrationEngine,
     TierState,
 )
-from repro.tiering.policy import LruCache, make_policy
+from repro.tiering.policy import POLICIES, LruCache, make_policy
 
 # ---------------------------------------------------------------------------
 # vector heat fold ≡ per-element reference
@@ -119,6 +127,23 @@ def decision_streams(draw):
     return (draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 12)))
 
 
+def _random_decision(rng, state: TierState, epoch: int) -> MigrationDecision:
+    """A random decision that is valid against ``state``."""
+    near = sorted(state.near_pages)
+    far = sorted(state.far_pages)
+    n_demo = int(rng.integers(0, len(near) + 1)) if near else 0
+    demos = [int(p) for p in
+             rng.choice(near, size=n_demo, replace=False)] if n_demo else []
+    room = CAPACITY - len(near) + n_demo
+    n_promo = int(rng.integers(0, min(len(far), room) + 1)) \
+        if far and room > 0 else 0
+    promos = [int(p) for p in
+              rng.choice(far, size=n_promo, replace=False)] if n_promo \
+        else []
+    return MigrationDecision(epoch=epoch, promotions=tuple(promos),
+                             demotions=tuple(demos))
+
+
 @given(params=decision_streams())
 @settings(max_examples=100, deadline=None)
 def test_conservation_under_random_decisions(params):
@@ -127,27 +152,70 @@ def test_conservation_under_random_decisions(params):
     state = TierState(N_PAGES, CAPACITY)
     engine = MigrationEngine(state)
     for epoch in range(rounds):
-        near = sorted(state.near_pages)
-        far = sorted(state.far_pages)
-        n_demo = int(rng.integers(0, len(near) + 1)) if near else 0
-        demos = [int(p) for p in
-                 rng.choice(near, size=n_demo, replace=False)] if n_demo \
-            else []
-        room = CAPACITY - len(near) + n_demo
-        n_promo = int(rng.integers(0, min(len(far), room) + 1)) \
-            if far and room > 0 else 0
-        promos = [int(p) for p in
-                  rng.choice(far, size=n_promo, replace=False)] if n_promo \
-            else []
-        report = engine.apply(MigrationDecision(
-            epoch=epoch, promotions=tuple(promos), demotions=tuple(demos)))
-        assert report.promoted == n_promo
-        assert report.demoted == n_demo
+        decision = _random_decision(rng, state, epoch)
+        report = engine.apply(decision)
+        assert report.promoted == len(decision.promotions)
+        assert report.demoted == len(decision.demotions)
         state.check_conservation()
     # lifetime accounting adds up
     assert engine.stats.remaps == engine.stats.promotions + \
         engine.stats.demotions
     assert engine.stats.migration_bytes == engine.stats.remaps * 4096
+
+
+# ---------------------------------------------------------------------------
+# bulk remap ≡ per-page copy loop
+# ---------------------------------------------------------------------------
+
+def _idle_plan() -> FaultPlan:
+    """A plan whose migration abort is armed but never fires: it sends
+    every move through the per-page loop and changes nothing else."""
+    return FaultPlan(faults=[MigrationAbortSpec(at_move=10**9)])
+
+
+def _apply_stream(seed: int, rounds: int):
+    rng = np.random.default_rng(seed)
+    state = TierState(N_PAGES, CAPACITY)
+    # an inexact per-page cost, so the bill's summation order shows
+    engine = MigrationEngine(state, link_gbps=11.5, remap_ns=2000.0)
+    reports = [engine.apply(_random_decision(rng, state, epoch))
+               for epoch in range(rounds)]
+    return state, engine.stats, reports
+
+
+@given(params=decision_streams())
+@settings(max_examples=100, deadline=None)
+def test_bulk_remap_matches_per_page_loop(params):
+    seed, rounds = params
+    assert not faults.enabled()
+    bulk_state, bulk_stats, bulk_reports = _apply_stream(seed, rounds)
+    with faults.use_plan(_idle_plan()) as plan:
+        loop_state, loop_stats, loop_reports = _apply_stream(seed, rounds)
+    # every move went through the hook, none of them was aborted
+    assert plan.counts.get("migration", 0) == loop_stats.remaps
+    assert loop_stats.aborted == 0
+    assert bulk_state.placement.tobytes() == loop_state.placement.tobytes()
+    assert bulk_state.near_pages == loop_state.near_pages
+    assert bulk_state.far_pages == loop_state.far_pages
+    assert bulk_stats == loop_stats
+    assert bulk_stats.move_ns.hex() == loop_stats.move_ns.hex()
+    assert bulk_reports == loop_reports
+    assert [r.move_ns.hex() for r in bulk_reports] == \
+        [r.move_ns.hex() for r in loop_reports]
+
+
+@pytest.mark.parametrize("trace", TRACE_KINDS)
+def test_evaluation_same_through_per_page_loop(trace):
+    for policy in sorted(POLICIES):
+        spec = TieringSpec(policy=policy, trace=trace, seed=5, n_pages=256,
+                           epochs=6, epoch_accesses=1024)
+        bulk = evaluate_policy(spec)
+        with faults.use_plan(_idle_plan()) as plan:
+            loop = evaluate_policy(spec)
+        assert plan.counts.get("migration", 0) == \
+            loop.promotions + loop.demotions
+        # JSON floats are repr: equal text is equal bits
+        assert json.dumps(loop.to_doc()) == json.dumps(bulk.to_doc())
 
 
 @given(seed=st.integers(0, 2**32 - 1))

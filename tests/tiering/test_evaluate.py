@@ -2,8 +2,10 @@
 into the streamer sweep (policy as a sweepable axis)."""
 
 import gc
+import sys
+import threading
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from repro.tiering.evaluate import (
     effective_sweep_policy,
     evaluate_policy,
 )
+from repro.tiering.policy import POLICIES
 
 SMALL = TieringSpec(n_pages=256, epochs=4, epoch_accesses=512)
 
@@ -184,6 +187,99 @@ class TestEffectiveSweepPolicy:
         assert sum(policy.weights) == pytest.approx(1.0)
         assert any(w == pytest.approx(result.near_access_fraction)
                    for w in policy.weights)
+
+
+#: a value per policy (in name order) for every spec field TraceGen
+#: must not read
+_KNOBS = {
+    "decay": (0.5, 0.2, 0.7, 0.9),
+    "max_moves_per_epoch": (512, 64, 7, 200),
+    "hot_threshold": (1.0, 2.0, 0.5, 3.0),
+    "cold_threshold": (0.25, 0.5, 0.1, 1.0),
+    "hysteresis": (2, 1, 3, 4),
+    "near_gbps": (33.0, 20.0, 50.0, 11.5),
+    "far_gbps": (11.5, 20.0, 5.0, 33.0),
+    "link_gbps": (11.5, 4.0, 30.0, 8.0),
+    "remap_ns": (2000.0, 0.0, 500.0, 10_000.0),
+    "page_bytes": (4096, 64, 2048, 65_536),
+}
+
+
+class TestSharedTrace:
+    def test_every_spec_field_is_a_trace_field_or_a_knob(self):
+        trace_fields = set(evaluate._TRACE_FIELDS)
+        assert not trace_fields & set(_KNOBS)
+        assert trace_fields | set(_KNOBS) | {"policy"} == {
+            f.name for f in fields(TieringSpec)}
+
+    @pytest.mark.parametrize("trace", TRACE_KINDS)
+    def test_shared_trace_matches_standalone_evaluation(self, trace):
+        specs = [replace(SMALL, trace=trace, policy=name,
+                         **{k: v[i] for k, v in _KNOBS.items()})
+                 for i, name in enumerate(sorted(POLICIES))]
+        machine = setup1().machine
+        shared = [effective_sweep_policy(machine, spec)[1] for spec in specs]
+        for spec, result in zip(specs, shared):
+            # a fresh machine makes its own trace from this spec alone
+            alone = evaluate_policy(spec, machine=setup1().machine)
+            assert result.to_doc() == alone.to_doc()
+
+    def test_shared_trace_is_read_only(self):
+        machine = setup1().machine
+        trace = evaluate._trace(SMALL, machine)
+        assert evaluate._trace(replace(SMALL, policy="lru", decay=0.1),
+                               machine) is trace
+        assert evaluate._trace(replace(SMALL, seed=99), machine) \
+            is not trace
+        for batch in trace:
+            with pytest.raises(ValueError, match="read-only"):
+                batch[0] = 1
+
+    def test_one_trace_per_machine(self, monkeypatch):
+        epochs = []
+        epoch = TraceGen.epoch
+
+        def counted(gen, i):
+            epochs.append(i)
+            return epoch(gen, i)
+
+        monkeypatch.setattr(TraceGen, "epoch", counted)
+        machines = [setup1().machine, setup1().machine]
+        for n, machine in enumerate(machines, start=1):
+            for name in sorted(POLICIES):
+                effective_sweep_policy(machine, replace(SMALL, policy=name))
+            assert epochs == list(range(SMALL.epochs)) * n
+        # the slot holds the last machine's trace, by a weak reference
+        assert evaluate._TRACE_SLOT[0]() is machines[-1]
+
+    def test_threads_racing_on_the_slot_each_get_their_own_trace(self):
+        specs = [replace(SMALL, trace=trace, policy=policy)
+                 for trace in ("zipf", "chase") for policy in ("lru", "tpp")]
+        expected = [evaluate_policy(spec, machine=setup1().machine).to_doc()
+                    for spec in specs]
+        machine = setup1().machine
+        got: list[tuple[int, dict]] = []
+
+        def worker(k: int) -> None:
+            for i in range(8):
+                j = (k + i) % len(specs)
+                got.append((j, evaluate_policy(specs[j],
+                                               machine=machine).to_doc()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 4 * 8
+        assert all(doc == expected[j] for j, doc in got)
 
 
 class TestTieringSweepGroup:

@@ -32,6 +32,15 @@ class TestRecord:
     def test_empty_batch_is_a_noop(self):
         t = HeatTracker(8)
         t.record(np.empty(0, dtype=np.int64))
+        t.record([])                         # float64 to NumPy, still empty
+        assert t.total_accesses == 0
+
+    @pytest.mark.parametrize("pages", [[1.9, 2.2], np.array([1.0]),
+                                       np.array([True])])
+    def test_rejects_page_ids_that_are_not_integers(self, pages):
+        t = HeatTracker(8)
+        with pytest.raises(TieringError, match="integers"):
+            t.record(pages)
         assert t.total_accesses == 0
 
     def test_accepts_any_integer_array_like(self):

@@ -57,6 +57,15 @@ class TestTierState:
         with pytest.raises(TieringError, match="NEAR or FAR"):
             TierState(4, 2, placement=np.array([0, 1, 2, 0], dtype=np.int8))
 
+    @pytest.mark.parametrize("placement", [
+        np.array([0, 257, 1, 1]),      # an int8 cast wraps 257 to FAR
+        [0.6, 1, 1, 1],                # an int8 cast truncates 0.6 to NEAR
+        [0, -255, 1, 1],               # an int8 cast overflows
+    ])
+    def test_checks_tier_codes_before_the_int8_cast(self, placement):
+        with pytest.raises(TieringError, match="NEAR or FAR"):
+            TierState(4, 2, placement=placement)
+
     def test_rejects_overfull_initial_placement(self):
         with pytest.raises(TieringError, match="capacity"):
             _state(n=4, cap=1, near=(0, 1))
@@ -155,6 +164,26 @@ class TestEngineValidation:
         with pytest.raises(TieringError, match="overflows"):
             eng.apply(MigrationDecision(epoch=0, promotions=(2,)))
 
+    @pytest.mark.parametrize("decision", [
+        MigrationDecision(epoch=0, promotions=(1.0,)),
+        MigrationDecision(epoch=0, demotions=(0.5,)),
+    ])
+    def test_rejects_page_ids_that_are_not_integers(self, decision):
+        state = _state(n=8, cap=4, near=(0,))
+        eng = MigrationEngine(state)
+        with pytest.raises(TieringError, match="integers"):
+            eng.apply(decision)
+        assert state.near_pages == {0}
+        assert eng.stats == MigrationStats()
+
+    def test_empty_decision_is_a_noop(self):
+        state = _state(near=(0,))
+        eng = MigrationEngine(state)
+        report = eng.apply(MigrationDecision(epoch=2))
+        assert (report.promoted, report.demoted, report.move_ns) == (0, 0, 0.0)
+        assert state.near_pages == {0}
+        assert eng.stats == MigrationStats()
+
     @pytest.mark.parametrize("page", [-1, 8])
     def test_rejects_pages_outside_the_footprint(self, page):
         # NumPy would wrap -1 to page 7; 8 is past the placement array
@@ -196,6 +225,17 @@ class TestModelledMoves:
         assert report.move_ns == pytest.approx(2 * per_move)
         assert report.migration_bytes == 2 * PAGE
         assert eng.stats.remaps == 2
+
+    def test_move_cost_adds_one_page_at_a_time(self):
+        # ten adds of 0.1 give 0.9999999999999999, not 10 * 0.1 == 1.0
+        eng = MigrationEngine(TierState(16, 16), page_bytes=64,
+                              link_gbps=640.0, remap_ns=0.0)
+        report = eng.apply(MigrationDecision(epoch=0,
+                                             promotions=tuple(range(10))))
+        per_page_sum = 0.0
+        for _ in range(10):
+            per_page_sum += 0.1
+        assert report.move_ns == per_page_sum != 10 * 0.1
 
     def test_stats_accumulate_across_epochs(self):
         state = _state(n=8, cap=4)
