@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Mapping
+from itertools import islice
+from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -31,7 +32,7 @@ class SparseMemory:
 
     Pages materialize on first write; :meth:`map_dense` carves a contiguous
     NumPy-backed window (used for zero-copy persistent-memory namespaces)
-    that absorbs any pages it overlaps.
+    that takes over the bytes of any pages it overlaps.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -48,12 +49,6 @@ class SparseMemory:
                 f"capacity {self.capacity:#x}"
             )
 
-    def _dense_segment(self, offset: int) -> tuple[int, np.ndarray] | None:
-        for start, arr in self._dense:
-            if start <= offset < start + len(arr):
-                return start, arr
-        return None
-
     def map_dense(self, offset: int, size: int) -> np.ndarray:
         """Return a dense uint8 window over ``[offset, offset+size)``.
 
@@ -63,82 +58,80 @@ class SparseMemory:
         self._check_range(offset, size)
         if size == 0:
             raise CxlError("dense window must be non-empty")
-        seg = self._dense_segment(offset)
-        if seg is not None:
-            start, arr = seg
-            if offset + size <= start + len(arr):
-                rel = offset - start
-                return arr[rel:rel + size]
-            raise CxlError("requested window straddles a dense segment edge")
-        for start, arr in self._dense:
+        for start, arr in self._dense:          # sorted, disjoint
+            if start <= offset < start + len(arr):
+                if offset + size <= start + len(arr):
+                    rel = offset - start
+                    return arr[rel:rel + size]
+                raise CxlError(
+                    "requested window straddles a dense segment edge")
             if offset < start + len(arr) and start < offset + size:
                 raise CxlError("dense windows may not partially overlap")
         window = np.zeros(size, dtype=np.uint8)
-        # absorb previously-written sparse pages
+        # absorb previously-written sparse pages; a page the window only
+        # partly covers stays, holding the bytes outside the window
         first_page = offset // _PAGE
         last_page = (offset + size - 1) // _PAGE
         for pno in range(first_page, last_page + 1):
-            page = self._pages.pop(pno, None)
+            page = self._pages.get(pno)
             if page is None:
                 continue
             pstart = pno * _PAGE
             lo = max(pstart, offset)
             hi = min(pstart + _PAGE, offset + size)
             window[lo - offset:hi - offset] = page[lo - pstart:hi - pstart]
+            if hi - lo == _PAGE:
+                del self._pages[pno]
         self._dense.append((offset, window))
         self._dense.sort(key=lambda s: s[0])
         return window
 
+    def _pieces(self, offset: int, length: int
+                ) -> Iterator[tuple[int, int, int, np.ndarray | None]]:
+        """Split ``[offset, offset+length)`` at dense-window and page
+        edges: yield ``(pos, take, start, arr)``, ``take`` bytes at
+        ``pos`` held by ``arr`` (the window, the page, or ``None`` for a
+        page never written) whose first byte is at ``start``."""
+        pos, end = offset, offset + length
+        while pos < end:
+            start = pos - pos % _PAGE
+            arr, stop = self._pages.get(start // _PAGE), start + _PAGE
+            for wstart, window in self._dense:      # sorted, disjoint
+                if pos < wstart:                    # the page ends early
+                    stop = min(stop, wstart)
+                    break
+                if pos < wstart + len(window):
+                    start, arr, stop = wstart, window, wstart + len(window)
+                    break
+            take = min(end, stop) - pos
+            yield pos, take, start, arr
+            pos += take
+
     def read(self, offset: int, length: int) -> bytes:
         self._check_range(offset, length)
         out = bytearray(length)
-        pos = offset
-        end = offset + length
-        while pos < end:
-            seg = self._dense_segment(pos)
-            if seg is not None:
-                start, arr = seg
-                take = min(end, start + len(arr)) - pos
+        for pos, take, start, arr in self._pieces(offset, length):
+            if arr is not None:
                 out[pos - offset:pos - offset + take] = (
-                    arr[pos - start:pos - start + take].tobytes()
-                )
-                pos += take
-                continue
-            pno, poff = divmod(pos, _PAGE)
-            take = min(end - pos, _PAGE - poff)
-            page = self._pages.get(pno)
-            if page is not None:
-                out[pos - offset:pos - offset + take] = (
-                    page[poff:poff + take].tobytes()
-                )
-            pos += take
+                    arr[pos - start:pos - start + take].data)
         return bytes(out)
 
     def write(self, offset: int, data: bytes | bytearray | memoryview) -> None:
         data = bytes(data)
         self._check_range(offset, len(data))
-        pos = offset
-        end = offset + len(data)
-        while pos < end:
-            seg = self._dense_segment(pos)
-            if seg is not None:
-                start, arr = seg
-                take = min(end, start + len(arr)) - pos
-                arr[pos - start:pos - start + take] = np.frombuffer(
-                    data[pos - offset:pos - offset + take], dtype=np.uint8
-                )
-                pos += take
-                continue
-            pno, poff = divmod(pos, _PAGE)
-            take = min(end - pos, _PAGE - poff)
-            page = self._pages.get(pno)
-            if page is None:
-                page = np.zeros(_PAGE, dtype=np.uint8)
-                self._pages[pno] = page
-            page[poff:poff + take] = np.frombuffer(
-                data[pos - offset:pos - offset + take], dtype=np.uint8
-            )
-            pos += take
+        for pos, take, start, arr in self._pieces(offset, len(data)):
+            if arr is None:
+                arr = self._pages[start // _PAGE] = np.zeros(
+                    _PAGE, dtype=np.uint8)
+            arr[pos - start:pos - start + take] = np.frombuffer(
+                data, np.uint8, count=take, offset=pos - offset)
+
+    def zero(self) -> None:
+        """Zero every byte in place: dense windows keep aliasing media
+        (a mapped namespace reads the zeros), sparse pages are dropped."""
+        for _, arr in self._dense:
+            arr.fill(0)
+        self._pages.clear()
 
     @property
     def resident_bytes(self) -> int:
@@ -292,10 +285,19 @@ class Type3Device:
             )
         return addr
 
-    def _evict_oldest(self) -> None:
-        addr, line = next(iter(self._write_buffer.items()))
-        del self._write_buffer[addr]
-        self.memory.write(addr, line)
+    def _write_runs(self, lines: Iterable[tuple[int, bytes]]) -> None:
+        """Write ``(dpa, line)`` pairs to media in the given order, one
+        media write per run of consecutive addresses (a later write of
+        the same line wins)."""
+        runs: list[tuple[int, list[bytes]]] = []
+        nxt = -1
+        for addr, line in lines:
+            if addr != nxt:
+                runs.append((addr, []))
+            runs[-1][1].append(line)
+            nxt = addr + CACHELINE_BYTES
+        for start, run in runs:
+            self.memory.write(start, b"".join(run))
 
     def _check_span(self, dpa: int, nbytes: int) -> int:
         self._check_power()
@@ -341,10 +343,10 @@ class Type3Device:
                 )
         self.stats["reads"] += count
         data = bytearray(self.memory.read(dpa, count * CACHELINE_BYTES))
-        for addr, line in self._write_buffer.items():
-            if dpa <= addr < end:
-                off = addr - dpa
-                data[off:off + CACHELINE_BYTES] = line
+        wb = self._write_buffer
+        for addr in range(dpa, end, CACHELINE_BYTES):
+            if addr in wb:
+                data[addr - dpa:addr - dpa + CACHELINE_BYTES] = wb[addr]
         return bytes(data)
 
     def write_lines(self, dpa: int, data: bytes | bytearray | memoryview) -> None:
@@ -352,11 +354,11 @@ class Type3Device:
 
         Each line lands in the write buffer (a rewritten line keeps its
         place), lifts any poison or quarantine on it, and evicts the
-        oldest buffered line to media once more than
-        :data:`WRITE_BUFFER_LINES` are buffered.  Spans at least as large
-        as the buffer that don't touch buffered addresses take a drain +
-        bulk media write instead of that per-line walk, and leave the
-        same state.
+        oldest buffered line once more than :data:`WRITE_BUFFER_LINES`
+        are buffered.  The evicted lines reach media after the walk, in
+        eviction order, one media write per run of consecutive
+        addresses; nothing touches media during the walk, so that is
+        what writing each line as it is evicted leaves.
         """
         data = bytes(data)
         n, rem = divmod(len(data), CACHELINE_BYTES)
@@ -377,23 +379,13 @@ class Type3Device:
                 a for a in self._quarantined if dpa <= a < end}
         wb = self._write_buffer
         keep = self.WRITE_BUFFER_LINES
-        if n >= keep and not any(dpa <= a < end for a in wb):
-            # The per-line walk would evict every pre-existing buffer
-            # entry and then all but the last `keep` lines of this span,
-            # in insertion order; replay that wholesale.
-            for addr, line in wb.items():
-                self.memory.write(addr, line)
-            wb.clear()
-            split = (n - keep) * CACHELINE_BYTES
-            if split:
-                self.memory.write(dpa, data[:split])
-            for off in range(split, len(data), CACHELINE_BYTES):
-                wb[dpa + off] = data[off:off + CACHELINE_BYTES]
-            return
+        evicted = []
         for off in range(0, len(data), CACHELINE_BYTES):
             wb[dpa + off] = data[off:off + CACHELINE_BYTES]
             if len(wb) > keep:
-                self._evict_oldest()
+                addr = next(iter(wb))
+                evicted.append((addr, wb.pop(addr)))
+        self._write_runs(evicted)
 
     # ------------------------------------------------------------------
     # persistence domain
@@ -413,8 +405,7 @@ class Type3Device:
         """Drain the write buffer to media; returns lines flushed."""
         self._check_power()
         n = len(self._write_buffer)
-        for addr, line in self._write_buffer.items():
-            self.memory.write(addr, line)
+        self._write_runs(self._write_buffer.items())
         self._write_buffer.clear()
         self.stats["flushes"] += 1
         return n
@@ -453,9 +444,8 @@ class Type3Device:
                 raise CxlError("holdup_fraction must be in [0, 1]")
             n = len(self._write_buffer)
             drain = min(n, int(n * holdup_fraction))
-            for addr in list(self._write_buffer)[:drain]:
-                self.memory.write(addr, self._write_buffer.pop(addr))
-            lost = len(self._write_buffer)
+            self._write_runs(islice(self._write_buffer.items(), drain))
+            lost = n - drain
             self._write_buffer.clear()
             self.stats["flushes"] += 1
             self._shutdown_state = (
@@ -597,7 +587,7 @@ class Type3Device:
 
     def _cmd_sanitize(self, payload: Mapping[str, Any]) -> dict[str, Any]:
         self._write_buffer.clear()
-        self.memory = SparseMemory(self.capacity_bytes)
+        self.memory.zero()
         self._poison.clear()
         self._quarantined.clear()
         return {"sanitized": True}

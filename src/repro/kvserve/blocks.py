@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from repro import faults, obs
-from repro.errors import HostDetachedError, KvCacheError
+from repro.errors import HostDetachedError, KvCacheError, MigrationAbortError
 from repro.fabric.manager import FabricManager, PoolSlice
 from repro.tiering.heat import HeatTracker
 
@@ -74,13 +74,10 @@ def block_payload(key: str, size: int) -> bytes:
     is what lets the recovery drills demand sha256 equality between a
     pool-recovered run and an uninterrupted one.
     """
-    out = bytearray()
-    counter = 0
     seed = bytes.fromhex(key)
-    while len(out) < size:
-        out += hashlib.sha256(seed + counter.to_bytes(4, "little")).digest()
-        counter += 1
-    return bytes(out[:size])
+    return b"".join([
+        hashlib.sha256(seed + counter.to_bytes(4, "little")).digest()
+        for counter in range((size + 31) // 32)])[:size]
 
 
 @dataclass(frozen=True)
@@ -387,7 +384,6 @@ class KvBlockStore:
             block = by_page.get(int(page))
             if block is None:
                 continue
-            from repro.errors import MigrationAbortError
             try:
                 faults.on_migration(block.loc.page, "demote")
             except MigrationAbortError:

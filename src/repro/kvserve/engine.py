@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import struct
 from dataclasses import dataclass, field
 
 from repro import faults, obs
@@ -170,7 +171,7 @@ class Sequence:
 
 def _chain_key(prev_key: str | None, tokens: list) -> str:
     prev = bytes.fromhex(prev_key) if prev_key else _CHAIN_ROOT
-    blob = b"".join(t.to_bytes(8, "little") for t in tokens)
+    blob = struct.pack(f"<{len(tokens)}Q", *tokens)
     return hashlib.sha256(prev + blob).hexdigest()
 
 
@@ -232,6 +233,8 @@ class KvServeEngine:
         self.recovery_events: list[dict] = []
         self.detach_events: list[dict] = []
         self.eviction_aborts = 0
+        # (sequence, killed worker) pairs awaiting re-routing
+        self._orphans: list[tuple[Sequence, int]] = []
 
     # ------------------------------------------------------------------
     # workload assembly
@@ -431,7 +434,6 @@ class KvServeEngine:
             return
         worker.alive = False
         self.store.drop_local_of_worker(worker_id)
-        self._orphans = getattr(self, "_orphans", [])
         for seq in sorted(worker.active.values(), key=lambda s: s.seq_id):
             self._orphans.append((seq, worker_id))
         worker.active = {}
@@ -449,10 +451,7 @@ class KvServeEngine:
             {"host": host, "step": self.step, "blocks_lost": len(lost)})
 
     def _resume_orphans(self, round_cost: dict[int, float]) -> None:
-        orphans = getattr(self, "_orphans", [])
-        if not orphans:
-            return
-        self._orphans = []
+        orphans, self._orphans = self._orphans, []
         for seq, dead_worker in orphans:
             event = self._resume(seq, dead_worker)
             round_cost[event["to_worker"]] = \

@@ -63,6 +63,17 @@ class TestCxlRegion:
         dev.memory.write((1 << 20) + 100, b"via device")
         assert region.read(100, 10) == b"via device"
 
+    def test_sanitize_zeroes_the_mapped_window_in_place(self):
+        from repro.cxl.mailbox import MailboxOpcode
+        dev = _device()
+        region = CxlRegion(dev, 1 << 20, 4096)
+        region.write(0, b"\xab" * 64)
+        assert dev.mailbox.execute(MailboxOpcode.SANITIZE).ok
+        assert region.read(0, 64) == b"\x00" * 64
+        assert dev.read_lines(1 << 20, 1) == b"\x00" * 64
+        region.write(64, b"\xcd" * 64)     # still aliases device media
+        assert dev.read_lines((1 << 20) + 64, 1) == b"\xcd" * 64
+
     def test_view_and_np_window(self):
         region = CxlRegion(_device(), 0, 4096)
         v = region.view(8, 8)

@@ -52,6 +52,23 @@ class TestSparseMemory:
         w[0] = 0x7F
         assert m.read(8192, 1) == b"\x7f"
 
+    def test_dense_window_keeps_bytes_outside_it_on_a_shared_page(self):
+        m = SparseMemory(1 << 20)
+        m.write(10238, b"edge")             # straddles the window's end
+        w = m.map_dense(8192, 2048)         # the first half of its page
+        assert bytes(w[-2:]) == b"ed"
+        assert m.read(10238, 4) == b"edge"
+        m.write(10238, b"EDGE")
+        assert bytes(w[-2:]) == b"ED" and m.read(10238, 4) == b"EDGE"
+
+    def test_sparse_access_stops_at_a_window_starting_mid_page(self):
+        m = SparseMemory(1 << 20)
+        w = m.map_dense(8292, 100)
+        m.write(8290, b"abcd")              # two bytes before the window
+        assert bytes(w[:2]) == b"cd"
+        w[2] = ord("e")
+        assert m.read(8290, 5) == b"abcde"
+
     def test_dense_window_sees_later_api_writes(self):
         m = SparseMemory(1 << 20)
         w = m.map_dense(0, 4096)
@@ -75,6 +92,8 @@ class TestSparseMemory:
         m = SparseMemory(4096)
         with pytest.raises(CxlError):
             m.read(4000, 200)
+        with pytest.raises(CxlError):
+            m.read(0, -1)
         with pytest.raises(CxlError):
             m.write(-1, b"x")
 

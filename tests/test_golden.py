@@ -17,6 +17,7 @@ from gen_golden import (  # noqa: E402
     des_ladder,
     fabric_scheduler,
     kvserve_drill,
+    kvserve_ledger,
     machine_fingerprints,
     stream_pmem_arrays,
     sweep_paper,
@@ -62,6 +63,12 @@ def test_cxl_datapath(golden):
 
 def test_kvserve_drill(golden):
     assert kvserve_drill() == golden["kvserve.drill"]
+
+
+def test_kvserve_ledger(golden):
+    """The fault-free per-sequence KV digests of the perf ledger's
+    kvserve spec (its ``output_sha256``)."""
+    assert kvserve_ledger() == golden["kvserve.ledger"]
 
 
 def test_chaos_cross_plane(golden):

@@ -48,7 +48,11 @@ from repro.streamer.configs import tiering_group
 from repro.streamer.runner import StreamerRunner
 from repro.tiering.evaluate import TRACE_KINDS, TieringSpec, evaluate_policy
 from repro.tiering.policy import POLICIES
-from repro.workloads.kvcache import KvWorkloadSpec, kill_worker_drill
+from repro.workloads.kvcache import (
+    KvWorkloadSpec,
+    build_engine,
+    kill_worker_drill,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "tests" / "golden" / "digests.json"
@@ -124,8 +128,8 @@ def tiering_memory_mode() -> str:
 
 
 #: the datapath mix stays inside this many lines; its final span sits
-#: just past them, touches no buffered line and so takes the device's
-#: drain-and-bulk write branch
+#: just past them and is larger than the device write buffer, so one
+#: write pops every buffered line and the span's own first lines
 DATAPATH_LINES = 2048
 DATAPATH_SPAN = 640
 
@@ -179,6 +183,18 @@ def kvserve_drill() -> str:
     per-sequence digests and recovery report of the clean, pooled and
     re-prefill runs."""
     return sha256_json(kill_worker_drill(KvWorkloadSpec()))
+
+
+def kvserve_ledger() -> str:
+    """Digest of the perf ledger's kvserve workload: the fault-free
+    per-sequence KV digests of its spec at seed 7 (the ledger's kvserve
+    ``output_sha256``)."""
+    spec = KvWorkloadSpec(n_groups=4, seqs_per_group=4, prompt_tokens=128,
+                          decode_tokens=48, shared_prefix_tokens=64,
+                          slots_per_host=256, seed=7)
+    engine = build_engine(spec)
+    engine.run()
+    return sha256_json({str(k): v for k, v in engine.digests().items()})
 
 
 def chaos_cross_plane() -> str:
@@ -258,6 +274,7 @@ DIGESTS = {
     "des.ladder": des_ladder,
     "fabric.scheduler": fabric_scheduler,
     "kvserve.drill": kvserve_drill,
+    "kvserve.ledger": kvserve_ledger,
     "machine.fingerprints": machine_fingerprints,
     "stream_pmem.arrays": stream_pmem_arrays,
     "sweep.paper": sweep_paper,
