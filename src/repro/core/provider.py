@@ -24,6 +24,7 @@ from repro.core.runtime import CxlPmemRuntime
 from repro.errors import PmemError
 from repro.pmdk.pmem import FileRegion, PmemRegion, VolatileRegion
 from repro.pmdk.pool import PmemObjPool
+from repro.units import parse_size
 
 
 class RegionFactory(Protocol):
@@ -42,20 +43,6 @@ def register_scheme(scheme: str, factory: RegionFactory) -> None:
     _SCHEMES[key] = factory
 
 
-def _parse_size(text: str) -> int:
-    text = text.strip().lower()
-    mult = 1
-    for suffix, m in (("k", 1 << 10), ("m", 1 << 20), ("g", 1 << 30)):
-        if text.endswith(suffix):
-            mult = m
-            text = text[:-1]
-            break
-    try:
-        return int(text) * mult
-    except ValueError:
-        raise PmemError(f"cannot parse size {text!r}") from None
-
-
 def _file_factory(rest: str, *, size: int | None, create: bool,
                   runtime: CxlPmemRuntime | None) -> PmemRegion:
     return FileRegion(rest, size, create)
@@ -63,7 +50,10 @@ def _file_factory(rest: str, *, size: int | None, create: bool,
 
 def _mem_factory(rest: str, *, size: int | None, create: bool,
                  runtime: CxlPmemRuntime | None) -> PmemRegion:
-    n = _parse_size(rest) if rest else size
+    try:
+        n = parse_size(rest) if rest else size
+    except ValueError as exc:
+        raise PmemError(str(exc)) from None
     if n is None:
         raise PmemError("mem:// URIs need a size (mem://64m) or size=")
     return VolatileRegion(n)

@@ -32,7 +32,7 @@ from repro.fabric.manager import SLICE_ALIGN, FabricManager, PoolSlice
 from repro.machine.affinity import place_threads
 from repro.memsim.bwmodel import Flow, FlowAllocation, solve_max_min
 from repro.memsim.concurrency import thread_bandwidth_cap
-from repro.memsim.traffic import reported_fraction
+from repro.memsim.traffic import kernel as kernel_traffic, reported_fraction
 
 __all__ = [
     "QOS_CLASSES",
@@ -75,6 +75,10 @@ class TenantSpec:
             raise FabricError(
                 f"tenant {self.name}: unknown QoS class {self.qos!r}; "
                 f"expected one of {QOS_CLASSES}")
+        try:
+            kernel_traffic(self.kernel)
+        except KeyError as exc:
+            raise FabricError(f"tenant {self.name}: {exc.args[0]}") from None
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ runtimes place threads with granularity=core).
 from __future__ import annotations
 
 import enum
+import weakref
 from typing import Sequence
 
 from repro.errors import AffinityError
@@ -98,8 +99,9 @@ def place_threads(machine: Machine, n_threads: int,
     return placement
 
 
-_PLACEMENT_CACHE: dict[tuple, tuple[Core, ...]] = {}
-_PLACEMENT_CACHE_MAX = 1024
+#: machine -> {(n, mode, sockets, allow_smt): placement}; weakly keyed,
+#: so a machine's memo goes with it
+_PLACEMENT_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def place_threads_cached(machine: Machine, n_threads: int,
@@ -112,15 +114,14 @@ def place_threads_cached(machine: Machine, n_threads: int,
     stale.  Sweep drivers hit the same (machine, n, mode, sockets)
     placements once per kernel; this collapses that to one computation.
     """
-    key = (machine, n_threads, mode,
+    memo = _PLACEMENT_CACHE.setdefault(machine, {})
+    key = (n_threads, mode,
            tuple(sockets) if sockets is not None else None, allow_smt)
-    cached = _PLACEMENT_CACHE.get(key)
+    cached = memo.get(key)
     if cached is None:
         cached = tuple(place_threads(machine, n_threads, mode,
                                      sockets=sockets, allow_smt=allow_smt))
-        if len(_PLACEMENT_CACHE) >= _PLACEMENT_CACHE_MAX:
-            _PLACEMENT_CACHE.clear()
-        _PLACEMENT_CACHE[key] = cached
+        memo[key] = cached
     return list(cached)
 
 

@@ -30,7 +30,8 @@ from repro.machine.numa import NumaPolicy
 from repro.machine.topology import Core, Machine
 from repro.memsim.bwmodel import FlowAllocation
 from repro.memsim.plan import N_ARRAYS, SimulationPlan, simulation_plan
-from repro.memsim.traffic import kernel as kernel_traffic, reported_fraction
+from repro.memsim.traffic import KERNEL_ORDER, reported_fraction
+from repro.memsim.traffic import kernel as kernel_traffic
 
 __all__ = [
     "N_ARRAYS",
@@ -100,7 +101,7 @@ def simulate_stream(machine: Machine, kernel_name: str,
 
     Args:
         machine: the modelled testbed.
-        kernel_name: ``copy``/``scale``/``add``/``triad``.
+        kernel_name: a key of :data:`~repro.memsim.traffic.KERNEL_TRAFFIC`.
         placement: one :class:`Core` per thread (see
             :func:`repro.machine.affinity.place_threads`).
         policy: where the arrays live.
@@ -157,5 +158,5 @@ def simulate_all_kernels(machine: Machine, placement: Sequence[Core],
     return {
         k: simulate_stream(machine, k, placement, policy, mode,
                            array_elements, nt_stores, plan=plan)
-        for k in ("copy", "scale", "add", "triad")
+        for k in KERNEL_ORDER
     }

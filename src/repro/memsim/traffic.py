@@ -1,4 +1,4 @@
-"""STREAM kernel traffic accounting.
+"""The STREAM kernels, stated once for every layer, and their traffic.
 
 STREAM reports bandwidth from the bytes its kernels *logically* touch:
 Copy/Scale count two arrays per element, Add/Triad three.  The memory
@@ -29,6 +29,7 @@ class KernelTraffic:
     reads: int         # arrays read per element
     writes: int        # arrays written per element
     flops: int         # floating-point ops per element
+    written: str       # the array (a, b or c) the kernel stores to
 
     @property
     def counted_bytes(self) -> int:
@@ -50,15 +51,15 @@ class KernelTraffic:
         return (self.reads + wa) / (self.reads + self.writes + wa)
 
 
-KERNEL_TRAFFIC: dict[str, KernelTraffic] = {
-    "copy": KernelTraffic("copy", reads=1, writes=1, flops=0),
-    "scale": KernelTraffic("scale", reads=1, writes=1, flops=1),
-    "add": KernelTraffic("add", reads=2, writes=1, flops=1),
-    "triad": KernelTraffic("triad", reads=2, writes=1, flops=2),
-}
+KERNEL_TRAFFIC: dict[str, KernelTraffic] = {k.name: k for k in (
+    KernelTraffic("copy", reads=1, writes=1, flops=0, written="c"),
+    KernelTraffic("scale", reads=1, writes=1, flops=1, written="b"),
+    KernelTraffic("add", reads=2, writes=1, flops=1, written="c"),
+    KernelTraffic("triad", reads=2, writes=1, flops=2, written="a"),
+)}
 
-#: Kernel execution order in STREAM's timing loop.
-KERNEL_ORDER = ("copy", "scale", "add", "triad")
+#: Kernel execution order in STREAM's timing loop: the table's key order.
+KERNEL_ORDER = tuple(KERNEL_TRAFFIC)
 
 
 def kernel(name: str) -> KernelTraffic:

@@ -17,17 +17,7 @@ from repro.errors import PmemError, ReproError
 from repro.pmdk.check import check_pool
 from repro.pmdk.pmem import map_file
 from repro.pmdk.pool import PmemObjPool
-
-
-def _parse_size(text: str) -> int:
-    text = text.strip().lower()
-    mult = 1
-    for suffix, m in (("k", 1 << 10), ("m", 1 << 20), ("g", 1 << 30)):
-        if text.endswith(suffix):
-            mult = m
-            text = text[:-1]
-            break
-    return int(text) * mult
+from repro.units import parse_size
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,7 +47,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "create":
         try:
             pool = PmemObjPool.create(args.pool, layout=args.layout,
-                                      size=_parse_size(args.size))
+                                      size=parse_size(args.size))
         except (ReproError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

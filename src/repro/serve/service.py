@@ -56,6 +56,7 @@ from repro.errors import (
     ServiceQuotaError,
 )
 from repro.machine.presets import Testbed, setup1, setup2
+from repro.memsim.traffic import KERNEL_ORDER
 from repro.obs.metrics import Histogram
 from repro.serve.pool import WarmWorkerPool, run_shard
 from repro.stream.config import StreamConfig
@@ -66,8 +67,6 @@ __all__ = ["SweepRequest", "ServeResult", "SweepService",
            "SERVE_LATENCY_BUCKETS"]
 
 _log = obs.get_logger("serve.service")
-
-_KERNELS = ("copy", "scale", "add", "triad")
 
 #: finer-than-default buckets so tail (p99) latency estimates stay sharp
 SERVE_LATENCY_BUCKETS: tuple[float, ...] = (
@@ -86,7 +85,7 @@ class SweepRequest:
     execution use exactly this).
     """
 
-    kernels: tuple[str, ...] = _KERNELS
+    kernels: tuple[str, ...] = KERNEL_ORDER
     array_size: int | None = None
     tenant: str = "default"
     deadline_s: float | None = None
@@ -96,10 +95,10 @@ class SweepRequest:
         object.__setattr__(self, "kernels", tuple(self.kernels))
         if not self.kernels:
             raise BenchmarkError("sweep request needs >= 1 kernel")
-        bad = [k for k in self.kernels if k not in _KERNELS]
+        bad = [k for k in self.kernels if k not in KERNEL_ORDER]
         if bad:
             raise BenchmarkError(
-                f"unknown kernels {bad}; have {list(_KERNELS)}")
+                f"unknown kernels {bad}; have {list(KERNEL_ORDER)}")
         if self.array_size is not None and self.array_size < 1:
             raise BenchmarkError(
                 f"array_size must be >= 1, got {self.array_size}")

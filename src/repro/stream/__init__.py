@@ -2,7 +2,7 @@
 
 * :mod:`repro.stream.config` — benchmark configuration (array size,
   repetitions, dtype — the paper runs 100M doubles);
-* :mod:`repro.stream.kernels` — Copy/Scale/Add/Triad as in-place NumPy
+* :mod:`repro.stream.kernels` — the four kernels as in-place NumPy
   operations on array views (no hidden temporaries);
 * :mod:`repro.stream.validation` — the ``checkSTREAMresults`` epsilon
   check, ported;

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import BenchmarkError
+from repro.memsim.traffic import KERNEL_TRAFFIC
 
 #: the paper's configuration ("STREAM executions with 100M array elements")
 PAPER_ARRAY_SIZE = 100_000_000
@@ -74,11 +75,11 @@ class StreamConfig:
 
     def counted_bytes(self, kernel: str) -> int:
         """Bytes STREAM counts for one full pass of ``kernel``."""
-        per_elem = {"copy": 2, "scale": 2, "add": 3, "triad": 3}
         try:
-            return per_elem[kernel] * self.array_bytes
+            k = KERNEL_TRAFFIC[kernel]
         except KeyError:
             raise BenchmarkError(f"unknown kernel {kernel!r}") from None
+        return (k.reads + k.writes) * self.array_bytes
 
     def describe(self) -> str:
         return (f"STREAM n={self.array_size:,} ({self.working_set_bytes / 1e6:.1f} MB), "

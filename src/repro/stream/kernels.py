@@ -51,7 +51,7 @@ def triad(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     np.add(a, b, out=a)
 
 
-#: kernels in STREAM's execution order
+#: kernel name -> in-place NumPy op, keyed in ``traffic.KERNEL_ORDER``
 KERNELS: dict[str, KernelFn] = {
     "copy": copy,
     "scale": scale,

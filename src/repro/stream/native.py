@@ -18,17 +18,18 @@ from __future__ import annotations
 import multiprocessing as mp
 import threading
 import time
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
+from typing import Callable
 
 import numpy as np
 
 from repro.errors import BenchmarkError
+from repro.memsim.traffic import KERNEL_ORDER
 from repro.stream.config import StreamConfig
 from repro.stream.kernels import KERNELS, init_arrays
 from repro.stream.validation import check_stream_results
-
-_KERNEL_ORDER = ("copy", "scale", "add", "triad")
 
 #: Default seconds a worker (or the parent) waits on a kernel barrier
 #: before declaring the run dead.  A crashed sibling worker breaks the
@@ -42,7 +43,8 @@ class NativeResult:
 
     config: StreamConfig
     n_threads: int
-    times: dict[str, list[float]] = field(default_factory=dict)
+    times: dict[str, list[float]] = field(
+        default_factory=lambda: {k: [] for k in KERNEL_ORDER})
 
     def _timed(self, kernel: str) -> list[float]:
         """The iterations that count toward the reported rates.
@@ -78,7 +80,7 @@ class NativeResult:
     def table(self) -> str:
         lines = [f"{'Function':<10}{'BestRate GB/s':>14}{'AvgTime':>10}"
                  f"{'MinTime':>10}{'MaxTime':>10}"]
-        for k in _KERNEL_ORDER:
+        for k in KERNEL_ORDER:
             timed = self._timed(k)
             lines.append(
                 f"{k.capitalize():<10}{self.best_rate_gbps(k):>14.2f}"
@@ -109,13 +111,22 @@ def run_single(config: StreamConfig,
                     f"{config.array_size}"
                 )
 
+    return _run_loop(config, a, b, c, validate, lambda k: nullcontext())
+
+
+def _run_loop(config: StreamConfig, a: np.ndarray, b: np.ndarray,
+              c: np.ndarray, validate: bool,
+              scope: Callable[[str], AbstractContextManager]) -> NativeResult:
+    """STREAM's one timing loop: init, ``ntimes`` passes of the kernels,
+    each timed with the ``scope(kernel)`` it runs in (STREAM-PMem's
+    transactional mode passes a transaction), then the validation."""
     init_arrays(a, b, c)
-    result = NativeResult(config, n_threads=1,
-                          times={k: [] for k in _KERNEL_ORDER})
+    result = NativeResult(config, n_threads=1)
     for _ in range(config.ntimes):
-        for k in _KERNEL_ORDER:
+        for k in KERNEL_ORDER:
             t0 = time.perf_counter()
-            KERNELS[k](a, b, c, config.scalar)
+            with scope(k):
+                KERNELS[k](a, b, c, config.scalar)
             result.times[k].append(time.perf_counter() - t0)
     if validate:
         check_stream_results(a, b, c, config)
@@ -136,7 +147,7 @@ def _worker(names: tuple[str, str, str], dtype: str, n: int,
         av, bv, cv = a[lo:hi], b[lo:hi], c[lo:hi]
         try:
             for _ in range(ntimes):
-                for k in _KERNEL_ORDER:
+                for k in KERNEL_ORDER:
                     start_barrier.wait(timeout=barrier_timeout)
                     KERNELS[k](av, bv, cv, scalar)
                     end_barrier.wait(timeout=barrier_timeout)
@@ -204,11 +215,10 @@ def run_parallel(config: StreamConfig, n_workers: int,
             p.start()
             procs.append(p)
 
-        result = NativeResult(config, n_threads=n_workers,
-                              times={k: [] for k in _KERNEL_ORDER})
+        result = NativeResult(config, n_threads=n_workers)
         try:
             for _ in range(config.ntimes):
-                for k in _KERNEL_ORDER:
+                for k in KERNEL_ORDER:
                     start_barrier.wait(timeout=barrier_timeout)
                     t0 = time.perf_counter()
                     end_barrier.wait(timeout=barrier_timeout)

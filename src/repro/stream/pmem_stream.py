@@ -12,7 +12,9 @@ or a CXL namespace — which is the paper's entire point.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -20,12 +22,14 @@ from repro import obs
 from repro.core.provider import pool_from_uri
 from repro.core.runtime import CxlPmemRuntime
 from repro.errors import BenchmarkError
+from repro.memsim.traffic import KERNEL_TRAFFIC
 from repro.pmdk.containers import PersistentArray
 from repro.pmdk.oid import SERIALIZED_SIZE, PMEMoid
 from repro.pmdk.pool import PmemObjPool
 from repro.pmdk.tx import undo_bytes_needed
 from repro.stream.config import StreamConfig
-from repro.stream.native import NativeResult, run_single
+from repro.stream.kernels import init_arrays
+from repro.stream.native import NativeResult, _run_loop, run_single
 
 LAYOUT = "stream-pmem"
 _ROOT_SIZE = 3 * SERIALIZED_SIZE      # the my_root struct: three OIDs
@@ -140,15 +144,9 @@ class StreamPmem:
             with self.pool.transaction() as tx:
                 for arr in self.arrays:
                     arr.snapshot(tx)
-                a.fill(1.0)
-                b.fill(2.0)
-                c.fill(0.0)
-                a *= 2.0
+                init_arrays(a, b, c)
         else:
-            a.fill(1.0)
-            b.fill(2.0)
-            c.fill(0.0)
-            a *= 2.0
+            init_arrays(a, b, c)
             for arr in self.arrays:
                 arr.persist()
 
@@ -170,77 +168,61 @@ class StreamPmem:
         full kernel sweep the mutated arrays are flushed to the
         persistence domain (the pmem_persist in STREAM-PMem's loop).
         """
-        region = self.pool.region
-        flush_before = region.flush_count
-        a, b, c = self._views()
+        flush_before = self.pool.region.flush_count
         with obs.span("stream.run", meta={"backend": self.backend,
                                           "persist": persist_each_iteration}):
-            native = run_single(self.config, arrays=(a, b, c),
+            native = run_single(self.config, arrays=self._views(),
                                 validate=validate)
             if persist_each_iteration:
                 for arr in self.arrays:
                     arr.persist()
-        flush_after = region.flush_count
-        obs.inc("stream.runs")
-        obs.inc("stream.flushes", flush_after - flush_before)
-        return StreamPmemResult(
-            native=native,
-            backend=self.backend,
-            persistent=self.pool.persistent,
-            flushes=flush_after - flush_before,
-        )
+        return self._result(native, flush_before)
 
     def run_transactional(self, validate: bool = True) -> StreamPmemResult:
         """Run STREAM with every kernel invocation inside a transaction.
 
         The paper highlights pmemobj's *transaction* function ("either all
         of the modifications are successfully applied or none of them take
-        effect"); this mode wraps each kernel's destination array in an
-        undo-logged transaction — the fully crash-consistent (and
-        correspondingly slower) way to run the benchmark.  Only feasible
-        when one array fits the pool's undo log.
+        effect"); this mode runs STREAM's own timing loop with each kernel
+        in an undo-logged transaction over the array it writes — the fully
+        crash-consistent (and correspondingly slower) way to run the
+        benchmark.  Each kernel's time includes its transaction.  Only
+        feasible when one array fits the pool's undo log.
 
         Raises:
             BenchmarkError: the arrays exceed the transaction log.
         """
-        import time
-
-        from repro.stream.kernels import KERNELS, init_arrays
-        from repro.stream.validation import check_stream_results
-
         if not all(self._undo_log_fits([arr]) for arr in self.arrays):
             raise BenchmarkError(
                 f"arrays of {self.arrays[0].nbytes} bytes exceed the "
                 f"undo log ({self.pool.log_capacity} bytes); use run()"
             )
-        region = self.pool.region
-        flush_before = region.flush_count
-        a, b, c = self._views()
-        init_arrays(a, b, c)
-        # kernel -> array mutated by it (whose old value gets snapshotted)
-        target = {"copy": self.arrays[2], "scale": self.arrays[1],
-                  "add": self.arrays[2], "triad": self.arrays[0]}
-        result = NativeResult(self.config, n_threads=1,
-                              times={k: [] for k in KERNELS})
+        flush_before = self.pool.region.flush_count
         with obs.span("stream.run_tx", meta={"backend": self.backend,
                                              "ntimes": self.config.ntimes}):
-            for _ in range(self.config.ntimes):
-                for name, fn in KERNELS.items():
-                    t0 = time.perf_counter()
-                    with self.pool.transaction() as tx:
-                        target[name].snapshot(tx)
-                        fn(a, b, c, self.config.scalar)
-                    result.times[name].append(time.perf_counter() - t0)
-        if validate:
-            check_stream_results(a, b, c, self.config)
-        flush_after = region.flush_count
+            native = _run_loop(self.config, *self._views(), validate,
+                               self._kernel_tx)
+        return self._result(native, flush_before)
+
+    @contextmanager
+    def _kernel_tx(self, kernel: str) -> Iterator[None]:
+        """One kernel's transaction, snapshotting the array it writes."""
+        written = self.arrays["abc".index(KERNEL_TRAFFIC[kernel].written)]
+        with self.pool.transaction() as tx:
+            written.snapshot(tx)
+            yield
+
+    def _result(self, native: NativeResult,
+                flush_before: int) -> StreamPmemResult:
+        """The result of a run that began at ``flush_before`` flushes."""
+        flushes = self.pool.region.flush_count - flush_before
         obs.inc("stream.runs")
-        obs.inc("stream.flushes", flush_after - flush_before)
+        obs.inc("stream.flushes", flushes)
         return StreamPmemResult(
-            native=result,
+            native=native,
             backend=self.backend,
             persistent=self.pool.persistent,
-            flushes=flush_after - flush_before,
+            flushes=flushes,
         )
 
     def close(self) -> None:

@@ -34,6 +34,7 @@ import argparse
 import sys
 
 from repro import faults, obs
+from repro.memsim.traffic import KERNEL_ORDER
 from repro.stream.config import StreamConfig
 from repro.streamer.compare import comparison_report
 from repro.streamer.configs import FIGURE_KERNELS
@@ -106,8 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_ = sub.add_parser("compare",
                           help="check the paper's Section-4 claims")
     cmp_.add_argument("--results", help="results CSV (else: run now)")
-    cmp_.add_argument("--kernel", default="triad",
-                      choices=["copy", "scale", "add", "triad"])
+    cmp_.add_argument("--kernel", default="triad", choices=KERNEL_ORDER)
     cmp_.add_argument("--json", action="store_true",
                       help="machine-readable verdicts (for CI gates)")
 

@@ -36,6 +36,7 @@ from repro import faults, obs
 from repro.errors import BenchmarkError
 from repro.machine.presets import Testbed, setup1, setup2
 from repro.machine.topology import Machine
+from repro.memsim import traffic
 from repro.stream.config import StreamConfig
 from repro.stream.simulated import simulate_sweep
 from repro.streamer.configs import (
@@ -49,8 +50,6 @@ from repro.streamer.results import FailureRecord, ResultRecord, ResultSet
 #: Bump when the cached-result layout or the model semantics change in a
 #: way the content hash cannot see.
 SWEEP_CACHE_SCHEMA = 3    # 3: SweepSpec grew the tiering axis
-
-_KERNELS_DEFAULT = ("copy", "scale", "add", "triad")
 
 _log = obs.get_logger("streamer.runner")
 
@@ -230,7 +229,7 @@ class StreamerRunner:
         return group
 
     def run_group(self, group: TestGroup | str,
-                  kernels: Iterable[str] = _KERNELS_DEFAULT,
+                  kernels: Iterable[str] = traffic.KERNEL_ORDER,
                   max_retries: int = 2) -> ResultSet:
         """Run one test group for the given kernels, serially, with the
         same retries and quarantine as :meth:`run_all`."""
@@ -244,10 +243,16 @@ class StreamerRunner:
     # full-matrix execution
     # ------------------------------------------------------------------
 
-    def _tasks(self, kernels: Sequence[str], group: TestGroup | None = None
+    def _tasks(self, kernels: Iterable[str], group: TestGroup | None = None
                ) -> list[Task]:
         """Every (group, series, kernel) sweep of ``group`` (default: of
         every group), in serial record order."""
+        kernels = tuple(kernels)
+        for kernel in kernels:
+            try:
+                traffic.kernel(kernel)
+            except KeyError as exc:
+                raise BenchmarkError(exc.args[0]) from None
         groups = ([group] if group is not None
                   else [self.groups[gid] for gid in sorted(self.groups)])
         tasks: list[Task] = []
@@ -352,7 +357,7 @@ class StreamerRunner:
             testbed=series.testbed, error_type=type(last_exc).__name__,
             message=str(last_exc), attempts=tries, quarantined=True))
 
-    def run_all(self, kernels: Iterable[str] = _KERNELS_DEFAULT,
+    def run_all(self, kernels: Iterable[str] = traffic.KERNEL_ORDER,
                 parallel: int | bool | None = None,
                 use_cache: bool = True,
                 max_retries: int = 2,
@@ -360,7 +365,8 @@ class StreamerRunner:
         """The full evaluation: every group, every kernel.
 
         Args:
-            kernels: STREAM kernels to sweep.
+            kernels: STREAM kernels to sweep; an unknown one raises
+                :class:`BenchmarkError` before any task runs.
             parallel: ``None``/``False`` runs serially; ``True`` uses one
                 process per CPU; an integer pins the worker count.
                 Record order is identical in every mode.

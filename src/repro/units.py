@@ -46,6 +46,26 @@ def gib(n: float) -> int:
     return int(n * GIB)
 
 
+def parse_size(text: str) -> int:
+    """Bytes in ``text``, an integer with an optional binary ``k``, ``m``
+    or ``g`` suffix in either case (``512k``, ``16M``).
+
+    Raises:
+        ValueError: ``text`` is not such a size.
+    """
+    body = text.strip().lower()
+    mult = 1
+    for suffix, m in (("k", KIB), ("m", MIB), ("g", GIB)):
+        if body.endswith(suffix):
+            body, mult = body[:-1], m
+            break
+    try:
+        return int(body) * mult
+    except ValueError:
+        raise ValueError(f"cannot parse size {text!r}: expected an integer "
+                         "with an optional k, m or g suffix") from None
+
+
 # ---------------------------------------------------------------------------
 # bandwidth
 # ---------------------------------------------------------------------------

@@ -27,6 +27,8 @@ class TestTenantSpec:
             TenantSpec("t", 0, 1, threads=0)
         with pytest.raises(FabricError):
             TenantSpec("t", 0, 1, qos="platinum")
+        with pytest.raises(FabricError, match="'fft'"):
+            TenantSpec("t", 0, 1, kernel="fft")
 
     def test_scheduler_requires_testbed(self):
         from repro.cxl.switch import CxlSwitch

@@ -1,5 +1,8 @@
 """close / spread thread placement."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import AffinityError
@@ -7,8 +10,10 @@ from repro.machine.affinity import (
     AffinityMode,
     describe_placement,
     place_threads,
+    place_threads_cached,
     smt_load,
 )
+from repro.machine.presets import setup1
 
 
 class TestClose:
@@ -99,3 +104,13 @@ class TestDescribe:
     def test_single_core(self, tb1):
         cores = place_threads(tb1.machine, 1)
         assert describe_placement(cores) == "s0:[0]"
+
+
+class TestCachedPlacement:
+    def test_dropped_machine_is_collected(self):
+        machine = setup1().machine
+        place_threads_cached(machine, 4, sockets=[0])
+        ref = weakref.ref(machine)
+        del machine
+        gc.collect()
+        assert ref() is None

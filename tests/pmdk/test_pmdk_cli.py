@@ -25,6 +25,10 @@ class TestCreate:
         assert main(["create", pool_file, "1m"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_bad_size_is_a_readable_error(self, tmp_path, capsys):
+        assert main(["create", str(tmp_path / "bad.pool"), "12q"]) == 1
+        assert "cannot parse size '12q'" in capsys.readouterr().err
+
     def test_size_suffixes(self, tmp_path):
         import os
         path = str(tmp_path / "sized.pool")

@@ -27,8 +27,9 @@ class TestCountedBytes:
         ("copy", 2), ("scale", 2), ("add", 3), ("triad", 3),
     ])
     def test_stream_formula(self, kernel, factor):
-        cfg = StreamConfig(array_size=1000)
-        assert cfg.counted_bytes(kernel) == factor * 1000 * 8
+        for dtype, width in (("float64", 8), ("float32", 4)):
+            cfg = StreamConfig(array_size=1000, dtype=dtype)
+            assert cfg.counted_bytes(kernel) == factor * 1000 * width
 
     def test_unknown_kernel(self):
         with pytest.raises(BenchmarkError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import BenchmarkError
+from repro.memsim.traffic import KERNEL_ORDER, KERNEL_TRAFFIC
 from repro.stream.kernels import KERNELS, init_arrays, run_kernel
 
 
@@ -55,6 +56,14 @@ class TestInPlace:
             run_kernel(k, a, b, c)
         assert (id(a), id(b), id(c)) == ids
 
+    @pytest.mark.parametrize("name", KERNEL_ORDER)
+    def test_writes_only_the_array_the_table_names(self, name, arrays):
+        before = [arr.copy() for arr in arrays]
+        KERNELS[name](*arrays, 3.0)
+        changed = [n for n, arr, old in zip("abc", arrays, before)
+                   if not np.array_equal(arr, old)]
+        assert changed == [KERNEL_TRAFFIC[name].written]
+
     def test_works_on_views(self):
         base = np.zeros(300)
         a, b, c = base[:100], base[100:200], base[200:]
@@ -84,3 +93,4 @@ class TestInit:
 
     def test_kernel_order(self):
         assert list(KERNELS) == ["copy", "scale", "add", "triad"]
+        assert tuple(KERNELS) == KERNEL_ORDER

@@ -101,6 +101,57 @@ class TestTransactionalMode:
             assert result.best_rate_gbps(k) > 0
         sp.close()
 
+    def test_each_kernel_snapshots_the_array_it_writes(self, monkeypatch):
+        from repro.pmdk.containers import PersistentArray
+        from repro.pmdk.tx import Transaction
+
+        cfg = StreamConfig(array_size=1000, ntimes=3)
+        sp = StreamPmem.create("mem://8m", cfg)
+        names = {arr.oid.offset: n for n, arr in zip("abc", sp.arrays)}
+        txs: list[list[str]] = []
+        begin, snapshot = Transaction.begin, PersistentArray.snapshot
+
+        def traced_begin(tx):
+            txs.append([])
+            return begin(tx)
+
+        def traced_snapshot(arr, tx):
+            txs[-1].append(names[arr.oid.offset])
+            snapshot(arr, tx)
+
+        monkeypatch.setattr(Transaction, "begin", traced_begin)
+        monkeypatch.setattr(PersistentArray, "snapshot", traced_snapshot)
+        sp.run_transactional()
+        assert txs == [["c"], ["b"], ["c"], ["a"]] * cfg.ntimes
+
+    def test_kernel_times_include_their_transaction(self, monkeypatch):
+        import types
+
+        from repro.pmdk.containers import PersistentArray
+        from repro.pmdk.tx import Transaction
+        from repro.stream import native
+
+        clock = [0.0]
+        snapshot, commit = PersistentArray.snapshot, Transaction.commit
+
+        def slow_snapshot(arr, tx):
+            clock[0] += 1.0
+            snapshot(arr, tx)
+
+        def slow_commit(tx):
+            clock[0] += 2.0
+            commit(tx)
+
+        sp = StreamPmem.create("mem://8m", StreamConfig(array_size=1000,
+                                                        ntimes=3))
+        monkeypatch.setattr(native, "time", types.SimpleNamespace(
+            perf_counter=lambda: clock[0]))
+        monkeypatch.setattr(PersistentArray, "snapshot", slow_snapshot)
+        monkeypatch.setattr(Transaction, "commit", slow_commit)
+        times = sp.run_transactional().native.times
+        assert times == {k: [3.0] * 3 for k in ("copy", "scale", "add",
+                                                  "triad")}
+
     def test_transactional_slower_than_direct(self, tmp_path):
         cfg = StreamConfig(array_size=2000, ntimes=4)
         sp = StreamPmem.create(f"file://{tmp_path}/tx2.pool", cfg)

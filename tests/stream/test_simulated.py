@@ -65,9 +65,9 @@ class TestPlacementCache:
         from repro.machine import affinity
         affinity._PLACEMENT_CACHE.clear()
         simulate_sweep(tb1.machine, "triad", spec, [1, 2, 4])
-        assert len(affinity._PLACEMENT_CACHE) == 3
+        assert len(affinity._PLACEMENT_CACHE[tb1.machine]) == 3
         simulate_sweep(tb1.machine, "copy", spec, [1, 2, 4])
-        assert len(affinity._PLACEMENT_CACHE) == 3   # all hits
+        assert len(affinity._PLACEMENT_CACHE[tb1.machine]) == 3  # all hits
 
     def test_cached_placement_matches_direct(self, tb1):
         from repro.machine.affinity import (

@@ -60,6 +60,26 @@ class TestRunAll:
             r.run_group("1a")
 
 
+class TestKernelNames:
+    def test_unknown_kernel_rejected_before_any_task(self, runner,
+                                                     monkeypatch):
+        from repro.streamer import runner as runner_mod
+
+        ran = []
+        monkeypatch.setattr(runner_mod, "run_task",
+                            lambda *args, **kw: ran.append(args))
+        with pytest.raises(BenchmarkError, match="'fft'.*'copy'"):
+            runner.run_all(kernels=("triad", "fft"), parallel=False,
+                           use_cache=False)
+        with pytest.raises(BenchmarkError, match="'fft'"):
+            runner.run_group("1a", kernels=("fft",))
+        assert ran == []
+
+    def test_kernel_names_are_case_insensitive(self, runner):
+        rs = runner.run_group("1a", kernels=("Triad",))
+        assert rs.complete and len(rs) == 20
+
+
 class TestSweepCacheKey:
     def test_key_is_stable_and_content_sensitive(self, runner):
         k1 = runner.sweep_cache_key(("triad",))

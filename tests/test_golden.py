@@ -20,6 +20,7 @@ from gen_golden import (  # noqa: E402
     kvserve_ledger,
     machine_fingerprints,
     stream_pmem_arrays,
+    stream_pmem_ledger,
     sweep_paper,
     tiering_memory_mode,
     tiering_policies,
@@ -86,6 +87,12 @@ def test_machine_fingerprints(golden):
 def test_stream_pmem_arrays(golden):
     """STREAM-PMem array CRCs and flush counts on mem, file and cxl."""
     assert stream_pmem_arrays() == golden["stream_pmem.arrays"]
+
+
+def test_stream_pmem_ledger(golden):
+    """The array bytes of the perf ledger's stream-pmem op (its
+    ``output_sha256``)."""
+    assert stream_pmem_ledger() == golden["stream_pmem.ledger"]
 
 
 def test_fabric_scheduler(golden):

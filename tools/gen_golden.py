@@ -43,7 +43,9 @@ from repro.machine.presets import (
 )
 from repro.memsim.des import simulate_stream_des
 from repro.stream.config import StreamConfig
-from repro.stream.pmem_stream import StreamPmem
+from repro.pmdk.pool import PmemObjPool
+from repro.pmdk.tx import undo_bytes_needed
+from repro.stream.pmem_stream import StreamPmem, pool_size_for
 from repro.streamer.configs import tiering_group
 from repro.streamer.runner import StreamerRunner
 from repro.tiering.evaluate import TRACE_KINDS, TieringSpec, evaluate_policy
@@ -258,6 +260,29 @@ def stream_pmem_arrays() -> str:
     return sha256_json(out)
 
 
+def stream_pmem_ledger() -> str:
+    """Digest of the perf ledger's stream-pmem op (its ``output_sha256``):
+    SHA-256 over the three arrays' bytes after one ``run_transactional()``
+    and one ``run(persist_each_iteration=True)`` of 200,000-element
+    arrays, ten iterations each, in a pool on a namespace of setup #1's
+    ``cxl0`` whose undo log holds one array plus 64 KiB."""
+    cfg = StreamConfig(array_size=200_000, ntimes=10)
+    log_size = undo_bytes_needed(cfg.array_bytes) + (64 << 10)
+    runtime = CxlPmemRuntime(setup1().host_bridges)
+    ns = runtime.create_namespace("cxl0", "stream-pmem",
+                                  pool_size_for(cfg) + log_size)
+    pool = PmemObjPool.create(ns.region(), layout="bench",
+                              log_size=log_size)
+    sp = StreamPmem(pool, cfg, backend=pool.region.backend)
+    sp._allocate()
+    sp.run_transactional()
+    sp.run(persist_each_iteration=True)
+    sha = hashlib.sha256()
+    for arr in sp.arrays:
+        sha.update(arr.as_ndarray().tobytes())
+    return sha.hexdigest()
+
+
 def fabric_scheduler() -> str:
     """Digest of the default fabric spec's pooling sweep and its
     noisy-neighbour scenario (fair and QoS max-min solves over 34
@@ -277,6 +302,7 @@ DIGESTS = {
     "kvserve.ledger": kvserve_ledger,
     "machine.fingerprints": machine_fingerprints,
     "stream_pmem.arrays": stream_pmem_arrays,
+    "stream_pmem.ledger": stream_pmem_ledger,
     "sweep.paper": sweep_paper,
     "tiering.policies": tiering_policies,
     "tiering.memory_mode": tiering_memory_mode,
