@@ -7,7 +7,7 @@ hard IP + soft IP transaction layers, Section 2.2):
 * :mod:`repro.cxl.spec` — protocol constants, opcodes, versions;
 * :mod:`repro.cxl.transaction` — CXL.mem M2S/S2M message classes;
 * :mod:`repro.cxl.flit` — 68-byte flit packing and wire-efficiency math;
-* :mod:`repro.cxl.link` — PCIe PHY rates, link layer, credit flow control;
+* :mod:`repro.cxl.link` — PCIe PHY rates and effective link bandwidth;
 * :mod:`repro.cxl.hdm` — host-managed device memory (HDM) decoders;
 * :mod:`repro.cxl.device` — Type-1/2/3 devices; the Type-3 expander holds
   real backing memory and a persistence-domain model;
@@ -34,7 +34,7 @@ from repro.cxl.flit import (
     message_half_slots,
     stream_efficiency,
 )
-from repro.cxl.link import CreditPool, CxlLink
+from repro.cxl.link import CxlLink
 from repro.cxl.hdm import HdmDecoder, HdmDecoderSet
 from repro.cxl.device import MediaController, Type3Device
 from repro.cxl.mailbox import Mailbox, MailboxOpcode
@@ -55,7 +55,6 @@ from repro.cxl.switch import (
 __all__ = [
     "BindEvent",
     "CACHELINE_BYTES",
-    "CreditPool",
     "CxlEndpointInfo",
     "CxlLink",
     "CxlMemPort",

@@ -2,19 +2,23 @@
 
 This is the piece that sits in the CPU's uncore on real silicon (and in
 the R-Tile hard IP on the prototype): it turns load/store traffic into
-CXL.mem messages, bounded by tag capacity (outstanding-request limit) and
-link-layer credits, packs them into flits, and matches responses back to
-requests.
+CXL.mem messages and packs them into flits.
 
 :class:`CxlMemPort` is functional — its calls really move bytes to/from
 the device — and keeps the wire statistics (flits, payload bytes,
 efficiency) the ablation benches report.  Every access is a span of
 whole cachelines: :meth:`CxlMemPort.read_lines` /
-:meth:`CxlMemPort.write_lines` issue it in chunks bounded by tags and
-credits, one device call per chunk, and ``read_line``/``write_line`` are
+:meth:`CxlMemPort.write_lines` issue it in chunks of :data:`CHUNK_LINES`,
+one device call per chunk, and ``read_line``/``write_line`` are
 one-line spans.  The wire is accounted per 16-message flit batch from
 three counters, exactly as :class:`repro.cxl.flit.FlitPacker` would pack
 the Req/RwD and NDR/DRS messages the spans stand for.
+
+The port models no flow control: each device call returns before the
+next chunk starts, so no tag or credit would ever be short.  The
+outstanding-request bound that shapes bandwidth lives in the memory
+simulator — the Little's-law per-thread caps of
+:mod:`repro.memsim.concurrency` and the DES's closed-loop MLP windows.
 """
 
 from __future__ import annotations
@@ -25,21 +29,19 @@ from dataclasses import dataclass
 from repro import faults, obs
 from repro.cxl.device import Type3Device
 from repro.cxl.flit import USABLE_HALF_SLOTS, class_half_slots
-from repro.cxl.link import CreditPool, CxlLink
+from repro.cxl.link import CxlLink
 from repro.cxl.spec import CACHELINE_BYTES, FLIT_BYTES
-from repro.cxl.transaction import (
-    M2SReq,
-    M2SRwD,
-    S2MDRS,
-    S2MNDR,
-    TagAllocator,
-)
+from repro.cxl.transaction import M2SReq, M2SRwD, S2MDRS, S2MNDR
 from repro.errors import (
     CxlError,
     CxlPoisonError,
     CxlTimeoutError,
     CxlTransientError,
 )
+
+#: lines per device call of a span: the burst that 64 tags and 32
+#: request credits allow a port with nothing else in flight
+CHUNK_LINES = 32
 
 #: flit half-slots one message of each class fills: its header plus two
 #: per data slot
@@ -123,21 +125,15 @@ class PortStats:
 class CxlMemPort:
     """A host CXL.mem port bound to one Type-3 device.
 
-    The port batches outstanding requests up to the tag limit, respects
-    per-message-class credits, and charges flits per 16-message batch —
-    so its statistics reflect realistic wire behaviour rather than
-    one-flit-per-message accounting.
+    The port issues spans in :data:`CHUNK_LINES`-line chunks and charges
+    flits per 16-message batch — so its statistics reflect realistic
+    wire behaviour rather than one-flit-per-message accounting.
     """
 
     def __init__(self, link: CxlLink, device: Type3Device,
-                 tag_capacity: int = 64,
-                 req_credits: int = 32, rwd_credits: int = 32,
                  retry: RetryPolicy | None = None) -> None:
         self.link = link
         self.device = device
-        self.tags = TagAllocator(tag_capacity)
-        self.req_credits = CreditPool(req_credits, "m2s-req")
-        self.rwd_credits = CreditPool(rwd_credits, "m2s-rwd")
         self.retry = retry or RetryPolicy()
         self.stats = PortStats()
         self._retry_rng = random.Random(self.retry.seed)
@@ -236,9 +232,9 @@ class CxlMemPort:
     def read_lines(self, dpa: int, count: int) -> bytes:
         """Read ``count`` consecutive cachelines starting at ``dpa``.
 
-        Issues the span in chunks bounded by tag capacity and request
-        credits; each chunk is one bulk device access, and each of its
-        lines adds a Req/DRS pair to the open flit batch.
+        Issues the span in :data:`CHUNK_LINES`-line chunks; each chunk is
+        one bulk device access, and each of its lines adds a Req/DRS pair
+        to the open flit batch.
 
         Raises:
             CxlPoisonError: a poisoned line anywhere in the current
@@ -250,13 +246,9 @@ class CxlMemPort:
         if count < 0:
             raise CxlError(f"negative line count {count}")
         out = bytearray()
-        addr = dpa
-        remaining = count
-        while remaining:
-            n = min(remaining, self.tags.available,
-                    self.req_credits.available)
-            self.req_credits.acquire(n)
-            tags = self.tags.allocate_many(n)
+        for first in range(0, count, CHUNK_LINES):
+            n = min(CHUNK_LINES, count - first)
+            addr = dpa + first * CACHELINE_BYTES
             try:
                 data = self._device_call(
                     "read", addr, n,
@@ -265,22 +257,17 @@ class CxlMemPort:
                 self.stats.poisoned_reads += 1
                 obs.inc("cxl.poison_reads")
                 raise
-            finally:
-                self.tags.retire_many(tags)
-                self.req_credits.release(n)
             self._account(_REQ, _DRS, n)
             self.stats.reads += n
             self.stats.payload_bytes += n * CACHELINE_BYTES
             obs.inc("cxl.reads", n)
             out += data
-            addr += n * CACHELINE_BYTES
-            remaining -= n
         return bytes(out)
 
     def write_lines(self, dpa: int, data: bytes) -> None:
         """Write whole consecutive cachelines starting at ``dpa``.
 
-        Chunked by tag capacity and RwD credits; each line adds an
+        Issued in :data:`CHUNK_LINES`-line chunks; each line adds an
         RwD/NDR pair to the open flit batch.
         """
         if len(data) % CACHELINE_BYTES:
@@ -288,29 +275,17 @@ class CxlMemPort:
                 f"write_lines takes whole {CACHELINE_BYTES}-byte lines, "
                 f"got {len(data)} bytes"
             )
-        addr = dpa
-        pos = 0
-        remaining = len(data) // CACHELINE_BYTES
-        while remaining:
-            n = min(remaining, self.tags.available,
-                    self.rwd_credits.available)
-            self.rwd_credits.acquire(n)
-            tags = self.tags.allocate_many(n)
-            try:
-                chunk = data[pos:pos + n * CACHELINE_BYTES]
-                self._device_call(
-                    "write", addr, n,
-                    lambda a=addr, c=chunk: self.device.write_lines(a, c))
-            finally:
-                self.tags.retire_many(tags)
-                self.rwd_credits.release(n)
+        step = CHUNK_LINES * CACHELINE_BYTES
+        for pos in range(0, len(data), step):
+            chunk = data[pos:pos + step]
+            n = len(chunk) // CACHELINE_BYTES
+            self._device_call(
+                "write", dpa + pos, n,
+                lambda a=dpa + pos, c=chunk: self.device.write_lines(a, c))
             self._account(_RWD, _NDR, n)
             self.stats.writes += n
-            self.stats.payload_bytes += n * CACHELINE_BYTES
+            self.stats.payload_bytes += len(chunk)
             obs.inc("cxl.writes", n)
-            addr += n * CACHELINE_BYTES
-            pos += n * CACHELINE_BYTES
-            remaining -= n
 
     # ------------------------------------------------------------------
     # byte-granular operations

@@ -1,11 +1,14 @@
-"""CXL link layer: PHY rates, effective data bandwidth, credit flow control.
+"""CXL link layer: PHY rates and effective data bandwidth.
 
 The prototype card connects over PCIe Gen5 x16 — "a theoretical bandwidth
 of up to 64 GB/s" in each direction (paper Section 2.2).  The link is never
 the prototype's bottleneck (the FPGA memory controller is), which the model
 makes explicit: ``CxlLink.effective_data_gbps`` stays well above the
 device's media bandwidth for the paper's configuration, and the ablation
-bench flips that relationship for hypothetical faster devices.
+bench flips that relationship for hypothetical faster devices.  So the
+link models no credit flow control: the backpressure a slow device puts on
+the host is the outstanding-request bound of :mod:`repro.memsim`
+(Little's-law per-thread caps and the DES's closed-loop MLP).
 """
 
 from __future__ import annotations
@@ -54,59 +57,3 @@ class CxlLink:
     def effective_data_gbps(self, read_fraction: float = 0.5) -> float:
         """Cacheline-payload bandwidth after flit framing overheads."""
         return self.raw_gbps * stream_efficiency(read_fraction)
-
-
-class CreditPool:
-    """Link-layer credits for one message class in one direction.
-
-    The receiver grants ``capacity`` credits; the sender consumes one per
-    message and may not transmit without one; the receiver returns credits
-    as it drains its queue.  This is the mechanism that applies backpressure
-    from a slow device (the FPGA memory controller) up to the host.
-    """
-
-    def __init__(self, capacity: int, name: str = "credits") -> None:
-        if capacity < 1:
-            raise CxlLinkError("credit capacity must be >= 1")
-        self.capacity = capacity
-        self.name = name
-        self._available = capacity
-
-    @property
-    def available(self) -> int:
-        return self._available
-
-    @property
-    def in_use(self) -> int:
-        return self.capacity - self._available
-
-    def try_acquire(self, n: int = 1) -> bool:
-        """Consume ``n`` credits if available; returns success."""
-        if n < 1:
-            raise CxlLinkError("must acquire at least one credit")
-        if self._available < n:
-            return False
-        self._available -= n
-        return True
-
-    def acquire(self, n: int = 1) -> None:
-        """Consume ``n`` credits or raise.
-
-        Raises:
-            CxlLinkError: sender would overrun the receiver queue.
-        """
-        if not self.try_acquire(n):
-            raise CxlLinkError(
-                f"{self.name}: {n} credits requested, {self._available} available"
-            )
-
-    def release(self, n: int = 1) -> None:
-        """Return ``n`` credits (receiver drained its queue)."""
-        if n < 1:
-            raise CxlLinkError("must release at least one credit")
-        if self._available + n > self.capacity:
-            raise CxlLinkError(
-                f"{self.name}: releasing {n} credits would exceed capacity "
-                f"{self.capacity} (available={self._available})"
-            )
-        self._available += n

@@ -22,6 +22,38 @@ from repro.cxl.spec import CxlVersion
 from repro.errors import CxlError
 
 
+def take_extent(free: list[tuple[int, int]], size: int) -> int | None:
+    """First-fit ``size`` bytes out of ``free`` in place.
+
+    ``free`` is a sorted, coalesced ``(base, size)`` extent list; the
+    lowest extent that fits gives up its front.  Returns the base taken,
+    or ``None`` when no extent is large enough.
+    """
+    for i, (base, extent) in enumerate(free):
+        if extent < size:
+            continue
+        if extent == size:
+            del free[i]
+        else:
+            free[i] = (base + size, extent - size)
+        return base
+    return None
+
+
+def return_extent(free: list[tuple[int, int]], base: int, size: int) -> None:
+    """Put ``[base, base + size)`` back into ``free`` in place, coalesced
+    with its free neighbours so that the list stays sorted and maximal."""
+    free.append((base, size))
+    free.sort()
+    merged: list[tuple[int, int]] = []
+    for b, s in free:
+        if merged and merged[-1][0] + merged[-1][1] == b:
+            merged[-1] = (merged[-1][0], merged[-1][1] + s)
+        else:
+            merged.append((b, s))
+    free[:] = merged
+
+
 @dataclass(frozen=True)
 class LogicalDevice:
     """One LD of a multi-logical device: a capacity slice of the parent."""
@@ -70,22 +102,17 @@ class MultiLogicalDevice:
             raise CxlError("logical device size must be positive")
         if len(self._lds) >= self.MAX_LDS:
             raise CxlError(f"MLD already has {self.MAX_LDS} logical devices")
-        for i, (base, extent) in enumerate(self._free):
-            if extent < size:
-                continue
-            if extent == size:
-                del self._free[i]
-            else:
-                self._free[i] = (base + size, extent - size)
-            ld_id = min(set(range(self.MAX_LDS)) - set(self._lds))
-            ld = LogicalDevice(self.device, ld_id, base, size)
-            self._lds[ld_id] = ld
-            return ld
-        raise CxlError(
-            f"cannot carve {size} bytes from {self.device.name}; "
-            f"largest free extent is {self.largest_free_extent} "
-            f"({self.unallocated_bytes} free in total)"
-        )
+        base = take_extent(self._free, size)
+        if base is None:
+            raise CxlError(
+                f"cannot carve {size} bytes from {self.device.name}; "
+                f"largest free extent is {self.largest_free_extent} "
+                f"({self.unallocated_bytes} free in total)"
+            )
+        ld_id = min(set(range(self.MAX_LDS)) - set(self._lds))
+        ld = LogicalDevice(self.device, ld_id, base, size)
+        self._lds[ld_id] = ld
+        return ld
 
     def release(self, ld: LogicalDevice) -> None:
         """Return ``ld``'s capacity (and LD-ID) to the pool.
@@ -105,15 +132,7 @@ class MultiLogicalDevice:
                 f"{self.device.name} (already released or stale handle)"
             )
         del self._lds[ld.ld_id]
-        self._free.append((ld.base_dpa, ld.size))
-        self._free.sort()
-        merged: list[tuple[int, int]] = []
-        for base, size in self._free:
-            if merged and merged[-1][0] + merged[-1][1] == base:
-                merged[-1] = (merged[-1][0], merged[-1][1] + size)
-            else:
-                merged.append((base, size))
-        self._free = merged
+        return_extent(self._free, ld.base_dpa, ld.size)
 
     @property
     def logical_devices(self) -> dict[int, LogicalDevice]:

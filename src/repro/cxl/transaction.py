@@ -7,19 +7,20 @@ Four message classes cross a CXL.mem link:
 * S2M **NDR** — completions without data;
 * S2M **DRS** — data responses carrying one cacheline.
 
-Messages are immutable and validated on construction (alignment, tag range,
-payload size), which is where a surprising number of real transaction-layer
-bugs live.  The host port and the device exchange spans of lines, not
-message objects; these classes are what those spans stand for on the
-wire, and :class:`repro.cxl.flit.FlitPacker` packs them — the oracle the
-port's flit accounting is checked against.
+Messages are immutable and validated on construction (alignment, 16-bit
+tag range, payload size), which is where a surprising number of real
+transaction-layer bugs live.  The host port and the device exchange spans
+of lines, not message objects; these classes are what those spans stand
+for on the wire, and :class:`repro.cxl.flit.FlitPacker` packs them — the
+oracle the port's flit accounting is checked against.  Nothing allocates
+tags: the port issues one chunk at a time, and the outstanding-request
+bound that shapes bandwidth lives in :mod:`repro.memsim.concurrency` and
+the DES's closed-loop MLP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
-
 from repro.cxl.spec import (
     CACHELINE_BYTES,
     M2SReqOpcode,
@@ -115,81 +116,3 @@ class S2MDRS:
             raise CxlError(
                 f"DRS payload must be {CACHELINE_BYTES} B, got {len(self.data)}"
             )
-
-
-class TagAllocator:
-    """Round-robin tag allocator tracking in-flight transactions.
-
-    The master must not reuse a tag while a response is outstanding; this
-    class enforces that and is how the link model bounds outstanding
-    requests (which in turn bounds achievable bandwidth — see
-    :func:`repro.units.bw_from_concurrency`).
-    """
-
-    def __init__(self, capacity: int = 64) -> None:
-        if not 1 <= capacity <= MAX_TAG + 1:
-            raise CxlError(f"tag capacity {capacity} out of range")
-        self.capacity = capacity
-        self._next = 0
-        self._inflight: set[int] = set()
-
-    @property
-    def inflight(self) -> int:
-        return len(self._inflight)
-
-    @property
-    def available(self) -> int:
-        return self.capacity - len(self._inflight)
-
-    def allocate(self) -> int:
-        """Allocate a free tag.
-
-        Raises:
-            CxlError: all tags are in flight (caller must retire first).
-        """
-        if not self.available:
-            raise CxlError(
-                f"all {self.capacity} tags in flight; retire a response first"
-            )
-        for _ in range(self.capacity):
-            tag = self._next
-            self._next = (self._next + 1) % self.capacity
-            if tag not in self._inflight:
-                self._inflight.add(tag)
-                return tag
-        raise CxlError("tag allocator invariant violated")  # pragma: no cover
-
-    def allocate_many(self, count: int) -> list[int]:
-        """Allocate ``count`` free tags at once (batched transfers).
-
-        Raises:
-            CxlError: fewer than ``count`` tags are free.
-        """
-        if count < 0:
-            raise CxlError(f"negative tag count {count}")
-        if count > self.available:
-            raise CxlError(
-                f"{count} tags requested, only {self.available} of "
-                f"{self.capacity} free"
-            )
-        if not self._inflight:
-            # nothing in flight: the round-robin scan degenerates to a
-            # consecutive window, so skip the per-tag membership checks
-            start = self._next
-            tags = [(start + i) % self.capacity for i in range(count)]
-            self._next = (start + count) % self.capacity
-            self._inflight.update(tags)
-            return tags
-        return [self.allocate() for _ in range(count)]
-
-    def retire(self, tag: int) -> None:
-        """Retire a tag on response arrival."""
-        try:
-            self._inflight.remove(tag)
-        except KeyError:
-            raise CxlError(f"retiring tag {tag:#x} that is not in flight") from None
-
-    def retire_many(self, tags: Iterable[int]) -> None:
-        """Retire a batch of tags (every one must be in flight)."""
-        for tag in tags:
-            self.retire(tag)

@@ -36,6 +36,8 @@ from repro.cxl.switch import (
     LogicalDevice,
     MultiLogicalDevice,
     Type3Device,
+    return_extent,
+    take_extent,
 )
 from repro.errors import FabricError, HostDetachedError
 
@@ -92,28 +94,16 @@ class FabricHost:
 
     def take_window(self, size: int) -> int:
         """First-fit an HPA window for a new decoder."""
-        for i, (base, extent) in enumerate(self._hpa_free):
-            if extent < size:
-                continue
-            if extent == size:
-                del self._hpa_free[i]
-            else:
-                self._hpa_free[i] = (base + size, extent - size)
-            return base
-        raise FabricError(
-            f"host {self.socket_id} has no free HPA window of {size} bytes"
-        )
+        base = take_extent(self._hpa_free, size)
+        if base is None:
+            raise FabricError(
+                f"host {self.socket_id} has no free HPA window of {size} bytes"
+            )
+        return base
 
     def free_window(self, base: int, size: int) -> None:
-        self._hpa_free.append((base, size))
-        self._hpa_free.sort()
-        merged: list[tuple[int, int]] = []
-        for b, s in self._hpa_free:
-            if merged and merged[-1][0] + merged[-1][1] == b:
-                merged[-1] = (merged[-1][0], merged[-1][1] + s)
-            else:
-                merged.append((b, s))
-        self._hpa_free = merged
+        """Return an HPA window to the free list, coalesced."""
+        return_extent(self._hpa_free, base, size)
 
     def port_for(self, device: Type3Device) -> CxlMemPort:
         """The host's CXL.mem port to ``device`` (cached; one per pair)."""

@@ -61,7 +61,7 @@ from repro.obs.metrics import Histogram
 from repro.serve.pool import WarmWorkerPool, run_shard
 from repro.stream.config import StreamConfig
 from repro.streamer.results import ResultSet
-from repro.streamer.runner import StreamerRunner
+from repro.streamer.runner import StreamerRunner, canonical_kernels
 
 __all__ = ["SweepRequest", "ServeResult", "SweepService",
            "SERVE_LATENCY_BUCKETS"]
@@ -92,13 +92,9 @@ class SweepRequest:
     use_cache: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kernels", tuple(self.kernels))
+        object.__setattr__(self, "kernels", canonical_kernels(self.kernels))
         if not self.kernels:
             raise BenchmarkError("sweep request needs >= 1 kernel")
-        bad = [k for k in self.kernels if k not in KERNEL_ORDER]
-        if bad:
-            raise BenchmarkError(
-                f"unknown kernels {bad}; have {list(KERNEL_ORDER)}")
         if self.array_size is not None and self.array_size < 1:
             raise BenchmarkError(
                 f"array_size must be >= 1, got {self.array_size}")

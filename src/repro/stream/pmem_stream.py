@@ -164,9 +164,12 @@ class StreamPmem:
             validate: bool = True) -> StreamPmemResult:
         """Run the STREAM timing loop over the persistent arrays.
 
-        ``persist_each_iteration`` models App-Direct semantics: after each
-        full kernel sweep the mutated arrays are flushed to the
-        persistence domain (the pmem_persist in STREAM-PMem's loop).
+        ``persist_each_iteration`` models App-Direct semantics: after
+        STREAM's whole timing loop, each of the three arrays is flushed
+        to the persistence domain once — three ``persist`` calls however
+        large ``config.ntimes`` is, and outside the timed kernels.
+        Nothing is persisted inside the loop; the name is kept because
+        callers pass it by keyword.
         """
         flush_before = self.pool.region.flush_count
         with obs.span("stream.run", meta={"backend": self.backend,

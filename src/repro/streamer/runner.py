@@ -109,6 +109,25 @@ def run_task(machines: Mapping[str, Machine], config: StreamConfig,
     return _series_records(group, series, kernel, results)
 
 
+def canonical_kernels(kernels: Iterable[str]) -> tuple[str, ...]:
+    """Each STREAM kernel name resolved through :func:`traffic.kernel` to
+    its canonical name, so ``"Triad"`` is swept, cached and recorded as
+    ``"triad"`` on every way into a sweep.
+
+    Raises:
+        BenchmarkError: a name that is not a string or not a kernel.
+    """
+    names = []
+    for name in kernels:
+        if not isinstance(name, str):
+            raise BenchmarkError(f"kernel names are strings, got {name!r}")
+        try:
+            names.append(traffic.kernel(name).name)
+        except KeyError as exc:
+            raise BenchmarkError(exc.args[0]) from None
+    return tuple(names)
+
+
 def _check_max_retries(max_retries: int) -> None:
     if max_retries < 0:
         raise BenchmarkError(f"max_retries must be >= 0, got {max_retries}")
@@ -236,23 +255,19 @@ class StreamerRunner:
         group = self._resolve_group(group)
         _check_max_retries(max_retries)
         with obs.span("sweep.run_group", meta={"group": group.group_id}):
-            return self._collect(self._tasks(kernels, group),
+            return self._collect(self._tasks(canonical_kernels(kernels),
+                                             group),
                                  itertools.repeat(None), max_retries)
 
     # ------------------------------------------------------------------
     # full-matrix execution
     # ------------------------------------------------------------------
 
-    def _tasks(self, kernels: Iterable[str], group: TestGroup | None = None
+    def _tasks(self, kernels: Sequence[str], group: TestGroup | None = None
                ) -> list[Task]:
         """Every (group, series, kernel) sweep of ``group`` (default: of
-        every group), in serial record order."""
-        kernels = tuple(kernels)
-        for kernel in kernels:
-            try:
-                traffic.kernel(kernel)
-            except KeyError as exc:
-                raise BenchmarkError(exc.args[0]) from None
+        every group), in serial record order, for ``kernels`` already
+        made canonical by :func:`canonical_kernels`."""
         groups = ([group] if group is not None
                   else [self.groups[gid] for gid in sorted(self.groups)])
         tasks: list[Task] = []
@@ -365,8 +380,10 @@ class StreamerRunner:
         """The full evaluation: every group, every kernel.
 
         Args:
-            kernels: STREAM kernels to sweep; an unknown one raises
-                :class:`BenchmarkError` before any task runs.
+            kernels: STREAM kernels to sweep, in any letter case; each
+                is keyed and recorded by its canonical name, and an
+                unknown one raises :class:`BenchmarkError` before any
+                task runs.
             parallel: ``None``/``False`` runs serially; ``True`` uses one
                 process per CPU; an integer pins the worker count.
                 Record order is identical in every mode.
@@ -381,7 +398,7 @@ class StreamerRunner:
                 result before retrying the task in the parent process
                 (``None`` waits forever).
         """
-        kernels = tuple(kernels)
+        kernels = canonical_kernels(kernels)
         _check_max_retries(max_retries)
         cache_key = None
         if self.cache_dir is not None and use_cache:

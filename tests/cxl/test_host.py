@@ -128,15 +128,35 @@ class TestWireAccounting:
         assert "reads" in text and "flits" in text
 
 
-class TestFlowControl:
-    def test_tags_always_returned(self, port):
-        for i in range(200):
-            port.write_line(i * 64, LINE)
-        assert port.tags.inflight == 0
+class TestChunks:
+    """A span reaches the device in ``CHUNK_LINES``-line calls, and each
+    call is its own unit of poison."""
 
-    def test_credits_released_even_on_poison(self, port):
-        port.device.inject_poison(0)
-        with pytest.raises(CxlError):
-            port.read_line(0)
-        assert port.req_credits.available == port.req_credits.capacity
-        assert port.tags.inflight == 0
+    @staticmethod
+    def _record(port, monkeypatch, name):
+        sizes = []
+        call = getattr(port.device, name)
+
+        def recorded(dpa, arg):
+            sizes.append(arg if isinstance(arg, int) else len(arg) // 64)
+            return call(dpa, arg)
+
+        monkeypatch.setattr(port.device, name, recorded)
+        return sizes
+
+    def test_read_span_goes_in_32_line_calls(self, port, monkeypatch):
+        sizes = self._record(port, monkeypatch, "read_lines")
+        assert len(port.read_lines(0, 70)) == 70 * 64
+        assert sizes == [32, 32, 6]
+
+    def test_write_span_goes_in_32_line_calls(self, port, monkeypatch):
+        sizes = self._record(port, monkeypatch, "write_lines")
+        port.write_lines(0, LINE * 70)
+        assert sizes == [32, 32, 6]
+
+    def test_poison_fails_only_its_chunk(self, port):
+        port.device.inject_poison(40 * 64)
+        with pytest.raises(CxlPoisonError):
+            port.read_lines(0, 70)
+        assert port.stats.reads == 32
+        assert port.stats.poisoned_reads == 1

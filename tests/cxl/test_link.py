@@ -1,8 +1,8 @@
-"""CXL link rates and credit-based flow control."""
+"""CXL link rates."""
 
 import pytest
 
-from repro.cxl.link import CreditPool, CxlLink
+from repro.cxl.link import CxlLink
 from repro.cxl.spec import CxlVersion
 from repro.errors import CxlLinkError
 
@@ -39,46 +39,3 @@ class TestCxlLink:
     def test_negative_latency_rejected(self):
         with pytest.raises(CxlLinkError):
             CxlLink(CxlVersion.CXL_2_0, 16, -1.0)
-
-
-class TestCreditPool:
-    def test_acquire_release_cycle(self):
-        pool = CreditPool(4)
-        pool.acquire(3)
-        assert pool.available == 1 and pool.in_use == 3
-        pool.release(3)
-        assert pool.available == 4
-
-    def test_try_acquire_failure_leaves_state(self):
-        pool = CreditPool(2)
-        assert not pool.try_acquire(3)
-        assert pool.available == 2
-
-    def test_acquire_overrun_raises(self):
-        pool = CreditPool(1)
-        pool.acquire()
-        with pytest.raises(CxlLinkError):
-            pool.acquire()
-
-    def test_release_overflow_raises(self):
-        pool = CreditPool(2)
-        with pytest.raises(CxlLinkError):
-            pool.release(1)
-
-    def test_backpressure_scenario(self):
-        # device grants 2 credits; host sends 2, blocks, device drains 1
-        pool = CreditPool(2, name="m2s-rwd")
-        pool.acquire()
-        pool.acquire()
-        assert not pool.try_acquire()
-        pool.release()
-        assert pool.try_acquire()
-
-    def test_validation(self):
-        with pytest.raises(CxlLinkError):
-            CreditPool(0)
-        pool = CreditPool(2)
-        with pytest.raises(CxlLinkError):
-            pool.acquire(0)
-        with pytest.raises(CxlLinkError):
-            pool.release(0)

@@ -1,4 +1,4 @@
-"""CXL.mem message validation and the tag allocator."""
+"""CXL.mem message validation."""
 
 import pytest
 
@@ -8,13 +8,7 @@ from repro.cxl.spec import (
     S2MDRSOpcode,
     S2MNDROpcode,
 )
-from repro.cxl.transaction import (
-    M2SReq,
-    M2SRwD,
-    S2MDRS,
-    S2MNDR,
-    TagAllocator,
-)
+from repro.cxl.transaction import M2SReq, M2SRwD, S2MDRS, S2MNDR
 from repro.errors import CxlError
 
 LINE = b"\xab" * 64
@@ -73,49 +67,3 @@ class TestS2M:
     def test_poison_flag(self):
         d = S2MDRS(S2MDRSOpcode.MEM_DATA_NXM, tag=0, data=LINE, poison=True)
         assert d.poison
-
-
-class TestTagAllocator:
-    def test_allocates_distinct_tags(self):
-        alloc = TagAllocator(capacity=8)
-        tags = [alloc.allocate() for _ in range(8)]
-        assert len(set(tags)) == 8
-
-    def test_exhaustion_raises(self):
-        alloc = TagAllocator(capacity=2)
-        alloc.allocate()
-        alloc.allocate()
-        with pytest.raises(CxlError):
-            alloc.allocate()
-
-    def test_retire_frees_capacity(self):
-        alloc = TagAllocator(capacity=1)
-        t = alloc.allocate()
-        alloc.retire(t)
-        assert alloc.allocate() is not None
-
-    def test_retire_unknown_tag_raises(self):
-        alloc = TagAllocator(capacity=4)
-        with pytest.raises(CxlError):
-            alloc.retire(3)
-
-    def test_inflight_accounting(self):
-        alloc = TagAllocator(capacity=4)
-        t = alloc.allocate()
-        assert alloc.inflight == 1 and alloc.available == 3
-        alloc.retire(t)
-        assert alloc.inflight == 0
-
-    def test_no_reuse_while_inflight(self):
-        alloc = TagAllocator(capacity=3)
-        t0 = alloc.allocate()
-        t1 = alloc.allocate()
-        alloc.retire(t0)
-        t2 = alloc.allocate()
-        assert t2 != t1
-
-    def test_capacity_validation(self):
-        with pytest.raises(CxlError):
-            TagAllocator(capacity=0)
-        with pytest.raises(CxlError):
-            TagAllocator(capacity=1 << 17)

@@ -324,6 +324,20 @@ class TestRequestValidation:
         with pytest.raises(BenchmarkError, match="kernel"):
             SweepRequest(kernels=("warp",))
 
+    def test_kernel_names_resolve_as_in_run_all(self):
+        """A request for ``"Triad"`` is the request for ``"triad"``, and
+        is served its bytes."""
+        assert _req(kernels=("Triad",)) == _req()
+
+        async def body(service):
+            mixed = await service.submit(_req(kernels=("Triad",),
+                                              use_cache=False))
+            lower = await service.submit(_req(use_cache=False))
+            return mixed.json, lower.json
+
+        mixed, lower = asyncio.run(_with_service(body))
+        assert mixed == lower
+
     def test_from_doc_rejects_unknown_fields(self):
         with pytest.raises(BenchmarkError, match="unknown"):
             SweepRequest.from_doc({"kernels": ["triad"], "frobnicate": 1})

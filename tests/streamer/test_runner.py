@@ -1,5 +1,7 @@
 """Sweep runner."""
 
+import os
+
 import pytest
 
 from repro.errors import BenchmarkError
@@ -76,8 +78,18 @@ class TestKernelNames:
         assert ran == []
 
     def test_kernel_names_are_case_insensitive(self, runner):
+        """``"Triad"`` is swept and recorded as ``"triad"``."""
         rs = runner.run_group("1a", kernels=("Triad",))
         assert rs.complete and len(rs) == 20
+        assert rs.to_json() == runner.run_group(
+            "1a", kernels=("triad",)).to_json()
+
+    def test_cache_key_is_the_canonical_name(self, tmp_path):
+        cached = StreamerRunner(config=StreamConfig(array_size=10_000),
+                                cache_dir=str(tmp_path))
+        lower = cached.run_all(kernels=("triad",)).to_json()
+        assert cached.run_all(kernels=("TRIAD",)).to_json() == lower
+        assert len(os.listdir(tmp_path)) == 1       # one key, one entry
 
 
 class TestSweepCacheKey:
