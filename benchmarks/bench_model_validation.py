@@ -2,10 +2,12 @@
 
 The figures' credibility rests on the bandwidth model.  This bench runs
 every configuration of the paper's evaluation — single-target BIND
-placements *and* interleaved / weighted multi-target policies — through
-BOTH the closed-form engine and the independent event-driven simulator
-and reports the deviation.  Acceptance: within 5 % everywhere (the DES
-carries the same snoop weighting as the calibrated engine, so the old
+placements, interleaved / weighted multi-target policies and the Optane
+DCPMM baseline, whose asymmetric media is checked under copy as well as
+triad because its capacity depends on the read mix — through BOTH the
+closed-form engine and the independent event-driven simulator and
+reports the deviation.  Acceptance: within 5 % everywhere (the DES reads
+the plan's snoop weighting, clamps and blended capacities, so the old
 DDR4 carve-out is gone).
 
 Output: results/model_validation.txt.
@@ -17,29 +19,42 @@ import pytest
 
 from repro.machine.affinity import place_threads
 from repro.machine.numa import NumaPolicy
-from repro.machine.presets import setup1, setup2
+from repro.machine.presets import setup1, setup1_with_dcpmm, setup2
 from repro.memsim.des import simulate_stream_des
 from repro.memsim.engine import AccessMode, simulate_stream
 from repro.memsim.plan import plan_cache_stats
 
 CONFIGS = [
-    # (label, testbed key, policy, threads, app_direct)
-    ("1a local DDR5 AD", "setup1", NumaPolicy.bind(0), 10, True),
-    ("1b remote DDR5 AD", "setup1", NumaPolicy.bind(1), 10, True),
-    ("1b CXL AD", "setup1", NumaPolicy.bind(2), 10, True),
-    ("2a remote DDR5 NUMA", "setup1", NumaPolicy.bind(1), 10, False),
-    ("2a CXL NUMA", "setup1", NumaPolicy.bind(2), 10, False),
-    ("2a remote DDR4 NUMA", "setup2", NumaPolicy.bind(1), 10, False),
-    ("CXL 1 thread", "setup1", NumaPolicy.bind(2), 1, False),
-    ("CXL 3 threads", "setup1", NumaPolicy.bind(2), 3, False),
-    ("local 1 thread", "setup1", NumaPolicy.bind(0), 1, False),
-    ("local 2 threads", "setup1", NumaPolicy.bind(0), 2, False),
+    # (label, testbed key, policy, threads, app_direct, kernel)
+    ("1a local DDR5 AD", "setup1", NumaPolicy.bind(0), 10, True, "triad"),
+    ("1b remote DDR5 AD", "setup1", NumaPolicy.bind(1), 10, True, "triad"),
+    ("1b CXL AD", "setup1", NumaPolicy.bind(2), 10, True, "triad"),
+    ("2a remote DDR5 NUMA", "setup1", NumaPolicy.bind(1), 10, False,
+     "triad"),
+    ("2a CXL NUMA", "setup1", NumaPolicy.bind(2), 10, False, "triad"),
+    ("2a remote DDR4 NUMA", "setup2", NumaPolicy.bind(1), 10, False,
+     "triad"),
+    ("CXL 1 thread", "setup1", NumaPolicy.bind(2), 1, False, "triad"),
+    ("CXL 3 threads", "setup1", NumaPolicy.bind(2), 3, False, "triad"),
+    ("local 1 thread", "setup1", NumaPolicy.bind(0), 1, False, "triad"),
+    ("local 2 threads", "setup1", NumaPolicy.bind(0), 2, False, "triad"),
     # multi-target policies: until the DES grew split reissue streams
     # these were solver-only; now both models cover them
-    ("il DDR5+CXL", "setup1", NumaPolicy.interleave(0, 2), 10, False),
-    ("il 3-node", "setup1", NumaPolicy.interleave(0, 1, 2), 6, False),
+    ("il DDR5+CXL", "setup1", NumaPolicy.interleave(0, 2), 10, False,
+     "triad"),
+    ("il 3-node", "setup1", NumaPolicy.interleave(0, 1, 2), 6, False,
+     "triad"),
     ("weighted 3:1 DDR5:CXL", "setup1",
-     NumaPolicy.weighted({0: 3, 2: 1}), 10, False),
+     NumaPolicy.weighted({0: 3, 2: 1}), 10, False, "triad"),
+    # the Optane baseline (node 3): asymmetric media blended by the
+    # kernel's read mix, so copy and triad see different capacities
+    *[(f"{label} {kernel}", "setup1_with_dcpmm", policy, 10, app_direct,
+       kernel)
+      for kernel in ("copy", "triad")
+      for label, policy, app_direct in (
+          ("DCPMM NUMA", NumaPolicy.bind(3), False),
+          ("DCPMM AD", NumaPolicy.bind(3), True),
+          ("il DDR5+DCPMM", NumaPolicy.interleave(0, 3), False))],
 ]
 
 #: analytic-vs-DES acceptance tolerance (uniform — see module docstring)
@@ -48,15 +63,16 @@ TOLERANCE = 0.05
 
 def _validate_all(sim_ns: float = 200_000.0) -> dict[str,
                                                      tuple[float, float]]:
-    testbeds = {"setup1": setup1(), "setup2": setup2()}
+    testbeds = {"setup1": setup1(), "setup2": setup2(),
+                "setup1_with_dcpmm": setup1_with_dcpmm()}
     out: dict[str, tuple[float, float]] = {}
-    for label, tb_key, policy, n, app_direct in CONFIGS:
+    for label, tb_key, policy, n, app_direct, kernel in CONFIGS:
         m = testbeds[tb_key].machine
         cores = place_threads(m, n, sockets=[0])
         mode = AccessMode.APP_DIRECT if app_direct else AccessMode.NUMA
-        analytic = simulate_stream(m, "triad", cores, policy,
+        analytic = simulate_stream(m, kernel, cores, policy,
                                    mode).reported_gbps
-        des = simulate_stream_des(m, "triad", cores, policy,
+        des = simulate_stream_des(m, kernel, cores, policy,
                                   app_direct=app_direct,
                                   sim_ns=sim_ns).reported_gbps
         out[label] = (analytic, des)
@@ -67,7 +83,7 @@ def test_model_validation(benchmark, results_dir):
     data = benchmark(_validate_all)
 
     lines = ["=== model cross-validation: analytic vs discrete-event "
-             "(triad, GB/s) ===",
+             "(reported GB/s; triad unless the label names a kernel) ===",
              f"{'configuration':<24}{'analytic':>10}{'DES':>10}{'dev':>8}"]
     worst = 0.0
     for label, (analytic, des) in data.items():

@@ -1,10 +1,11 @@
 """Compiled-kernel tier: detection, tier reporting, warm-up.
 
-The NumPy tiers vectorize the wide regimes; the remaining floor is
+The NumPy tier (the DES's vector engine, :mod:`repro.memsim.des_fast`)
+vectorizes the wide single-route regimes; the remaining floor is
 Python-loop overhead on the *narrow* hot path — the scalar DES event
 loop.  This module adds an optional third ``compiled`` tier behind the
-same ``auto/scalar/vector`` dispatch pattern the NumPy tiers use; its
-one kernel family is :mod:`repro.memsim.des_jit` (``"des"``).
+DES's ``auto/scalar/vector`` dispatch; its one kernel family is
+:mod:`repro.memsim.des_jit` (``"des"``).
 Full-system CXL simulators (CXL-DMSim, CXL-ClusterSim) run compiled
 event cores for exactly this reason; here the compiled tier is strictly
 optional and the pure-Python / NumPy backends remain the
@@ -20,10 +21,10 @@ a small hand-built setup; a missing compiler, a failed build or a
 mismatch leaves the family on the interpreted tiers.  Nothing in the
 library ever *requires* the compiled tier.
 
-Each subsystem pins a tier per call (``des_backend=``, ``backend=``);
-there is no process-wide force.  Each dispatch decision is reported
-through :func:`report_tier`: gauge ``dispatch.tier.<subsystem>`` holds
-the numeric tier (0=scalar, 1=vector, 2=compiled) and :func:`selected`
+The DES pins a tier per call (``des_backend=``); there is no
+process-wide force.  Each dispatch decision is reported through
+:func:`report_tier`: gauge ``dispatch.tier.<subsystem>`` holds the
+numeric tier (0=scalar, 1=vector, 2=compiled) and :func:`selected`
 returns the latest choice per subsystem for tests and reports.
 
 Setting ``REPRO_NO_COMPILED=1`` disables provider detection outright —

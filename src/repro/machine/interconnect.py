@@ -42,7 +42,7 @@ class UpiLink:
             remote stream bandwidth is limited by the home-agent / snoop
             pipeline, not the wire; the value is calibrated against measured
             cross-socket STREAM numbers (see
-            :mod:`repro.memsim.calibration`).
+            :mod:`repro.calibration`).
         hop_latency_ns: latency added by crossing this connection.
     """
 

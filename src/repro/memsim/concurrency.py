@@ -15,23 +15,16 @@ from repro import units
 from repro.errors import SimulationError
 from repro.machine.topology import Core
 
+#: Effective multiplier on the architectural LFB count: L2 hardware
+#: prefetchers keep extra lines in flight, so real cores sustain more MLP
+#: than their LFB count suggests.
+PREFETCH_BOOST = 1.6
 
-def thread_bandwidth_cap(core: Core, latency_ns: float,
-                         smt_sharers: int = 1,
-                         prefetch_boost: float = 1.6) -> float:
-    """Maximum actual-traffic bandwidth (GB/s) one thread can demand.
 
-    Args:
-        core: the core the thread is pinned to.
-        latency_ns: composed access latency of the thread's memory path.
-        smt_sharers: threads currently sharing this core's fill buffers.
-        prefetch_boost: effective multiplier on the architectural LFB count
-            from L2 hardware prefetchers keeping extra lines in flight
-            (real cores sustain more MLP than their LFB count suggests).
-
-    Raises:
-        SimulationError: nonsensical inputs.
-    """
+def inflight_entries(core: Core, smt_sharers: int) -> float:
+    """Cacheline misses one thread keeps in flight while ``smt_sharers``
+    threads (1 to ``core.smt``, else SimulationError) share the core's
+    fill buffers."""
     if smt_sharers < 1:
         raise SimulationError(f"smt_sharers must be >= 1, got {smt_sharers}")
     if smt_sharers > core.smt:
@@ -39,9 +32,22 @@ def thread_bandwidth_cap(core: Core, latency_ns: float,
             f"core {core.core_id} supports {core.smt} SMT threads, "
             f"got {smt_sharers}"
         )
+    return core.lfb_entries * PREFETCH_BOOST / smt_sharers
+
+
+def thread_bandwidth_cap(core: Core, latency_ns: float,
+                         smt_sharers: int = 1) -> float:
+    """Maximum actual-traffic bandwidth (GB/s) one thread can demand.
+
+    Args:
+        core: the core the thread is pinned to.
+        latency_ns: composed access latency of the thread's memory path.
+        smt_sharers: threads currently sharing this core's fill buffers.
+
+    Raises:
+        SimulationError: nonsensical inputs.
+    """
+    entries = inflight_entries(core, smt_sharers)
     if latency_ns <= 0:
         raise SimulationError(f"latency must be positive, got {latency_ns}")
-    if prefetch_boost <= 0:
-        raise SimulationError("prefetch_boost must be positive")
-    effective_entries = core.lfb_entries * prefetch_boost / smt_sharers
-    return units.bw_from_concurrency(effective_entries, latency_ns)
+    return units.bw_from_concurrency(entries, latency_ns)

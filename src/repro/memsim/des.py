@@ -6,9 +6,12 @@ module reaches the same quantities by *simulation*: threads are
 closed-loop request generators with a bounded number of outstanding
 cacheline requests; every resource on a path is a FIFO service station
 whose service time per line is ``64 B / capacity``; requests carry the
-path's fixed propagation latency.  Nothing is shared with the analytic
-code except the topology — which is the point: when both models agree,
-the curves in Figures 5–8 are not an artifact of either formulation.
+path's fixed propagation latency.  The DES reads the plan's inputs
+(:mod:`repro.memsim.plan`: calibration, routes, clamps, occupancy
+weights, capacities; the in-flight window of
+:mod:`repro.memsim.concurrency`) but shares no mechanism with the
+solver: when both models agree, the curves in Figures 5–8 are not an
+artifact of either formulation.
 
 The DES reproduces, from first principles:
 
@@ -17,11 +20,12 @@ The DES reproduces, from first principles:
 * fair sharing among symmetric threads, and bottleneck-dependent sharing
   for heterogeneous mixes (FIFO approximates max-min);
 * the calibrated refinements: multi-target (interleaved / weighted)
-  policies, the 1.15× remote-snoop occupancy on UPI-crossing streams,
-  and the home-agent ``snoop_caps`` clamp on mixed local+remote
-  controllers.
+  policies, the remote-snoop occupancy on UPI-crossing streams, the
+  home-agent clamp on mixed local+remote controllers, and asymmetric
+  media (Optane DCPMM) blended by the kernel's read mix.
 
-Three backends produce *identical* results (``des_backend=``):
+``des_backend=`` selects one of three engines, which produce *identical*
+results, or lets ``"auto"`` choose:
 
 * ``"scalar"`` — the reference heapq event loop, one event at a time;
 * ``"vector"`` — :mod:`repro.memsim.des_fast`, which advances the whole
@@ -55,12 +59,14 @@ from typing import Sequence
 import numpy as np
 
 from repro import compiled, obs
-from repro.calibration import DEFAULT_CALIBRATION, CalibrationProfile
 from repro.errors import SimulationError
 from repro.machine.numa import NumaPolicy
 from repro.machine.topology import Core, Machine
+from repro.memsim.concurrency import inflight_entries
 from repro.memsim.latency import path_latency_ns
-from repro.memsim.traffic import reported_fraction
+from repro.memsim.plan import (machine_calibration, occupancy,
+                               resolve_routes, stream_capacities)
+from repro.memsim.traffic import kernel, reported_fraction
 from repro.units import CACHELINE
 
 #: simulated line size (bytes) — one CXL.mem / DDR burst
@@ -189,11 +195,6 @@ class DesResult:
     total_outstanding: int = 0
 
 
-def _effective_mlp(core: Core, smt_sharers: int,
-                   prefetch_boost: float = 1.6) -> int:
-    return max(1, round(core.lfb_entries * prefetch_boost / smt_sharers))
-
-
 def _build_setup(machine: Machine, kernel_name: str,
                  placement: Sequence[Core], policy: NumaPolicy,
                  app_direct: bool, sim_ns: float,
@@ -202,67 +203,25 @@ def _build_setup(machine: Machine, kernel_name: str,
         raise SimulationError("placement must contain at least one thread")
     if warmup_ns >= sim_ns:
         raise SimulationError("warmup must be shorter than the simulation")
-    cal = machine.metadata.get("calibration", DEFAULT_CALIBRATION)
-    if not isinstance(cal, CalibrationProfile):
-        cal = DEFAULT_CALIBRATION
+    cal = machine_calibration(machine)
+    threads, clamps = resolve_routes(machine, placement, policy, cal)
+    caps = stream_capacities(machine, kernel(kernel_name).read_fraction(),
+                             clamps)
 
-    smt: dict[int, int] = {}
-    for core in placement:
-        smt[core.core_id] = smt.get(core.core_id, 0) + 1
-
-    # Pass 1: resolve routes; find which socket controllers see both local
-    # and UPI-crossing initiators (the snoop-clamp condition, mirroring
-    # SimulationPlan.snoop_clamps).
-    thread_routes = []
-    mc_initiators: dict[str, set[bool]] = {}
-    for core in placement:
-        targets = policy.targets_for(machine, core)
-        routes = []
-        for node_id, frac in targets.items():
-            if frac <= 0.0:
-                continue
-            path = machine.route(core.socket_id, node_id)
-            routes.append((frac, path))
-            for res in path.resources:
-                if res.endswith(".mc") and res.startswith("s"):
-                    mc_initiators.setdefault(res, set()).add(path.crosses_upi)
-        if not routes:
-            raise SimulationError(
-                f"policy {policy.describe()} yields no targets for "
-                f"core {core.core_id}"
-            )
-        thread_routes.append(routes)
-    clamps = {res: clamp for res, clamp in cal.snoop_caps.items()
-              if len(mc_initiators.get(res, ())) == 2}
-
-    # Pass 2: build stations and per-(thread, route) flows in ticks.
+    # Stations and per-(thread, route) flows, in ticks.
     station_index: dict[str, int] = {}
-    station_names: list[str] = []
-    station_caps: list[float] = []
     flows: list[_Flow] = []
     thread_flows: list[tuple[int, ...]] = []
     thread_fracs: list[tuple[float, ...] | None] = []
     mlp: list[int] = []
-    for i, (core, routes) in enumerate(zip(placement, thread_routes)):
+    for i, (core, sharers, routes) in enumerate(threads):
         ids = []
         for _, path in routes:
             st_ids, svc = [], []
-            for res in path.resources:
-                idx = station_index.get(res)
-                if idx is None:
-                    idx = station_index[res] = len(station_names)
-                    station_names.append(res)
-                    cap = machine.resources[res]
-                    station_caps.append(min(cap, clamps.get(res, cap)))
-                service_ns = LINE / station_caps[idx]
-                if (path.crosses_upi and not path.crosses_cxl
-                        and res.endswith(".mc")):
-                    # UPI-crossing streams occupy the home controller
-                    # longer (directory/snoop amplification) — the same
-                    # remote_mc_weight the analytic solver applies.
-                    service_ns *= cal.remote_mc_weight
-                st_ids.append(idx)
-                svc.append(_ticks(service_ns))
+            for res, weight in zip(path.resources, occupancy(path, cal)):
+                st_ids.append(station_index.setdefault(res,
+                                                       len(station_index)))
+                svc.append(_ticks(LINE / caps[res] * weight))
             total_svc = sum(svc)
             fixed = max(0, _ticks(path_latency_ns(path, app_direct, cal))
                         - total_svc)
@@ -274,10 +233,10 @@ def _build_setup(machine: Machine, kernel_name: str,
         thread_flows.append(tuple(ids))
         thread_fracs.append(tuple(f for f, _ in routes)
                             if len(ids) > 1 else None)
-        mlp.append(_effective_mlp(core, smt[core.core_id]))
+        mlp.append(max(1, round(inflight_entries(core, sharers))))
 
     return _Setup(
-        station_names=station_names,
+        station_names=list(station_index),
         flows=flows,
         thread_flows=thread_flows,
         thread_fracs=thread_fracs,
@@ -408,24 +367,17 @@ def simulate_stream_des(machine: Machine, kernel_name: str,
     Supports every policy the analytic engine does — single-target BIND /
     LOCAL, and multi-target INTERLEAVE / WEIGHTED (each thread's reissue
     stream is split across its routes by a deterministic weighted
-    round-robin) — with the calibrated snoop weighting and home-agent
-    clamps applied, so the DES validates the *calibrated* engine, not
-    just the core mechanics.
+    round-robin) — on the plan's calibrated routes, occupancy weights,
+    clamps and per-kernel capacities, so the DES validates the
+    *calibrated* engine, not just the core mechanics.
 
-    ``des_backend`` selects the engine: ``"scalar"`` (reference event
-    loop), ``"vector"`` (batched NumPy epochs, single-route setups
-    only), ``"compiled"`` (the C event loop of
-    :mod:`repro.memsim.des_jit`, silently degrading to ``"scalar"`` when
-    it is unavailable), or ``"auto"`` — vector for a single-route setup
-    whose closed-loop window holds ≥ :data:`DES_VECTORIZE_THRESHOLD`
-    requests, or for any single-route setup when the compiled loop is
-    unavailable; the compiled event loop otherwise.  All backends
-    return identical results.
+    ``des_backend`` picks the engine as the module docstring sets out;
+    all backends return identical results.
 
     Raises:
-        SimulationError: empty placement, no usable targets, warmup not
-            shorter than the simulation, an unknown backend, or
-            ``"vector"`` for a multi-target (interleaved / weighted)
+        SimulationError: empty placement, a bad calibration object,
+            warmup not shorter than the simulation, an unknown backend,
+            or ``"vector"`` for a multi-target (interleaved / weighted)
             policy.
     """
     if des_backend not in DES_BACKENDS:

@@ -7,6 +7,11 @@ caps, build the flow usage maps, validate capacities) and the cheap,
 *kernel-dependent* part (blend asymmetric-media capacity for the kernel's
 read/write mix, solve, convert to the STREAM-reported figure).
 
+The per-thread memory path is stated once here, and the discrete-event
+cross-check (:mod:`repro.memsim.des`) reads it too:
+:func:`machine_calibration`, :func:`resolve_routes`, :func:`occupancy`
+and :func:`stream_capacities`.
+
 A :class:`SimulationPlan` captures the kernel-independent part once.
 :func:`simulation_plan` memoizes plans in a process-wide LRU keyed by
 ``(machine identity+version, placement, policy, mode, array_elements)``,
@@ -24,11 +29,13 @@ cached plans.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable, Hashable, Mapping, Sequence
+from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
 
+from repro.calibration import DEFAULT_CALIBRATION, CalibrationProfile
 from repro.errors import SimulationError
+from repro.machine.affinity import describe_placement, smt_load
 from repro.machine.numa import NumaPolicy
-from repro.machine.topology import Core, Machine
+from repro.machine.topology import AccessPath, Core, Machine
 from repro.memsim.bwmodel import Flow, FlowAllocation, solve_max_min
 from repro.memsim.concurrency import thread_bandwidth_cap
 from repro.memsim.latency import path_latency_ns, weighted_latency_ns
@@ -43,6 +50,73 @@ N_ARRAYS = 3
 PLAN_CACHE_MAXSIZE = 256
 
 
+def machine_calibration(machine: Machine) -> CalibrationProfile:
+    """The machine's calibration profile (the default when it has none);
+    anything else under ``metadata["calibration"]`` is a SimulationError."""
+    cal = machine.metadata.get("calibration", DEFAULT_CALIBRATION)
+    if not isinstance(cal, CalibrationProfile):
+        raise SimulationError(
+            f"machine {machine.name} carries a bad calibration object"
+        )
+    return cal
+
+
+def resolve_routes(machine: Machine, placement: Sequence[Core],
+                   policy: NumaPolicy, cal: CalibrationProfile):
+    """Every thread's memory path, and the home-agent clamps they trigger.
+
+    Returns ``(threads, clamps)``: one ``(core, smt_sharers, routes)`` per
+    thread, ``routes`` being its ``(traffic fraction, path)`` pairs, and
+    the calibrated ``snoop_caps`` of every socket memory controller that
+    serves local and UPI-crossing streams at once.
+    """
+    sharers = smt_load(placement)
+    threads = []
+    by_socket: dict[int, list[tuple[float, AccessPath]]] = {}
+    initiators: dict[str, set[bool]] = {}  # socket mc -> {crosses_upi}
+    for core in placement:
+        routes = by_socket.get(core.socket_id)
+        if routes is None:  # a policy resolves per socket, not per core
+            routes = by_socket[core.socket_id] = []
+            for node_id, frac in policy.targets_for(machine, core).items():
+                path = machine.route(core.socket_id, node_id)
+                routes.append((frac, path))
+                for res in path.resources:
+                    if res.endswith(".mc") and res.startswith("s"):
+                        initiators.setdefault(res, set()).add(
+                            path.crosses_upi)
+        threads.append((core, sharers[core.core_id], routes))
+    clamps = {res: clamp for res, clamp in cal.snoop_caps.items()
+              if len(initiators.get(res, ())) == 2}
+    return threads, clamps
+
+
+def occupancy(path: AccessPath, cal: CalibrationProfile) -> tuple[float, ...]:
+    """Per-line occupancy weight of each resource on ``path``, in order.
+
+    A UPI-crossing stream to socket DRAM holds the home controller
+    ``remote_mc_weight`` times longer (directory/snoop amplification);
+    every other hop counts once.
+    """
+    if path.crosses_upi and not path.crosses_cxl:
+        return tuple(cal.remote_mc_weight if res.endswith(".mc") else 1.0
+                     for res in path.resources)
+    return (1.0,) * len(path.resources)
+
+
+def stream_capacities(machine: Machine, read_fraction: float,
+                      clamps: Mapping[str, float]) -> dict[str, float]:
+    """The resource capacities one kernel sees: the machine's resources,
+    asymmetric media blended by the kernel's read fraction, then
+    ``clamps``."""
+    caps = dict(machine.resources)
+    for res, mc in machine.asymmetric_resources.items():
+        caps[res] = mc.blended_stream_gbps(read_fraction)
+    for res, clamp in clamps.items():
+        caps[res] = min(caps[res], clamp)
+    return caps
+
+
 class SimulationPlan:
     """Everything about one (machine, placement, policy, mode) that does
     not depend on the STREAM kernel being timed.
@@ -53,7 +127,8 @@ class SimulationPlan:
         placement_desc: human-readable placement summary.
         cache_resident: the working set fits every in-use socket's LLC.
         flows: per-thread :class:`Flow` objects (usage maps + caps).
-        base_capacities: resource capacities before per-kernel blending.
+        llc_capacities: the shared LLCs' capacities when cache-resident
+            (empty otherwise).
         snoop_clamps: home-agent clamps that apply to this placement
             (controller serves flows from both sockets at once).
     """
@@ -61,7 +136,6 @@ class SimulationPlan:
     def __init__(self, machine: Machine, placement: tuple[Core, ...],
                  policy: NumaPolicy, mode: "AccessMode",
                  array_elements: int) -> None:
-        from repro.machine.affinity import describe_placement
         from repro.memsim.engine import AccessMode
         from repro.memsim.traffic import ELEMENT_BYTES
 
@@ -77,13 +151,9 @@ class SimulationPlan:
         self.n_threads = len(placement)
         self._alloc_memo: dict[Hashable, FlowAllocation] = {}
 
-        cal = _calibration(machine)
+        cal = machine_calibration(machine)
         self.calibration = cal
         app_direct = mode is AccessMode.APP_DIRECT
-
-        sharers: dict[int, int] = {}
-        for core in placement:
-            sharers[core.core_id] = sharers.get(core.core_id, 0) + 1
 
         ws_bytes = N_ARRAYS * array_elements * ELEMENT_BYTES
         sockets_in_use = {c.socket_id for c in placement}
@@ -93,17 +163,16 @@ class SimulationPlan:
         )
 
         flows: list[Flow] = []
-        capacities: dict[str, float]
-        snoop_clamps: dict[str, float] = {}
+        self.llc_capacities: dict[str, float] = {}
+        self.snoop_clamps: dict[str, float] = {}
 
         if self.cache_resident:
             # All arrays fit in the LLC: bandwidth comes from the caches.
-            capacities = {}
+            sharers = smt_load(placement)
             for i, core in enumerate(placement):
-                sock = machine.socket(core.socket_id)
-                llc = sock.caches.llc
+                llc = machine.socket(core.socket_id).caches.llc
                 res = f"s{core.socket_id}.llc"
-                capacities.setdefault(res, llc.bandwidth_gbps)
+                self.llc_capacities.setdefault(res, llc.bandwidth_gbps)
                 latency = llc.latency_ns + (
                     cal.pmdk_latency_ns if app_direct else 0.0
                 )
@@ -112,54 +181,32 @@ class SimulationPlan:
                 flows.append(Flow(f"t{i}@s{core.socket_id}c{core.core_id}",
                                   {res: 1.0}, cap))
         else:
-            capacities = dict(machine.resources)
-            mc_initiators: dict[str, set[bool]] = {}  # mc res -> {is_remote}
-
-            for i, core in enumerate(placement):
-                targets = policy.targets_for(machine, core)
-                _validate_capacity(machine, targets, ws_bytes)
-
+            threads, self.snoop_clamps = resolve_routes(machine, placement,
+                                                        policy, cal)
+            for i, (core, sharers, routes) in enumerate(threads):
+                _validate_capacity(machine, routes, ws_bytes)
                 usage: dict[str, float] = {}
                 lat_parts: list[tuple[float, float]] = []
-                for node_id, frac in targets.items():
-                    path = machine.route(core.socket_id, node_id)
+                for frac, path in routes:
                     lat_parts.append(
                         (frac, path_latency_ns(path, app_direct, cal)))
-                    for res in path.resources:
-                        weight = frac
-                        if (path.crosses_upi and not path.crosses_cxl
-                                and res.endswith(".mc")):
-                            weight *= cal.remote_mc_weight
-                        usage[res] = usage.get(res, 0.0) + weight
-                        if res.endswith(".mc") and res.startswith("s"):
-                            mc_initiators.setdefault(res, set()).add(
-                                path.crosses_upi)
-
-                latency = weighted_latency_ns(lat_parts)
-                cap = thread_bandwidth_cap(core, latency,
-                                           sharers[core.core_id])
+                    for res, weight in zip(path.resources,
+                                           occupancy(path, cal)):
+                        usage[res] = usage.get(res, 0.0) + frac * weight
+                cap = thread_bandwidth_cap(
+                    core, weighted_latency_ns(lat_parts), sharers)
                 flows.append(Flow(f"t{i}@s{core.socket_id}c{core.core_id}",
                                   usage, cap))
 
-            # Home-agent clamp: mixed local+remote streams on one controller.
-            for res, clamp in cal.snoop_caps.items():
-                kinds = mc_initiators.get(res)
-                if kinds and len(kinds) == 2 and res in capacities:
-                    snoop_clamps[res] = clamp
-
         self.flows: tuple[Flow, ...] = tuple(flows)
-        self.base_capacities: dict[str, float] = capacities
-        self.snoop_clamps: dict[str, float] = snoop_clamps
 
     def capacities_for(self, read_fraction: float) -> dict[str, float]:
-        """Per-kernel capacities: asymmetric blend, then snoop clamps."""
-        caps = dict(self.base_capacities)
-        if not self.cache_resident:
-            for res, mc in self.machine.asymmetric_resources.items():
-                caps[res] = mc.blended_stream_gbps(read_fraction)
-        for res, clamp in self.snoop_clamps.items():
-            caps[res] = min(caps[res], clamp)
-        return caps
+        """Per-kernel capacities: the LLCs when cache-resident, else
+        :func:`stream_capacities` under this placement's snoop clamps."""
+        if self.cache_resident:
+            return dict(self.llc_capacities)
+        return stream_capacities(self.machine, read_fraction,
+                                 self.snoop_clamps)
 
     def solve(self, read_fraction: float) -> FlowAllocation:
         """Max-min solve for a kernel's read/write mix, memoized.
@@ -179,24 +226,15 @@ class SimulationPlan:
         return alloc
 
 
-def _calibration(machine: Machine):
-    from repro.calibration import DEFAULT_CALIBRATION, CalibrationProfile
-    cal = machine.metadata.get("calibration", DEFAULT_CALIBRATION)
-    if not isinstance(cal, CalibrationProfile):
-        raise SimulationError(
-            f"machine {machine.name} carries a bad calibration object"
-        )
-    return cal
-
-
-def _validate_capacity(machine: Machine, targets: Mapping[int, float],
+def _validate_capacity(machine: Machine,
+                       routes: Sequence[tuple[float, AccessPath]],
                        ws_bytes: int) -> None:
-    for node_id, frac in targets.items():
-        node = machine.node(node_id)
+    for frac, path in routes:
+        node = machine.node(path.node_id)
         if ws_bytes * frac > node.capacity_bytes:
             raise SimulationError(
                 f"working set share {ws_bytes * frac / 1e9:.1f} GB exceeds "
-                f"node{node_id} capacity {node.capacity_bytes / 1e9:.1f} GB"
+                f"node{path.node_id} capacity {node.capacity_bytes / 1e9:.1f} GB"
             )
 
 

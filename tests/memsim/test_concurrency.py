@@ -27,11 +27,6 @@ class TestCap:
         assert (thread_bandwidth_cap(spr, 100.0)
                 > thread_bandwidth_cap(gold, 100.0))
 
-    def test_prefetch_boost_scales(self):
-        no_boost = thread_bandwidth_cap(CORE, 100.0, prefetch_boost=1.0)
-        boosted = thread_bandwidth_cap(CORE, 100.0, prefetch_boost=2.0)
-        assert boosted == pytest.approx(2 * no_boost)
-
     def test_single_thread_cannot_saturate_a_dimm(self):
         # the core mechanism behind STREAM's thread scaling: one SPR
         # thread against local DDR5 stays well under the 33 GB/s channel
@@ -55,7 +50,3 @@ class TestValidation:
             thread_bandwidth_cap(CORE, 100.0, smt_sharers=0)
         with pytest.raises(SimulationError):
             thread_bandwidth_cap(CORE, 100.0, smt_sharers=3)
-
-    def test_bad_boost_rejected(self):
-        with pytest.raises(SimulationError):
-            thread_bandwidth_cap(CORE, 100.0, prefetch_boost=0.0)

@@ -2,22 +2,33 @@
 
 import pytest
 
+from repro import compiled
 from repro.errors import SimulationError
 from repro.machine.affinity import place_threads
 from repro.machine.numa import NumaPolicy
-from repro.memsim.des import simulate_stream_des
+from repro.machine.presets import setup1, setup1_with_dcpmm
+from repro.memsim import des_jit
+from repro.memsim.concurrency import PREFETCH_BOOST
+from repro.memsim.des import DES_VECTORIZE_THRESHOLD, simulate_stream_des
 from repro.memsim.engine import AccessMode, simulate_stream
 
 
-def _both(tb, node, n, kernel="triad", app_direct=False, sockets=(0,)):
+def _both(tb, node, n, kernel="triad", app_direct=False, sockets=(0,),
+          policy=None):
     m = tb.machine
     cores = place_threads(m, n, sockets=list(sockets))
     mode = AccessMode.APP_DIRECT if app_direct else AccessMode.NUMA
-    analytic = simulate_stream(m, kernel, cores, NumaPolicy.bind(node),
-                               mode).reported_gbps
-    des = simulate_stream_des(m, kernel, cores, NumaPolicy.bind(node),
+    policy = policy or NumaPolicy.bind(node)
+    analytic = simulate_stream(m, kernel, cores, policy, mode).reported_gbps
+    des = simulate_stream_des(m, kernel, cores, policy,
                               app_direct=app_direct).reported_gbps
     return analytic, des
+
+
+@pytest.fixture(scope="module")
+def tb_dcpmm():
+    """Setup #1 plus the emulated Optane DCPMM node 3."""
+    return setup1_with_dcpmm()
 
 
 class TestAgreementWithAnalyticModel:
@@ -60,6 +71,22 @@ class TestAgreementWithAnalyticModel:
         des = simulate_stream_des(m, "triad", cores, policy).reported_gbps
         assert des == pytest.approx(analytic, rel=0.05)
 
+    @pytest.mark.parametrize("kernel", ["copy", "triad"])
+    @pytest.mark.parametrize("policy,n,app_direct", [
+        (NumaPolicy.bind(3), 2, False), (NumaPolicy.bind(3), 10, False),
+        (NumaPolicy.bind(3), 2, True), (NumaPolicy.bind(3), 10, True),
+        (NumaPolicy.interleave(0, 3), 10, False),
+    ], ids=["bind3-t2", "bind3-t10", "bind3-t2-ad", "bind3-t10-ad",
+            "il03-t10"])
+    def test_dcpmm_baseline_agrees(self, tb_dcpmm, kernel, policy, n,
+                                   app_direct):
+        """The Optane baseline's asymmetric media: both models blend its
+        read and write rates by the kernel's read mix, so copy and triad
+        land on the same figures."""
+        analytic, des = _both(tb_dcpmm, None, n, kernel=kernel,
+                              app_direct=app_direct, policy=policy)
+        assert des == pytest.approx(analytic, rel=0.05)
+
 
 class TestDesMechanics:
     def test_concurrency_limited_regime(self, tb1):
@@ -68,7 +95,7 @@ class TestDesMechanics:
         cores = place_threads(m, 1, sockets=[0])
         r = simulate_stream_des(m, "triad", cores, NumaPolicy.bind(2))
         latency = m.route(0, 2).latency_ns
-        expected = round(16 * 1.6) * 64 / latency
+        expected = round(16 * PREFETCH_BOOST) * 64 / latency
         assert r.actual_gbps == pytest.approx(expected, rel=0.10)
 
     def test_saturation_pins_bottleneck_utilization(self, tb1):
@@ -117,21 +144,25 @@ class TestDesMechanics:
                                         des_backend=backend)
                 assert r.total_issued == (r.total_completed
                                           + r.total_outstanding)
-                assert r.total_outstanding == n * round(16 * 1.6)
+                assert r.total_outstanding == n * round(16 * PREFETCH_BOOST)
 
     def test_backend_dispatch_and_equivalence(self, tb1):
-        """auto uses the vector backend at/above the request-count
-        threshold and the scalar oracle below; both agree exactly."""
+        """On a single route, auto uses the vector backend once the primed
+        window reaches DES_VECTORIZE_THRESHOLD requests and the compiled
+        loop (vector without a C compiler) below it; all agree exactly."""
         m = tb1.machine
-        small = place_threads(m, 1, sockets=[0])    # 26 requests < 64
-        large = place_threads(m, 4, sockets=[0])    # 104 requests >= 64
-        for cores in (small, large):
-            results = {
-                backend: simulate_stream_des(m, "triad", cores,
-                                             NumaPolicy.bind(2),
-                                             des_backend=backend)
-                for backend in ("auto", "scalar", "vector")
-            }
+        below = "compiled" if des_jit.available() else "vector"
+        small = place_threads(m, 1, sockets=[0])    # 26 requests
+        large = place_threads(m, 5, sockets=[0])    # 130 requests
+        assert 26 < DES_VECTORIZE_THRESHOLD <= 130
+        for cores, expected in ((small, below), (large, "vector")):
+            results = {}
+            for backend in ("auto", "scalar", "vector"):
+                results[backend] = simulate_stream_des(
+                    m, "triad", cores, NumaPolicy.bind(2),
+                    des_backend=backend)
+                if backend == "auto":
+                    assert compiled.selected()["des"] == expected
             assert results["scalar"] == results["vector"]
             assert results["auto"] == results["scalar"]
 
@@ -146,6 +177,28 @@ class TestDesMechanics:
         with pytest.raises(SimulationError):
             simulate_stream_des(m, "triad", cores, NumaPolicy.bind(0),
                                 des_backend="simd")
+
+    def test_oversubscribed_core_rejected(self, tb1):
+        """Three threads on one 2-way SMT core fail in the DES as they do
+        in the analytic engine (one in-flight rule serves both)."""
+        m = tb1.machine
+        core = m.socket(0).cores[0]
+        placement = [core] * (core.smt + 1)
+        with pytest.raises(SimulationError):
+            simulate_stream(m, "triad", placement, NumaPolicy.bind(0))
+        with pytest.raises(SimulationError):
+            simulate_stream_des(m, "triad", placement, NumaPolicy.bind(0))
+
+    def test_bad_calibration_rejected(self):
+        """A machine carrying something other than a CalibrationProfile
+        fails in the DES as it does in the analytic engine."""
+        m = setup1().machine
+        m.metadata["calibration"] = "bogus"
+        cores = place_threads(m, 2, sockets=[0])
+        with pytest.raises(SimulationError):
+            simulate_stream(m, "triad", cores, NumaPolicy.bind(0))
+        with pytest.raises(SimulationError):
+            simulate_stream_des(m, "triad", cores, NumaPolicy.bind(0))
 
     def test_longer_simulation_converges(self, tb1):
         m = tb1.machine
@@ -191,7 +244,7 @@ class TestLoadedLatency:
         m = tb1.machine
         cores = place_threads(m, 6, sockets=[0])
         r = simulate_stream_des(m, "triad", cores, NumaPolicy.bind(2))
-        mlp = round(16 * 1.6)
+        mlp = round(16 * PREFETCH_BOOST)
         outstanding = 6 * mlp
         predicted = outstanding * 64 / r.mean_latency_ns
         assert r.actual_gbps == pytest.approx(predicted, rel=0.05)
