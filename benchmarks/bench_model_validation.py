@@ -22,7 +22,6 @@ from repro.machine.numa import NumaPolicy
 from repro.machine.presets import setup1, setup1_with_dcpmm, setup2
 from repro.memsim.des import simulate_stream_des
 from repro.memsim.engine import AccessMode, simulate_stream
-from repro.memsim.plan import plan_cache_stats
 
 CONFIGS = [
     # (label, testbed key, policy, threads, app_direct, kernel)
@@ -92,9 +91,6 @@ def test_model_validation(benchmark, results_dir):
         lines.append(f"{label:<24}{analytic:>10.2f}{des:>10.2f}"
                      f"{dev:>7.1%}")
     lines.append(f"worst-case deviation: {worst:.1%}")
-    stats = plan_cache_stats()
-    lines.append(f"plan cache: {stats['hits']} hits / "
-                 f"{stats['misses']} misses ({stats['size']} plans)")
     with open(os.path.join(results_dir, "model_validation.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -27,9 +27,25 @@ from repro.cxl.device import Type3Device
 from repro.cxl.enumeration import CxlEndpointInfo, enumerate_endpoints
 from repro.cxl.mailbox import MailboxOpcode
 from repro.cxl.port import HostBridge
+from repro.cxl.switch import take_extent
 from repro.errors import CxlError, PersistenceDomainError
 
 _ALIGN = 1 << 20     # namespaces are MiB-aligned
+
+
+def _gaps(dev: Type3Device,
+          labels: list[NamespaceLabel]) -> list[tuple[int, int]]:
+    """The persistent partition's free ``(base, size)`` extents between
+    ``labels``, each MiB-aligned at its base (DPA 0 is kept clear)."""
+    gaps: list[tuple[int, int]] = []
+    cursor = max(dev.persistent_base_dpa, _ALIGN)
+    for lo, hi in sorted((lb.base_dpa, lb.base_dpa + lb.size)
+                         for lb in labels) + [(dev.capacity_bytes, 0)]:
+        cursor = (cursor + _ALIGN - 1) // _ALIGN * _ALIGN
+        if lo > cursor:
+            gaps.append((cursor, lo - cursor))
+        cursor = max(cursor, hi)
+    return gaps
 
 
 class CxlPmemRuntime:
@@ -112,7 +128,7 @@ class CxlPmemRuntime:
         if size <= 0:
             raise CxlError("namespace size must be positive")
         size = (size + _ALIGN - 1) // _ALIGN * _ALIGN
-        if not (dev.battery_backed or dev.gpf_supported):
+        if not dev.persistence_guaranteed:
             raise PersistenceDomainError(
                 f"device {dev.name} has neither battery backing nor GPF; "
                 "it cannot host persistent namespaces"
@@ -121,30 +137,15 @@ class CxlPmemRuntime:
         if any(lb.name == name for lb in labels):
             raise CxlError(f"namespace {name!r} already exists on {dev.name}")
 
-        base = self._first_fit(dev, labels, size)
+        base = take_extent(_gaps(dev, labels), size)
+        if base is None:
+            raise PersistenceDomainError(
+                f"persistent partition of {dev.name} cannot fit {size} "
+                f"bytes (capacity {dev.capacity_bytes:#x})"
+            )
         label = NamespaceLabel(name, base, size)
         write_labels(dev, labels + [label])
         return CxlPmemNamespace(dev, label)
-
-    @staticmethod
-    def _first_fit(dev: Type3Device, labels: list[NamespaceLabel],
-                   size: int) -> int:
-        start = max(dev.persistent_base_dpa, _ALIGN)  # keep DPA 0 clear
-        start = (start + _ALIGN - 1) // _ALIGN * _ALIGN
-        end = dev.capacity_bytes
-        taken = sorted((lb.base_dpa, lb.base_dpa + lb.size) for lb in labels)
-        cursor = start
-        for lo, hi in taken:
-            if cursor + size <= lo:
-                return cursor
-            cursor = max(cursor, hi)
-            cursor = (cursor + _ALIGN - 1) // _ALIGN * _ALIGN
-        if cursor + size <= end:
-            return cursor
-        raise PersistenceDomainError(
-            f"persistent partition of {dev.name} cannot fit {size} bytes "
-            f"(cursor at {cursor:#x}, capacity {end:#x})"
-        )
 
     def open_namespace(self, device: Type3Device | str,
                        name: str) -> CxlPmemNamespace:

@@ -371,6 +371,10 @@ def simulate_stream_des(machine: Machine, kernel_name: str,
     clamps and per-kernel capacities, so the DES validates the
     *calibrated* engine, not just the core mechanics.
 
+    It takes no array size: it models only traffic that misses the LLC,
+    so a cache-resident :func:`~repro.memsim.engine.simulate_stream`
+    figure has no DES counterpart.
+
     ``des_backend`` picks the engine as the module docstring sets out;
     all backends return identical results.
 

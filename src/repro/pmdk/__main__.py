@@ -6,6 +6,8 @@ Subcommands::
     python -m repro.pmdk check POOLFILE          # consistency check
     python -m repro.pmdk check POOLFILE --repair # check and repair
     python -m repro.pmdk create POOLFILE SIZE [--layout NAME]
+
+``info`` and ``check`` never write; both exit 1 when the pool needs repair.
 """
 
 from __future__ import annotations
@@ -63,26 +65,26 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     try:
-        if args.command == "info":
-            try:
-                pool = PmemObjPool.open(region)
-            except ReproError as exc:
-                print(f"error: not an openable pool: {exc}",
-                      file=sys.stderr)
-                return 1
-            print(f"pool:     {args.pool}")
-            print(f"layout:   {pool.layout!r}")
-            print(f"uuid:     {pool.uuid.hex()}")
-            print(f"size:     {region.size} bytes")
-            print(f"used:     {pool.used_bytes} bytes")
-            print(f"free:     {pool.free_bytes} bytes")
-            print(f"root:     "
-                  f"{'yes' if not pool.root_oid.is_null else 'no'}")
-            return 0
+        if args.command == "check":
+            report = check_pool(region, repair=args.repair)
+            print(report.summary())
+            return 0 if report.ok else 1
 
-        # check
-        report = check_pool(region, repair=args.repair)
-        print(report.summary())
+        report = check_pool(region)
+        hdr = report.header
+        if hdr is None:
+            print(f"error: not a pool: {'; '.join(report.issues)}",
+                  file=sys.stderr)
+            return 1
+        print(f"pool:     {args.pool}")
+        print(f"layout:   {hdr.layout!r}")
+        print(f"uuid:     {hdr.uuid.hex()}")
+        print(f"size:     {region.size} bytes")
+        print(f"used:     {report.allocated_bytes} bytes")
+        print(f"free:     {report.free_bytes} bytes")
+        print(f"root:     {'yes' if report.root_present else 'no'}")
+        for issue in report.issues:
+            print(f"issue:    {issue}")
         return 0 if report.ok else 1
     finally:
         region.close()

@@ -1,18 +1,22 @@
 """Pool consistency checking — the ``pmempool check`` equivalent.
 
-:func:`check_pool` inspects a region without mutating it and reports
-every inconsistency it can find; with ``repair=True`` it additionally
-restores a torn header from its backup, rolls back (or completes) an
-interrupted transaction, and re-coalesces the heap — i.e. everything
-:meth:`repro.pmdk.pool.PmemObjPool.open` would do, but reporting what it
-did.
+:func:`check_pool` inspects a region without writing to it and reports
+every inconsistency it finds.  With ``repair=True`` it first opens the
+pool: :meth:`repro.pmdk.pool.PmemObjPool.open` is the one path that
+repairs a pool, and the check reports what that open did before it
+inspects the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import PoolCorruptionError, TransactionError
+from repro.errors import (
+    AllocError,
+    PoolCorruptionError,
+    ReproError,
+    TransactionError,
+)
 from repro.pmdk.alloc import (
     HEADER_SIZE,
     STATE_ALLOCATED,
@@ -22,14 +26,8 @@ from repro.pmdk.alloc import (
     PersistentHeap,
 )
 from repro.pmdk.pmem import PmemRegion
-from repro.pmdk.pool import (
-    BACKUP_HEADER_OFF,
-    PRIMARY_HEADER_OFF,
-    _HDR_LEN,
-    _Header,
-)
+from repro.pmdk.pool import PmemObjPool, _Header
 from repro.pmdk.tx import STATE_CLEAN, UndoLog
-from repro.pmdk.tx import recover as tx_recover
 
 _STATE_NAMES = {
     STATE_FREE: "free",
@@ -43,7 +41,6 @@ _STATE_NAMES = {
 class CheckReport:
     """Outcome of a pool check."""
 
-    ok: bool
     issues: list[str] = field(default_factory=list)
     repairs: list[str] = field(default_factory=list)
     n_chunks: int = 0
@@ -51,6 +48,14 @@ class CheckReport:
     free_bytes: int = 0
     pending_tx: bool = False
     root_present: bool = False
+    #: the header in force (the primary copy unless it is torn), or
+    #: ``None`` when neither copy is usable
+    header: _Header | None = None
+
+    @property
+    def ok(self) -> bool:
+        """Whether the inspection found nothing to repair."""
+        return not self.issues
 
     def summary(self) -> str:
         status = "consistent" if self.ok else "INCONSISTENT"
@@ -62,89 +67,58 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def _read_header(region: PmemRegion, report: CheckReport,
-                 repair: bool) -> _Header | None:
-    primary = backup = None
-    try:
-        primary = _Header.unpack(region.read(PRIMARY_HEADER_OFF, _HDR_LEN))
-    except PoolCorruptionError as exc:
-        report.issues.append(f"primary header: {exc}")
-    try:
-        backup = _Header.unpack(region.read(BACKUP_HEADER_OFF, _HDR_LEN))
-    except PoolCorruptionError as exc:
-        report.issues.append(f"backup header: {exc}")
-
-    if primary is None and backup is None:
-        return None
-    if primary is None and backup is not None and repair:
-        region.write(PRIMARY_HEADER_OFF, backup.pack())
-        region.persist(PRIMARY_HEADER_OFF, _HDR_LEN)
-        report.repairs.append("primary header restored from backup")
-        return backup
-    if backup is None and primary is not None and repair:
-        region.write(BACKUP_HEADER_OFF, primary.pack())
-        region.persist(BACKUP_HEADER_OFF, _HDR_LEN)
-        report.repairs.append("backup header restored from primary")
-    if primary is not None and backup is not None and primary.pack() != backup.pack():
-        report.issues.append("header copies disagree")
-        if repair:
-            region.write(BACKUP_HEADER_OFF, primary.pack())
-            region.persist(BACKUP_HEADER_OFF, _HDR_LEN)
-            report.repairs.append("backup header rewritten from primary")
-    return primary if primary is not None else backup
-
-
 def check_pool(region: PmemRegion, repair: bool = False) -> CheckReport:
-    """Verify (and optionally repair) the pool inside ``region``."""
-    report = CheckReport(ok=True)
+    """Inspect the pool inside ``region``; with ``repair`` open it first.
 
-    header = _read_header(region, report, repair)
+    Without ``repair`` nothing is written.  With it,
+    :meth:`PmemObjPool.open` repairs what it can and ``repairs`` lists
+    what it did; if the pool cannot be opened, the inspection says why.
+    """
+    report = CheckReport()
+    if repair:
+        try:
+            rec = PmemObjPool.open(region).last_recovery
+        except ReproError:
+            pass            # open wrote nothing; the inspection says why
+        else:
+            if rec.header_repair:
+                report.repairs.append(rec.header_repair)
+            if rec.action != "clean":
+                report.repairs.append(f"transaction {rec.action}")
+    _inspect(region, report)
+    return report
+
+
+def _inspect(region: PmemRegion, report: CheckReport) -> None:
+    issues = report.issues
+    primary, backup, faults = _Header.read_copies(region)
+    issues += faults
+    if primary and backup and primary.pack() != backup.pack():
+        issues.append("header copies disagree")
+    header = report.header = primary or backup
     if header is None:
-        report.ok = False
-        report.issues.append("no usable pool header")
-        return report
-
-    if header.pool_size > region.size:
-        report.ok = False
-        report.issues.append(
-            f"header claims {header.pool_size} bytes, region has {region.size}"
-        )
-        return report
-    if header.heap_offset + header.heap_size > header.pool_size:
-        report.ok = False
-        report.issues.append("heap geometry exceeds the pool")
-        return report
-
-    # --- transaction log ------------------------------------------------
-    log = UndoLog(region, header.log_offset, header.log_size)
+        issues.append("no usable pool header")
+        return
     try:
+        header.check_geometry(region.size)
+    except PoolCorruptionError as exc:
+        issues.append(str(exc))
+        return
+
+    try:
+        log = UndoLog(region, header.log_offset, header.log_size)
         tail, state = log.read_ctrl()
         if tail != 0 or state != STATE_CLEAN:
             report.pending_tx = True
-            report.issues.append(
-                f"interrupted transaction (tail={tail}, state={state})"
-            )
-            log.entries(tail)   # validates entry CRCs
+            issues.append(
+                f"interrupted transaction (tail={tail}, state={state})")
+            log.entries(tail)   # validates entry bounds and CRCs
     except TransactionError as exc:
-        report.ok = False
-        report.issues.append(f"transaction log: {exc}")
-        return report
+        issues.append(f"transaction log: {exc}")
+        return
 
-    # --- heap -------------------------------------------------------------
     try:
-        if repair:
-            heap = PersistentHeap.open(region, header.heap_offset,
-                                       header.heap_size)
-            if report.pending_tx:
-                outcome = tx_recover(log, heap)
-                report.repairs.append(f"transaction {outcome}")
-                report.pending_tx = False
-                heap = PersistentHeap.open(region, header.heap_offset,
-                                           header.heap_size)
-        else:
-            heap = PersistentHeap(region, header.heap_offset,
-                                  header.heap_size)
-        transient = 0
+        heap = PersistentHeap(region, header.heap_offset, header.heap_size)
         for chunk in heap.chunks():
             report.n_chunks += 1
             if chunk.state == STATE_ALLOCATED:
@@ -152,36 +126,16 @@ def check_pool(region: PmemRegion, repair: bool = False) -> CheckReport:
             elif chunk.state == STATE_FREE:
                 report.free_bytes += chunk.size
             else:
-                transient += 1
-                report.issues.append(
+                issues.append(
                     f"chunk at {chunk.offset:#x} in transient state "
-                    f"{_STATE_NAMES[chunk.state]}"
-                )
-        if transient and repair:
-            # PersistentHeap.open already resolved these in repair mode
-            pass  # pragma: no cover - open() resolves before the walk
-    except PoolCorruptionError as exc:
-        report.ok = False
-        report.issues.append(f"heap: {exc}")
-        return report
+                    f"{_STATE_NAMES[chunk.state]}")
+    except (AllocError, PoolCorruptionError) as exc:
+        issues.append(f"heap: {exc}")
+        return
 
-    # --- root object -------------------------------------------------------
     if header.root_offset:
         report.root_present = True
-        inside = (header.heap_offset + HEADER_SIZE <= header.root_offset
-                  < header.heap_offset + header.heap_size)
-        if not inside:
-            report.ok = False
-            report.issues.append(
-                f"root offset {header.root_offset:#x} outside the heap"
-            )
-
-    if report.issues and not repair:
-        # transient chunk states / pending tx are recoverable, not fatal;
-        # the pool is "consistent after recovery"
-        fatal = [i for i in report.issues
-                 if not (i.startswith("chunk at")
-                         or i.startswith("interrupted transaction")
-                         or i.startswith("header copies"))]
-        report.ok = not fatal
-    return report
+        if not (header.heap_offset + HEADER_SIZE <= header.root_offset
+                < header.heap_offset + header.heap_size):
+            issues.append(
+                f"root offset {header.root_offset:#x} outside the heap")

@@ -97,6 +97,43 @@ class _Header:
                    log_off, log_size, heap_off, heap_size, root_off,
                    root_size)
 
+    @classmethod
+    def read_copies(cls, region: PmemRegion
+                    ) -> tuple[_Header | None, _Header | None, list[str]]:
+        """Decode both copies: ``(primary, backup, faults)``, where a torn
+        copy is ``None`` and ``faults`` names each torn copy and why."""
+        copies: list[_Header | None] = []
+        faults: list[str] = []
+        for name, off in (("primary", PRIMARY_HEADER_OFF),
+                          ("backup", BACKUP_HEADER_OFF)):
+            try:
+                copies.append(cls.unpack(region.read(off, _HDR_LEN)))
+            except PoolCorruptionError as exc:
+                copies.append(None)
+                faults.append(f"{name} header: {exc}")
+        return copies[0], copies[1], faults
+
+    def write(self, region: PmemRegion) -> None:
+        """Store both copies, backup first, each persisted in turn."""
+        raw = self.pack()
+        for off in (BACKUP_HEADER_OFF, PRIMARY_HEADER_OFF):
+            region.write(off, raw)
+            region.persist(off, len(raw))
+
+    def check_geometry(self, region_size: int) -> None:
+        """Raise :class:`PoolCorruptionError` unless the pool fits its
+        region and the log and heap lie in order inside the pool."""
+        if self.pool_size > region_size:
+            raise PoolCorruptionError(
+                f"header claims {self.pool_size} bytes, region has "
+                f"{region_size}")
+        if not (METADATA_SIZE <= self.log_offset
+                and self.log_offset + self.log_size <= self.heap_offset):
+            raise PoolCorruptionError(
+                "log geometry overlaps the header copies or the heap")
+        if self.heap_offset + self.heap_size > self.pool_size:
+            raise PoolCorruptionError("heap geometry exceeds the pool")
+
 
 class PmemObjPool:
     """A transactional persistent object pool (``pmemobj`` equivalent)."""
@@ -155,10 +192,7 @@ class PmemObjPool:
                 f"region of {region.size} bytes too small for a pool "
                 f"(need >= {METADATA_SIZE + log_size + 64 * 1024})"
             )
-        try:
-            existing = _Header.unpack(region.read(PRIMARY_HEADER_OFF, _HDR_LEN))
-        except PoolCorruptionError:
-            existing = None
+        existing = _Header.read_copies(region)[0]
         if existing is not None:
             raise PoolError(
                 f"region already contains a pool (layout={existing.layout!r}); "
@@ -181,35 +215,49 @@ class PmemObjPool:
         heap = PersistentHeap.format(region, heap_offset, heap_size)
         log = UndoLog(region, header.log_offset, header.log_size)
         log.format()
-        pool = cls(region, header, heap, owns)
-        pool._write_header()
-        return pool
+        header.write(region)
+        return cls(region, header, heap, owns)
 
     @classmethod
     def open(cls, target: str | PmemRegion, layout: str | None = None
              ) -> "PmemObjPool":
         """``pmemobj_open``: open + recover an existing pool.
 
+        The one path that writes to a damaged pool.  All that recovery
+        reads is validated before the first write, so a refused pool is
+        left byte-identical.  Then it rewrites a stale header copy,
+        recovers the heap, rolls back or completes the interrupted
+        transaction and rebuilds the heap index.
+
         Raises:
             PoolError: layout mismatch.
-            PoolCorruptionError: both header copies are damaged.
+            PoolCorruptionError: both header copies, the geometry or a
+                chunk header are damaged.
+            TransactionError: the undo log is damaged.
         """
         owns = isinstance(target, str)
         region = map_file(target) if owns else target
         try:
-            header, repaired = cls._read_header_with_repair(region)
+            header, repair = cls._read_header(region)
             if layout is not None and header.layout != layout:
                 raise PoolError(
                     f"pool layout is {header.layout!r}, expected {layout!r}"
                 )
+            # validate all that recovery reads before the first write
+            header.check_geometry(region.size)
+            log = UndoLog(region, header.log_offset, header.log_size)
+            log.entries(log.read_ctrl()[0])
+            for _ in PersistentHeap(region, header.heap_offset,
+                                    header.heap_size).chunks():
+                pass
+            if repair:
+                header.write(region)
+                obs.inc("pmdk.recovery.header_repairs")
             heap = PersistentHeap.open(region, header.heap_offset,
                                        header.heap_size)
-            log = UndoLog(region, header.log_offset, header.log_size)
             with obs.span("pmdk.recovery"):
                 report = tx_recover(log, heap)
-            report.header_repaired = repaired
-            if repaired:
-                obs.inc("pmdk.recovery.header_repairs")
+            report.header_repair = repair
             # recovery may have freed chunks; rebuild the heap index
             heap = PersistentHeap.open(region, header.heap_offset,
                                        header.heap_size)
@@ -222,34 +270,22 @@ class PmemObjPool:
                     region.close()
             raise
 
-    @classmethod
-    def _read_header_with_repair(cls, region: PmemRegion
-                                 ) -> tuple[_Header, bool]:
-        """Returns ``(header, repaired)`` — ``repaired`` flags that the
-        primary copy was torn and has been rewritten from the backup."""
-        primary_exc: Exception | None = None
-        try:
-            hdr = _Header.unpack(region.read(PRIMARY_HEADER_OFF, _HDR_LEN))
-            return hdr, False
-        except PoolCorruptionError as exc:
-            primary_exc = exc
-        try:
-            hdr = _Header.unpack(region.read(BACKUP_HEADER_OFF, _HDR_LEN))
-        except PoolCorruptionError:
+    @staticmethod
+    def _read_header(region: PmemRegion) -> tuple[_Header, str | None]:
+        """Returns the header in force (the primary unless it is torn)
+        and, when a copy is stale, its repair as
+        :attr:`RecoveryReport.header_repair` words it."""
+        primary, backup, faults = _Header.read_copies(region)
+        if primary is None and backup is None:
             raise PoolCorruptionError(
-                f"both pool header copies are corrupt ({primary_exc})"
-            ) from primary_exc
-        # repair the primary from the backup
-        region.write(PRIMARY_HEADER_OFF, hdr.pack())
-        region.persist(PRIMARY_HEADER_OFF, _HDR_LEN)
-        return hdr, True
-
-    def _write_header(self) -> None:
-        raw = self._hdr.pack()
-        self.region.write(BACKUP_HEADER_OFF, raw)
-        self.region.persist(BACKUP_HEADER_OFF, len(raw))
-        self.region.write(PRIMARY_HEADER_OFF, raw)
-        self.region.persist(PRIMARY_HEADER_OFF, len(raw))
+                f"both pool header copies are corrupt ({'; '.join(faults)})")
+        if primary is None:
+            return backup, "primary header restored from backup"
+        if backup is None:
+            return primary, "backup header restored from primary"
+        if backup.pack() != primary.pack():
+            return primary, "backup header rewritten from primary"
+        return primary, None
 
     # ------------------------------------------------------------------
     # properties
@@ -352,7 +388,7 @@ class PmemObjPool:
         oid = self.alloc(size, zero=True)
         self._hdr.root_offset = oid.offset
         self._hdr.root_size = self._heap.payload_size(oid.offset)
-        self._write_header()
+        self._hdr.write(self.region)
         return oid
 
     @property

@@ -160,12 +160,22 @@ class UndoLog:
                                 end_tail - start_tail)
 
     def entries(self, tail: int) -> list[tuple[int, int, bytes]]:
-        """Decode entries up to ``tail`` → ``[(type, target, data), ...]``."""
+        """Decode entries up to ``tail`` → ``[(type, target, data), ...]``.
+
+        Raises:
+            TransactionError: an entry ends past ``tail`` or the log, or
+                fails its CRC.
+        """
         out: list[tuple[int, int, bytes]] = []
+        end = min(tail, self._capacity)
         pos = 0
         while pos < tail:
             raw = self.region.read(self._entries_base + pos, _ENTRY_LEN)
             etype, _, target, length, crc = struct.unpack(_ENTRY_FMT, raw)
+            size = ENTRY_HEADER + ((length + 7) // 8) * 8
+            if pos + size > end:
+                raise TransactionError(
+                    f"undo log entry at {pos:#x} overruns the log")
             data = self.region.read(
                 self._entries_base + pos + ENTRY_HEADER, length
             ) if length else b""
@@ -174,7 +184,7 @@ class UndoLog:
                     f"undo log entry at {pos:#x} failed its CRC"
                 )
             out.append((etype, target, data))
-            pos += ENTRY_HEADER + ((length + 7) // 8) * 8
+            pos += size
         return out
 
 
@@ -263,13 +273,7 @@ class Transaction:
         raise TransactionAborted("transaction aborted by user")
 
     def _rollback(self) -> None:
-        for etype, target, data in reversed(self._log.entries(self._tail)):
-            if etype == ENTRY_DATA:
-                self._log.region.write(target, data)
-                self._log.region.persist(target, len(data))
-            elif etype == ENTRY_ALLOC and self._heap.is_allocated(target):
-                self._heap.free(target)
-        self._log.write_ctrl(0, STATE_CLEAN)
+        _roll_back(self._log, self._heap, self._tail)
         obs.inc("pmdk.tx.aborts")
         self._reset()
 
@@ -398,15 +402,14 @@ class Transaction:
         return False
 
 
-@dataclass(eq=False)
+@dataclass
 class RecoveryReport:
     """What the pool-open recovery pass found and did.
 
     ``action`` is one of ``"clean"`` (no interrupted transaction),
     ``"rolled_back"`` (an active transaction's undo log was replayed
     backwards) or ``"completed"`` (a committed transaction's deferred
-    frees were finished).  For source compatibility the report compares
-    equal to — and prints as — its action string.
+    frees were finished).
     """
 
     action: str
@@ -414,32 +417,36 @@ class RecoveryReport:
     data_bytes_restored: int = 0
     allocs_released: int = 0
     frees_completed: int = 0
-    header_repaired: bool = False       # filled in by PmemObjPool.open
+    #: the header copy open rewrote, e.g. ``"backup header restored
+    #: from primary"``; ``None`` when both copies were intact and equal
+    header_repair: str | None = None
 
-    def __str__(self) -> str:
-        return self.action
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, str):
-            return self.action == other
-        if isinstance(other, RecoveryReport):
-            return (self.action, self.log_entries, self.data_bytes_restored,
-                    self.allocs_released, self.frees_completed,
-                    self.header_repaired) == (
-                    other.action, other.log_entries,
-                    other.data_bytes_restored, other.allocs_released,
-                    other.frees_completed, other.header_repaired)
-        return NotImplemented
-
-    __hash__ = None     # type: ignore[assignment]  # mutable, str-comparable
+def _roll_back(log: UndoLog, heap: PersistentHeap,
+               tail: int) -> RecoveryReport:
+    """Replay the undo log up to ``tail`` backwards, then truncate it:
+    restore every snapshot (newest first) and release every
+    transaction-time allocation.  Abort and crash recovery both undo a
+    transaction through here."""
+    report = RecoveryReport("rolled_back")
+    for etype, target, data in reversed(log.entries(tail)):
+        report.log_entries += 1
+        if etype == ENTRY_DATA:
+            log.region.write(target, data)
+            log.region.persist(target, len(data))
+            report.data_bytes_restored += len(data)
+        elif etype == ENTRY_ALLOC and heap.is_allocated(target):
+            heap.free(target)
+            report.allocs_released += 1
+    log.write_ctrl(0, STATE_CLEAN)
+    return report
 
 
 def recover(log: UndoLog, heap: PersistentHeap) -> RecoveryReport:
     """Pool-open recovery of an interrupted transaction.
 
     Returns a :class:`RecoveryReport`; its ``action`` is ``"clean"``,
-    ``"rolled_back"`` or ``"completed"`` (and the report compares equal
-    to those strings).
+    ``"rolled_back"`` or ``"completed"``.
     """
     tail, state = log.read_ctrl()
     if state == STATE_CLEAN and tail == 0:
@@ -456,16 +463,6 @@ def recover(log: UndoLog, heap: PersistentHeap) -> RecoveryReport:
         obs.inc("pmdk.recovery.completed")
         return report
     # ACTIVE (or CLEAN with nonzero tail — treat as active): roll back
-    report = RecoveryReport("rolled_back")
-    for etype, target, data in reversed(log.entries(tail)):
-        report.log_entries += 1
-        if etype == ENTRY_DATA:
-            log.region.write(target, data)
-            log.region.persist(target, len(data))
-            report.data_bytes_restored += len(data)
-        elif etype == ENTRY_ALLOC and heap.is_allocated(target):
-            heap.free(target)
-            report.allocs_released += 1
-    log.write_ctrl(0, STATE_CLEAN)
+    report = _roll_back(log, heap, tail)
     obs.inc("pmdk.recovery.rolled_back")
     return report

@@ -70,6 +70,17 @@ class TestNamespaces:
         ns2 = rt.create_namespace("cxl0", "temp2", 4 * MB)
         assert ns2.base_dpa == base
 
+    def test_first_fit_fills_the_hole_between_namespaces(self, rt):
+        rt.create_namespace("cxl0", "low", 2 * MB)
+        hole = rt.create_namespace("cxl0", "mid", 4 * MB).base_dpa
+        high = rt.create_namespace("cxl0", "high", 2 * MB)
+        rt.delete_namespace("cxl0", "mid")
+        assert rt.create_namespace("cxl0", "a", 3 * MB).base_dpa == hole
+        # 1 MiB left in the hole: a 2 MiB namespace goes past "high"
+        assert (rt.create_namespace("cxl0", "b", 2 * MB).base_dpa
+                == high.base_dpa + high.size)
+        assert rt.create_namespace("cxl0", "c", MB).base_dpa == hole + 3 * MB
+
     def test_delete_unknown_rejected(self, rt):
         with pytest.raises(CxlError):
             rt.delete_namespace("cxl0", "ghost")

@@ -2,14 +2,17 @@
 
 import pytest
 
+from repro.errors import TransactionError
 from repro.pmdk.check import check_pool
 from repro.pmdk.containers import PersistentArray
 from repro.pmdk.pmem import VolatileRegion
 from repro.pmdk.pool import (
     BACKUP_HEADER_OFF,
+    METADATA_SIZE,
     PRIMARY_HEADER_OFF,
     PmemObjPool,
 )
+from repro.pmdk.tx import CTRL_SIZE
 
 
 class TestHealthyPool:
@@ -81,6 +84,24 @@ class TestDamage:
         assert pool.read(oid, 8) == b"original"
         after = check_pool(pool.region)
         assert not after.pending_tx
+
+    def test_log_entry_overrunning_the_log_reported(self):
+        region = VolatileRegion(1 << 20)
+        pool = PmemObjPool.create(region)
+        oid = pool.alloc(64)
+        tx = pool.transaction()
+        tx.begin()
+        pool.tx_write(tx, oid, b"mutation")
+        # one rotten byte in the high half of the first entry's length
+        region.write(METADATA_SIZE + CTRL_SIZE + 20, b"\x5a")
+        before = region.read(0, region.size)
+        report = check_pool(region)
+        assert not report.ok
+        assert any(i.startswith("transaction log:") and "overruns the log" in i
+                   for i in report.issues)
+        with pytest.raises(TransactionError, match="overruns the log"):
+            PmemObjPool.open(region)
+        assert region.read(0, region.size) == before
 
 
 class TestRealWorkloadThenCheck:

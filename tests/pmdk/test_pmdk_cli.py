@@ -1,9 +1,29 @@
 """The pmempool-style CLI (python -m repro.pmdk)."""
 
+import hashlib
+
 import pytest
 
 from repro.pmdk.__main__ import main
+from repro.pmdk.pmem import map_file
 from repro.pmdk.pool import PRIMARY_HEADER_OFF, PmemObjPool
+
+
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _interrupt_a_transaction(path: str) -> None:
+    """Leave ``path`` with an uncommitted transaction whose store has
+    landed, as a process that died mid-transaction would."""
+    pool = PmemObjPool.open(path)
+    oid = pool.alloc(64)
+    pool.write(oid, b"original")
+    tx = pool.transaction()
+    tx.begin()
+    pool.tx_write(tx, oid, b"mutation")
+    pool.region.close()             # persists; the transaction stays open
 
 
 @pytest.fixture()
@@ -38,10 +58,35 @@ class TestCreate:
 
 class TestInfo:
     def test_info_fields(self, pool_file, capsys):
+        pool = PmemObjPool.open(pool_file)
+        pool.free(pool.alloc_many(2, 100)[0])
+        pool.root(64)
+        used, free = pool.used_bytes, pool.free_bytes
+        pool.close()
         assert main(["info", pool_file]) == 0
         out = capsys.readouterr().out
         assert "layout:   'cli-test'" in out
-        assert "uuid:" in out and "free:" in out
+        assert "uuid:" in out
+        assert f"used:     {used} bytes" in out
+        assert f"free:     {free} bytes" in out
+        assert "root:     yes" in out
+
+    def test_info_never_writes(self, pool_file, tmp_path, capsys):
+        _interrupt_a_transaction(pool_file)
+        torn = str(tmp_path / "torn.pool")
+        assert main(["create", torn, "1m", "--layout", "cli-test"]) == 0
+        region = map_file(torn)
+        region.write(PRIMARY_HEADER_OFF, b"\xff" * 64)
+        region.close()
+        capsys.readouterr()
+        for path, issue in ((pool_file, "interrupted transaction"),
+                            (torn, "primary header")):
+            before = _sha256(path)
+            rc = main(["info", path])
+            assert _sha256(path) == before
+            assert rc == 1
+            out = capsys.readouterr().out
+            assert "layout:   'cli-test'" in out and issue in out
 
     def test_info_missing_file(self, tmp_path, capsys):
         assert main(["info", str(tmp_path / "nope")]) == 1
@@ -58,6 +103,17 @@ class TestCheck:
     def test_healthy_pool_passes(self, pool_file, capsys):
         assert main(["check", pool_file]) == 0
         assert "consistent" in capsys.readouterr().out
+
+    def test_interrupted_transaction_needs_repair(self, pool_file, capsys):
+        _interrupt_a_transaction(pool_file)
+        before = _sha256(pool_file)
+        assert main(["check", pool_file]) == 1
+        assert "interrupted transaction" in capsys.readouterr().out
+        assert _sha256(pool_file) == before
+
+        assert main(["check", pool_file, "--repair"]) == 0
+        assert "repaired: transaction rolled_back" in capsys.readouterr().out
+        assert main(["check", pool_file]) == 0
 
     def test_torn_header_detected_then_repaired(self, pool_file, capsys):
         from repro.pmdk.pmem import map_file

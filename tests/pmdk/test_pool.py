@@ -3,14 +3,24 @@
 import numpy as np
 import pytest
 
-from repro.errors import PmemError, PoolCorruptionError, PoolError
+from repro.errors import (
+    PmemError,
+    PoolCorruptionError,
+    PoolError,
+    TransactionError,
+)
+from repro.pmdk.check import check_pool
 from repro.pmdk.oid import OID_NULL, PMEMoid
 from repro.pmdk.pmem import VolatileRegion
 from repro.pmdk.pool import (
     BACKUP_HEADER_OFF,
+    METADATA_SIZE,
     PRIMARY_HEADER_OFF,
     PmemObjPool,
+    _HDR_LEN,
+    _Header,
 )
+from repro.pmdk.tx import CTRL_SIZE, ENTRY_HEADER
 
 
 class TestCreateOpen:
@@ -170,6 +180,76 @@ class TestHeaderRedundancy:
         r.close()
         with pytest.raises(PoolCorruptionError):
             PmemObjPool.open(path)
+
+
+class TestOpenIsTheRepairPath:
+    """``open`` validates before its first write, then repairs; the
+    read-only checker finds nothing left to report."""
+
+    @staticmethod
+    def _region() -> VolatileRegion:
+        region = VolatileRegion(1 << 20)
+        PmemObjPool.create(region, layout="repair")
+        return region
+
+    @staticmethod
+    def _header(region, off=PRIMARY_HEADER_OFF) -> _Header:
+        return _Header.unpack(region.read(off, _HDR_LEN))
+
+    def test_torn_backup_restored(self):
+        region = self._region()
+        region.write(BACKUP_HEADER_OFF + 8, b"\xff" * 8)
+        pool = PmemObjPool.open(region)
+        assert (pool.last_recovery.header_repair
+                == "backup header restored from primary")
+        assert check_pool(region).issues == []
+
+    def test_disagreeing_backup_rewritten_from_primary(self):
+        region = self._region()
+        primary = self._header(region)
+        backup = self._header(region, BACKUP_HEADER_OFF)
+        backup.root_size = 4096
+        region.write(BACKUP_HEADER_OFF, backup.pack())
+        assert "header copies disagree" in check_pool(region).issues
+        pool = PmemObjPool.open(region)
+        assert (pool.last_recovery.header_repair
+                == "backup header rewritten from primary")
+        assert check_pool(region).issues == []
+        assert region.read(BACKUP_HEADER_OFF, _HDR_LEN) == primary.pack()
+
+    @pytest.mark.parametrize("field, delta, message", [
+        ("heap_size", 1 << 20, "heap geometry exceeds the pool"),
+        ("log_offset", 64, "log geometry overlaps"),
+    ], ids=["heap-past-the-region", "log-into-the-heap"])
+    def test_bad_geometry_refused_without_writing(self, field, delta,
+                                                  message):
+        region = self._region()
+        hdr = self._header(region)
+        setattr(hdr, field, getattr(hdr, field) + delta)
+        for off in (PRIMARY_HEADER_OFF, BACKUP_HEADER_OFF):
+            region.write(off, hdr.pack())
+        before = region.read(0, region.size)
+        with pytest.raises(PoolCorruptionError, match=message):
+            PmemObjPool.open(region)
+        assert region.read(0, region.size) == before
+        assert any(message in i for i in check_pool(region).issues)
+
+    def test_corrupt_undo_log_refused_without_writing(self):
+        region = VolatileRegion(1 << 20)
+        pool = PmemObjPool.create(region)
+        a, b, c = pool.alloc_many(3, 64)
+        pool.free(a)
+        pool.free(b)        # two adjacent free chunks: recovery merges them
+        tx = pool.transaction()
+        tx.begin()
+        pool.tx_write(tx, c, b"mutation")
+        # the process holding the transaction dies; one snapshot byte rots
+        payload = METADATA_SIZE + CTRL_SIZE + ENTRY_HEADER
+        region.write(payload, bytes([region.read(payload, 1)[0] ^ 0xFF]))
+        before = region.read(0, region.size)
+        with pytest.raises(TransactionError, match="failed its CRC"):
+            PmemObjPool.open(region)
+        assert region.read(0, region.size) == before
 
 
 class TestLifecycle:

@@ -211,7 +211,7 @@ class TestLogCapacity:
 class TestRecovery:
     def test_recover_clean_log(self, env):
         _, log, heap = env
-        assert recover(log, heap) == "clean"
+        assert recover(log, heap).action == "clean"
 
     def test_recover_active_rolls_back(self, env):
         region, log, heap = env
@@ -222,7 +222,7 @@ class TestRecovery:
         tx.add_range(off, 8)
         region.write(off, b"mutation")
         # simulate crash: no commit; fresh recovery pass
-        assert recover(log, heap) == "rolled_back"
+        assert recover(log, heap).action == "rolled_back"
         assert region.read(off, 8) == b"original"
         assert log.read_ctrl() == (0, STATE_CLEAN)
 
@@ -243,13 +243,13 @@ class TestRecovery:
         # simulate a crash after the COMMITTED record but before the
         # deferred frees ran: write the commit record manually
         log.write_ctrl(tx._tail, STATE_COMMITTED)
-        assert recover(log, heap) == "completed"
+        assert recover(log, heap).action == "completed"
         assert not heap.is_allocated(victim)
 
     def test_recovery_replay_is_idempotent(self, env):
         _, log, heap = env
-        assert recover(log, heap) == "clean"
-        assert recover(log, heap) == "clean"
+        assert recover(log, heap).action == "clean"
+        assert recover(log, heap).action == "clean"
 
     def test_begin_refuses_unrecovered_log(self, env):
         _, log, heap = env

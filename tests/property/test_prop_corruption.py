@@ -4,7 +4,8 @@ A production persistence stack must fail *cleanly* on damaged media:
 ``open`` either succeeds or raises a :class:`repro.errors.ReproError`
 subclass, and ``check_pool`` always returns a report — no stray
 ``struct.error``, ``KeyError``, ``UnicodeDecodeError`` or assertion can
-escape, no matter which bytes rotted.
+escape, no matter which bytes rotted.  A read-only check, and an open
+that refuses the pool, write nothing.
 """
 
 from __future__ import annotations
@@ -81,6 +82,30 @@ def test_check_repair_never_crashes(spots):
         check_pool(region, repair=True)
     except ReproError:
         pass
+
+
+@given(_corruptions)
+@settings(max_examples=80, deadline=None)
+def test_check_and_refused_open_write_nothing(spots):
+    # recovery of this pool would write: two adjacent free chunks to
+    # merge and an interrupted transaction to roll back
+    region = VolatileRegion(POOL)
+    pool = PmemObjPool.create(region, layout="fuzz")
+    arr = PersistentArray.create(pool, 64, "float64")
+    a, b, _ = pool.alloc_many(3, 64)
+    pool.free(a)
+    pool.free(b)
+    tx = pool.transaction()
+    tx.begin()
+    arr.write(np.arange(64.0), tx=tx)
+    _corrupt(region, spots)
+    before = region.read(0, POOL)
+    check_pool(region)
+    assert region.read(0, POOL) == before
+    try:
+        PmemObjPool.open(region)
+    except ReproError:
+        assert region.read(0, POOL) == before
 
 
 @given(_corruptions)
