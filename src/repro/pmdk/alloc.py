@@ -6,16 +6,18 @@ machine::
 
     FREE -> ALLOCATING -> ALLOCATED -> FREEING -> FREE
 
+The heap keeps one invariant: no two adjacent chunks are both free.
 Every transition is persisted before the operation proceeds, so a crash at
 any point leaves a header whose state names exactly what recovery must do:
 
 * ``ALLOCATING`` — the allocation never completed; revert to ``FREE`` with
   the pre-split size (a half-written split remainder becomes unreachable
   and is later overwritten);
-* ``FREEING``    — the free never completed; finish it (coalescing is
-  idempotent);
-* ``prev_size`` fields are advisory and recomputed during the recovery
-  walk, which also merges adjacent free chunks.
+* ``FREEING``    — the free never completed; finish it.
+
+``prev_size`` is exact outside recovery, which is one walk
+(:func:`recovery_walk`) that also folds each run of free chunks into its
+first chunk with one header write.
 
 The free-chunk index is volatile and rebuilt on open, as in PMDK's heap.
 """
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 from repro.errors import AllocError, PoolCorruptionError
@@ -42,7 +44,8 @@ STATE_ALLOCATED = 2
 STATE_ALLOCATING = 3
 STATE_FREEING = 4
 
-_VALID_STATES = (STATE_FREE, STATE_ALLOCATED, STATE_ALLOCATING, STATE_FREEING)
+_STATE_NAMES = {STATE_FREE: "free", STATE_ALLOCATED: "allocated",
+                STATE_ALLOCATING: "allocating", STATE_FREEING: "freeing"}
 
 _HDR_FMT = "<IIQQI"
 _HDR_LEN = struct.calcsize(_HDR_FMT)      # 28 bytes, padded to 64
@@ -78,6 +81,36 @@ class ChunkInfo:
     @property
     def is_free(self) -> bool:
         return self.state == STATE_FREE
+
+    def __str__(self) -> str:
+        return (f"{_STATE_NAMES[self.state]} {self.size} B "
+                f"(prev {self.prev_size} B)")
+
+
+def recovery_walk(chunks: list[ChunkInfo]
+                  ) -> tuple[list[tuple[ChunkInfo, ChunkInfo]], dict[int, int]]:
+    """Recovery's one walk over a heap's chunk list, front to back.
+
+    Frees each transient chunk, folds each run of free chunks into its
+    first chunk and makes every ``prev_size`` exact.  Returns the header
+    rewrites as ``(on media, recovered)`` pairs in address order, and the
+    recovered heap's free index (header offset -> payload size).
+    """
+    recovered: list[ChunkInfo] = []
+    for c in chunks:
+        free = c.state != STATE_ALLOCATED
+        if free and recovered and recovered[-1].is_free:
+            run = recovered[-1]
+            recovered[-1] = replace(
+                run, size=c.next_offset - run.payload_offset)
+        else:
+            recovered.append(ChunkInfo(
+                c.offset, STATE_FREE if free else STATE_ALLOCATED, c.size,
+                recovered[-1].size if recovered else 0))
+    on_media = {c.offset: c for c in chunks}
+    return ([(on_media[c.offset], c) for c in recovered
+             if c != on_media[c.offset]],
+            {c.offset: c.size for c in recovered if c.is_free})
 
 
 def align_up(n: int, align: int = ALIGN) -> int:
@@ -120,7 +153,7 @@ class PersistentHeap:
         """Open an existing heap: recover interrupted operations and
         rebuild the volatile free index."""
         heap = cls(region, heap_offset, heap_size)
-        heap._recover()
+        heap.recover(list(heap.chunks()))
         return heap
 
     # ------------------------------------------------------------------
@@ -139,7 +172,7 @@ class PersistentHeap:
             raise PoolCorruptionError(
                 f"bad chunk magic {magic:#x} at {offset:#x}"
             )
-        if state not in _VALID_STATES:
+        if state not in _STATE_NAMES:
             raise PoolCorruptionError(
                 f"bad chunk state {state} at {offset:#x}"
             )
@@ -172,39 +205,13 @@ class PersistentHeap:
                 f"heap walk ended at {pos:#x}, expected {end:#x}"
             )  # pragma: no cover - _read_header catches overruns first
 
-    def _recover(self) -> None:
-        """Roll back/forward interrupted ops, coalesce, rebuild the index."""
-        # Pass 1: resolve transient states and fix prev_size links.
-        prev_payload = 0
-        for info in list(self.chunks()):
-            state, size = info.state, info.size
-            if state == STATE_ALLOCATING:
-                state = STATE_FREE
-            elif state == STATE_FREEING:
-                state = STATE_FREE
-            if state != info.state or info.prev_size != prev_payload:
-                self._write_header(info.offset, state, size, prev_payload)
-            prev_payload = size
-
-        # Pass 2: coalesce adjacent free chunks.
-        merged = True
-        while merged:
-            merged = False
-            infos = list(self.chunks())
-            for i in range(len(infos) - 1):
-                a, b = infos[i], infos[i + 1]
-                if a.is_free and b.is_free:
-                    new_size = a.size + HEADER_SIZE + b.size
-                    self._write_header(a.offset, STATE_FREE, new_size,
-                                       a.prev_size)
-                    nxt = a.offset + HEADER_SIZE + new_size
-                    if nxt < self.heap_offset + self.heap_size:
-                        n = self._read_header(nxt)
-                        self._write_header(nxt, n.state, n.size, new_size)
-                    merged = True
-                    break
-
-        self._free = {c.offset: c.size for c in self.chunks() if c.is_free}
+    def recover(self, chunks: list[ChunkInfo]) -> None:
+        """Recover the heap from its chunk list (as :meth:`chunks` read
+        it): write the headers :func:`recovery_walk` rewrites and rebuild
+        the free index."""
+        rewrites, self._free = recovery_walk(chunks)
+        for _, c in rewrites:
+            self._write_header(c.offset, c.state, c.size, c.prev_size)
 
     # ------------------------------------------------------------------
     # alloc / free
@@ -271,10 +278,7 @@ class PersistentHeap:
             # 2. write the split remainder (unreachable until step 4)
             self._write_header(rem_off, STATE_FREE, rem_payload, need)
             # 3. fix the following chunk's prev link
-            nxt = info.next_offset
-            if nxt < self.heap_offset + self.heap_size:
-                n = self._read_header(nxt)
-                self._write_header(nxt, n.state, n.size, rem_payload)
+            self._link(info.next_offset, rem_payload)
             # 4. commit: shrink + ALLOCATED in one atomic header write
             self._write_header(chosen, STATE_ALLOCATED, need, info.prev_size)
             self._free[rem_off] = rem_payload
@@ -295,61 +299,71 @@ class PersistentHeap:
         return self.complete(self.reserve(size))
 
     def free(self, payload_offset: int) -> None:
-        """Free a previously allocated payload.
+        """Free a previously allocated payload, merging it with a free
+        successor and a free predecessor.
+
+        FREEING is persisted first, so no stale header left inside a free
+        chunk reads ALLOCATED.  The one header write at the merged chunk's
+        start commits the free; the next chunk's ``prev_size`` follows.
 
         Raises:
-            AllocError: the offset does not name an allocated chunk.
+            AllocError: the offset does not name an allocated object.
         """
-        header_off = payload_offset - HEADER_SIZE
-        if not (self.heap_offset <= header_off
-                < self.heap_offset + self.heap_size):
-            raise AllocError(f"offset {payload_offset:#x} outside the heap")
-        info = self._read_header(header_off)
-        if info.state != STATE_ALLOCATED:
-            raise AllocError(
-                f"double free or bad free at {payload_offset:#x} "
-                f"(state={info.state})"
-            )
-
-        self._write_header(header_off, STATE_FREEING, info.size,
+        info = self._object(payload_offset)
+        self._write_header(info.offset, STATE_FREEING, info.size,
                            info.prev_size)
+        start, prev_size, end = info.offset, info.prev_size, info.next_offset
+        if end in self._free:           # free and not reserved
+            end += HEADER_SIZE + self._free.pop(end)
+        pred = info.offset - HEADER_SIZE - info.prev_size
+        if pred in self._free:
+            del self._free[pred]
+            start, prev_size = pred, self._read_header(pred).prev_size
+        size = end - start - HEADER_SIZE
+        self._write_header(start, STATE_FREE, size, prev_size)
+        self._free[start] = size
+        if size != info.size:
+            self._link(end, size)
 
-        # forward-coalesce with any free successors
-        size = info.size
-        while True:
-            nxt = header_off + HEADER_SIZE + size
-            if nxt >= self.heap_offset + self.heap_size:
-                break
-            n = self._read_header(nxt)
-            if not n.is_free:
-                break
-            self._free.pop(nxt, None)
-            size = size + HEADER_SIZE + n.size
-            self._write_header(header_off, STATE_FREEING, size,
-                               info.prev_size)
+    def _link(self, offset: int, prev_size: int) -> None:
+        """Point the chunk at ``offset``, unless it is the heap's end, at
+        a predecessor of ``prev_size`` payload bytes."""
+        if offset < self.heap_offset + self.heap_size:
+            n = self._read_header(offset)
+            self._write_header(offset, n.state, n.size, prev_size)
 
-        self._write_header(header_off, STATE_FREE, size, info.prev_size)
-        nxt = header_off + HEADER_SIZE + size
-        if nxt < self.heap_offset + self.heap_size:
-            n = self._read_header(nxt)
-            self._write_header(nxt, n.state, n.size, size)
-        self._free[header_off] = size
+    def _object(self, payload_offset: int) -> ChunkInfo:
+        """The header of the allocated object at ``payload_offset``.
+
+        Raises:
+            AllocError: the offset does not name an allocated object.
+        """
+        offset = payload_offset - HEADER_SIZE
+        try:
+            if not (self.heap_offset <= offset
+                    <= self.heap_offset + self.heap_size - HEADER_SIZE):
+                raise AllocError("outside the heap")
+            info = self._read_header(offset)
+            if info.state != STATE_ALLOCATED:
+                raise AllocError(f"its chunk is {info}")
+        except (AllocError, PoolCorruptionError) as exc:
+            raise AllocError(f"{payload_offset:#x} does not name an "
+                             f"allocated object: {exc}") from None
+        return info
 
     def payload_size(self, payload_offset: int) -> int:
-        """Allocated payload size at ``payload_offset``."""
-        info = self._read_header(payload_offset - HEADER_SIZE)
-        if info.state != STATE_ALLOCATED:
-            raise AllocError(f"{payload_offset:#x} is not allocated")
-        return info.size
+        """Allocated payload size at ``payload_offset``.
+
+        Raises:
+            AllocError: the offset does not name an allocated object.
+        """
+        return self._object(payload_offset).size
 
     def is_allocated(self, payload_offset: int) -> bool:
-        if not (self.heap_offset + HEADER_SIZE <= payload_offset
-                <= self.heap_offset + self.heap_size):
-            return False
         try:
-            self.payload_size(payload_offset)
+            self._object(payload_offset)
             return True
-        except (AllocError, PoolCorruptionError):
+        except AllocError:
             return False
 
     # ------------------------------------------------------------------

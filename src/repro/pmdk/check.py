@@ -20,21 +20,12 @@ from repro.errors import (
 from repro.pmdk.alloc import (
     HEADER_SIZE,
     STATE_ALLOCATED,
-    STATE_ALLOCATING,
-    STATE_FREE,
-    STATE_FREEING,
     PersistentHeap,
+    recovery_walk,
 )
 from repro.pmdk.pmem import PmemRegion
 from repro.pmdk.pool import PmemObjPool, _Header
 from repro.pmdk.tx import STATE_CLEAN, UndoLog
-
-_STATE_NAMES = {
-    STATE_FREE: "free",
-    STATE_ALLOCATED: "allocated",
-    STATE_ALLOCATING: "allocating",
-    STATE_FREEING: "freeing",
-}
 
 
 @dataclass
@@ -118,20 +109,17 @@ def _inspect(region: PmemRegion, report: CheckReport) -> None:
         return
 
     try:
-        heap = PersistentHeap(region, header.heap_offset, header.heap_size)
-        for chunk in heap.chunks():
-            report.n_chunks += 1
-            if chunk.state == STATE_ALLOCATED:
-                report.allocated_bytes += chunk.size
-            elif chunk.state == STATE_FREE:
-                report.free_bytes += chunk.size
-            else:
-                issues.append(
-                    f"chunk at {chunk.offset:#x} in transient state "
-                    f"{_STATE_NAMES[chunk.state]}")
+        chunks = list(PersistentHeap(region, header.heap_offset,
+                                     header.heap_size).chunks())
     except (AllocError, PoolCorruptionError) as exc:
         issues.append(f"heap: {exc}")
         return
+    report.n_chunks = len(chunks)
+    report.allocated_bytes = sum(c.size for c in chunks
+                                 if c.state == STATE_ALLOCATED)
+    report.free_bytes = sum(c.size for c in chunks if c.is_free)
+    issues += [f"chunk header at {new.offset:#x} reads {old}; recovery "
+               f"writes {new}" for old, new in recovery_walk(chunks)[0]]
 
     if header.root_offset:
         report.root_present = True

@@ -70,12 +70,11 @@ class _Header:
         self.root_size = root_size
 
     def pack(self) -> bytes:
-        layout_b = self.layout.encode()[:64].ljust(64, b"\x00")
         body = struct.pack(
             "<8sI16s64sQQQQQQQ", POOL_MAGIC, POOL_VERSION, self.uuid,
-            layout_b, self.pool_size, self.log_offset, self.log_size,
-            self.heap_offset, self.heap_size, self.root_offset,
-            self.root_size,
+            self.layout.encode(), self.pool_size, self.log_offset,
+            self.log_size, self.heap_offset, self.heap_size,
+            self.root_offset, self.root_size,
         )
         return body + struct.pack("<I", zlib.crc32(body))
 
@@ -93,9 +92,13 @@ class _Header:
             raise PoolCorruptionError(f"unsupported pool version {version}")
         if crc != zlib.crc32(body):
             raise PoolCorruptionError("pool header CRC mismatch")
-        return cls(uuid, layout_b.rstrip(b"\x00").decode(), pool_size,
-                   log_off, log_size, heap_off, heap_size, root_off,
-                   root_size)
+        try:
+            layout = layout_b.rstrip(b"\x00").decode()
+        except UnicodeDecodeError:
+            raise PoolCorruptionError(
+                "pool layout is not valid UTF-8") from None
+        return cls(uuid, layout, pool_size, log_off, log_size, heap_off,
+                   heap_size, root_off, root_size)
 
     @classmethod
     def read_copies(cls, region: PmemRegion
@@ -165,8 +168,12 @@ class PmemObjPool:
         ``pmemobj_create(path, ...)``) or an existing region.
 
         Raises:
-            PoolError: target too small or already formatted.
+            PoolError: layout longer than 64 UTF-8 bytes, target too
+                small, or either header copy already decodes.
         """
+        if len(layout.encode()) > 64:
+            raise PoolError(f"pool layout {layout!r} is longer than the "
+                            "64-byte limit (UTF-8)")
         owns = isinstance(target, str)
         if owns:
             if size is None:
@@ -192,7 +199,8 @@ class PmemObjPool:
                 f"region of {region.size} bytes too small for a pool "
                 f"(need >= {METADATA_SIZE + log_size + 64 * 1024})"
             )
-        existing = _Header.read_copies(region)[0]
+        primary, backup, _ = _Header.read_copies(region)
+        existing = primary or backup
         if existing is not None:
             raise PoolError(
                 f"region already contains a pool (layout={existing.layout!r}); "
@@ -226,8 +234,9 @@ class PmemObjPool:
         The one path that writes to a damaged pool.  All that recovery
         reads is validated before the first write, so a refused pool is
         left byte-identical.  Then it rewrites a stale header copy,
-        recovers the heap, rolls back or completes the interrupted
-        transaction and rebuilds the heap index.
+        recovers the heap (one walk over the chunk list it validated,
+        which also builds the heap index) and rolls back or completes the
+        interrupted transaction.
 
         Raises:
             PoolError: layout mismatch.
@@ -247,20 +256,16 @@ class PmemObjPool:
             header.check_geometry(region.size)
             log = UndoLog(region, header.log_offset, header.log_size)
             log.entries(log.read_ctrl()[0])
-            for _ in PersistentHeap(region, header.heap_offset,
-                                    header.heap_size).chunks():
-                pass
+            heap = PersistentHeap(region, header.heap_offset,
+                                  header.heap_size)
+            chunks = list(heap.chunks())
             if repair:
                 header.write(region)
                 obs.inc("pmdk.recovery.header_repairs")
-            heap = PersistentHeap.open(region, header.heap_offset,
-                                       header.heap_size)
+            heap.recover(chunks)
             with obs.span("pmdk.recovery"):
                 report = tx_recover(log, heap)
             report.header_repair = repair
-            # recovery may have freed chunks; rebuild the heap index
-            heap = PersistentHeap.open(region, header.heap_offset,
-                                       header.heap_size)
             pool = cls(region, header, heap, owns)
             pool.last_recovery = report
             return pool

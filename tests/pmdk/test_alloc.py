@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import AllocError, PoolCorruptionError
+from repro.errors import AllocError, CrashInjected, PoolCorruptionError
 from repro.pmdk.alloc import (
     ALIGN,
     HEADER_SIZE,
@@ -13,7 +13,11 @@ from repro.pmdk.alloc import (
     PersistentHeap,
     align_up,
 )
+from repro.pmdk.check import check_pool
+from repro.pmdk.crash import CrashController, CrashRegion
 from repro.pmdk.pmem import VolatileRegion
+from repro.pmdk.pool import PmemObjPool
+from tests.pmdk.heap_invariant import assert_heap_invariant
 
 HEAP_OFF = 0
 HEAP_SIZE = 64 * 1024
@@ -127,9 +131,21 @@ class TestCoalescing:
             heap.free(off)
         for off in offs[1::2]:
             heap.free(off)
-        # a reopen pass merges whatever run-time coalescing missed
+        assert len(list(heap.chunks())) == 1
         merged = PersistentHeap.open(heap.region, HEAP_OFF, HEAP_SIZE)
         assert len(list(merged.chunks())) == 1
+
+    def test_address_order_frees_leave_one_chunk(self):
+        """The running heap is the heap a reopen would build: freeing in
+        address order merges each object into its free predecessor."""
+        size = 4 << 20
+        heap = PersistentHeap.format(VolatileRegion(size), 0, size)
+        offs = [heap.alloc(64 << 10) for _ in range(40)]
+        for off in offs:
+            heap.free(off)
+        assert len(list(heap.chunks())) == 1
+        assert heap.largest_free == heap.free_bytes == size - HEADER_SIZE
+        heap.alloc(2 << 20)
 
     def test_largest_free_tracks_merging(self, heap):
         a = heap.alloc(1024)
@@ -184,7 +200,7 @@ class TestCrashRecovery:
         from repro.pmdk.alloc import _pack_header
         a = heap.alloc(256)
         heap.alloc(256)
-        # corrupt a's prev_size (advisory field)
+        # a stale prev_size link, which recovery makes exact
         info = heap._read_header(a - HEADER_SIZE)
         region.write(a - HEADER_SIZE,
                      _pack_header(info.state, info.size, 0xDEAD00))
@@ -200,3 +216,49 @@ class TestCrashRecovery:
         PersistentHeap.open(region, HEAP_OFF, HEAP_SIZE)
         again = PersistentHeap.open(region, HEAP_OFF, HEAP_SIZE)
         assert again.free_bytes + again.used_bytes > 0
+
+
+PATTERN = bytes(range(256))
+
+
+def _object_between_two_free_neighbours():
+    backing = VolatileRegion(1 << 20)
+    region = CrashRegion(backing)
+    pool = PmemObjPool.create(region, layout="merge")
+    before, obj, after, _ = pool.alloc_many(4, len(PATTERN))
+    pool.write(obj, PATTERN)
+    pool.free(before)
+    pool.free(after)
+    region.flush_all()
+    return backing, region, pool, obj
+
+
+def _tx_free(pool, oid):
+    with pool.transaction() as tx:
+        pool.tx_free(tx, oid)
+
+
+@pytest.mark.parametrize("survivor_prob", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("free", [PmemObjPool.free, _tx_free],
+                         ids=["free", "tx_free"])
+def test_crash_at_every_persist_of_a_merging_free(free, survivor_prob):
+    """A crash at any persist of a free that merges both ways leaves the
+    object allocated and intact, or freed; either way the reopened heap
+    holds its invariant and checks clean."""
+    _, region, pool, obj = _object_between_two_free_neighbours()
+    region.controller = ctrl = CrashController()
+    ctrl.attach(region)
+    free(pool, obj)
+    assert ctrl.op_count >= 3
+    for crash_at in range(1, ctrl.op_count + 1):
+        backing, region, pool, obj = _object_between_two_free_neighbours()
+        region.controller = crash = CrashController(
+            crash_at, survivor_prob=survivor_prob, seed=crash_at)
+        crash.attach(region)
+        with pytest.raises(CrashInjected):
+            free(pool, obj)
+        reopened = PmemObjPool.open(backing)
+        if reopened.heap.is_allocated(obj.offset):
+            assert reopened.read(obj, len(PATTERN)) == PATTERN
+        assert_heap_invariant(reopened.heap)
+        assert check_pool(backing).ok, crash_at

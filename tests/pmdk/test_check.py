@@ -1,8 +1,19 @@
 """Pool checking and repair (pmempool check equivalent)."""
 
+import re
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.errors import TransactionError
+from repro.pmdk.alloc import (
+    HEADER_SIZE,
+    STATE_ALLOCATING,
+    STATE_FREE,
+    STATE_FREEING,
+    _pack_header,
+)
 from repro.pmdk.check import check_pool
 from repro.pmdk.containers import PersistentArray
 from repro.pmdk.pmem import VolatileRegion
@@ -119,3 +130,44 @@ class TestRealWorkloadThenCheck:
         before = pool.region.read(0, 4096)
         check_pool(pool.region, repair=False)
         assert pool.region.read(0, 4096) == before
+
+
+def _rewrite_header(pool, oid, **fields) -> int:
+    """Rewrite the chunk header of ``oid`` in place; returns its offset."""
+    info = replace(pool.heap._read_header(oid.offset - HEADER_SIZE),
+                   **fields)
+    pool.region.write(info.offset, _pack_header(info.state, info.size,
+                                                info.prev_size))
+    return info.offset
+
+
+class TestHeapIssues:
+    """``check_pool`` reports exactly the chunk headers ``open`` then
+    rewrites, so a pool it calls clean is one ``open`` leaves as is."""
+
+    @pytest.mark.parametrize("damage", [
+        "adjacent-free", "stale-prev-size", "allocating", "freeing"])
+    def test_check_names_the_headers_open_rewrites(self, damage):
+        region = VolatileRegion(1 << 20)
+        pool = PmemObjPool.create(region)
+        a, b, c = pool.alloc_many(3, 64)
+        if damage == "adjacent-free":    # what a forward-only free leaves
+            _rewrite_header(pool, a, state=STATE_FREE)
+            _rewrite_header(pool, b, state=STATE_FREE)
+            expected = {a.offset - HEADER_SIZE, c.offset - HEADER_SIZE}
+        else:
+            fields = {"stale-prev-size": {"prev_size": 128},
+                      "allocating": {"state": STATE_ALLOCATING},
+                      "freeing": {"state": STATE_FREEING}}[damage]
+            expected = {_rewrite_header(pool, b, **fields)}
+        report = check_pool(region)
+        named = {int(m, 16) for m in re.findall(
+            r"chunk header at (0x[0-9a-f]+)", "\n".join(report.issues))}
+        assert named == expected, report.summary()
+
+        before = np.frombuffer(region.read(0, region.size), np.uint8)
+        PmemObjPool.open(region)
+        after = np.frombuffer(region.read(0, region.size), np.uint8)
+        changed = np.flatnonzero(before != after)
+        assert set(changed // HEADER_SIZE * HEADER_SIZE) == expected
+        assert check_pool(region).ok

@@ -45,6 +45,15 @@ class TestCreate:
         assert main(["create", pool_file, "1m"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_create_over_torn_primary_fails(self, pool_file, capsys):
+        region = map_file(pool_file)
+        region.write(PRIMARY_HEADER_OFF + 8, b"\xff" * 8)
+        region.close()
+        before = _sha256(pool_file)
+        assert main(["create", pool_file, "1m"]) == 1
+        assert "already contains a pool" in capsys.readouterr().err
+        assert _sha256(pool_file) == before
+
     def test_bad_size_is_a_readable_error(self, tmp_path, capsys):
         assert main(["create", str(tmp_path / "bad.pool"), "12q"]) == 1
         assert "cannot parse size '12q'" in capsys.readouterr().err

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.errors import (
+    AllocError,
     PmemError,
     PoolCorruptionError,
     PoolError,
     TransactionError,
 )
+from repro.pmdk.alloc import HEADER_SIZE, STATE_FREE, _pack_header
 from repro.pmdk.check import check_pool
 from repro.pmdk.oid import OID_NULL, PMEMoid
 from repro.pmdk.pmem import VolatileRegion
@@ -65,6 +67,40 @@ class TestCreateOpen:
         with pytest.raises(PoolError):
             PmemObjPool.create(str(tmp_path / "p.pool"), layout="x")
 
+    def test_create_refuses_a_pool_whose_primary_is_torn(self):
+        region = VolatileRegion(1 << 20)
+        pool = PmemObjPool.create(region, layout="torn")
+        pool.write(pool.root(64), b"rooted")
+        region.write(PRIMARY_HEADER_OFF + 8, b"\xff" * 8)
+        before = region.read(0, region.size)
+        with pytest.raises(PoolError, match="already contains a pool"):
+            PmemObjPool.create(region)
+        assert region.read(0, region.size) == before
+        reopened = PmemObjPool.open(region)
+        assert reopened.read(reopened.root_oid, 6) == b"rooted"
+
+    @pytest.mark.parametrize("layout", ["\u20ac" * 30, "x" * 65],
+                             ids=["multibyte", "ascii"])
+    def test_layout_over_64_utf8_bytes_refused(self, layout):
+        region = VolatileRegion(1 << 20)
+        with pytest.raises(PoolError, match="64-byte limit"):
+            PmemObjPool.create(region, layout=layout)
+        assert region.read(0, region.size) == bytes(region.size)
+
+    def test_layout_cut_mid_character_is_a_header_fault(self):
+        """A pool whose stored layout is not valid UTF-8 (what storing
+        ``"\u20ac" * 30`` cut at byte 64 leaves) is a corrupt header."""
+        region = VolatileRegion(1 << 20)
+        PmemObjPool.create(region, layout="short")
+        hdr = _Header.unpack(region.read(PRIMARY_HEADER_OFF, _HDR_LEN))
+        hdr.layout = "\u20ac" * 30      # packing keeps the first 64 bytes
+        for off in (PRIMARY_HEADER_OFF, BACKUP_HEADER_OFF):
+            region.write(off, hdr.pack())
+        with pytest.raises(PoolCorruptionError, match="not valid UTF-8"):
+            PmemObjPool.open(region)
+        assert "primary header: pool layout is not valid UTF-8" in (
+            check_pool(region).issues)
+
 
 class TestObjects:
     def test_alloc_zeroes_by_default(self, pool):
@@ -116,6 +152,18 @@ class TestObjects:
         oid = pool.alloc(80)
         with pytest.raises(PmemError):
             pool.np_view(oid, "float64", 100)
+
+    def test_oid_not_naming_an_object_is_an_alloc_error(self):
+        region = VolatileRegion(1 << 20)
+        pool = PmemObjPool.create(region)
+        inside = PMEMoid(pool.uuid, pool.alloc(256).offset + 64)
+        before = region.read(0, region.size)
+        for call in (pool.free, pool.read, pool.size_of, pool.direct,
+                     lambda oid: pool.write(oid, b"x")):
+            with pytest.raises(AllocError,
+                               match="does not name an allocated object"):
+                call(inside)
+        assert region.read(0, region.size) == before
 
 
 class TestRoot:
@@ -233,6 +281,46 @@ class TestOpenIsTheRepairPath:
             PmemObjPool.open(region)
         assert region.read(0, region.size) == before
         assert any(message in i for i in check_pool(region).issues)
+
+    def test_fragmented_pool_opens_in_one_walk(self):
+        """A pool whose objects carry FREE headers in place (what
+        address-order frees that merge only forward leave) opens in one
+        walk: at most two reads per chunk and a few header writes, to
+        exactly the headers the checker names first."""
+        reads = writes = 0
+
+        class Counting(VolatileRegion):
+            def read(self, offset, length):
+                nonlocal reads
+                reads += 1
+                return super().read(offset, length)
+
+            def write(self, offset, data):
+                nonlocal writes
+                writes += 1
+                super().write(offset, data)
+
+        region = Counting(1 << 20)
+        pool = PmemObjPool.create(region)
+        oids = pool.alloc_many(800, 64)
+        for oid in oids[:-1]:
+            info = pool.heap._read_header(oid.offset - HEADER_SIZE)
+            region.write(info.offset, _pack_header(STATE_FREE, info.size,
+                                                   info.prev_size))
+        n_chunks = len(list(pool.heap.chunks()))
+        issues = check_pool(region).issues
+        assert issues == [
+            f"chunk header at {oids[0].offset - HEADER_SIZE:#x} reads free "
+            f"64 B (prev 0 B); recovery writes free {799 * 128 - 64} B "
+            f"(prev 0 B)",
+            f"chunk header at {oids[-1].offset - HEADER_SIZE:#x} reads "
+            f"allocated 64 B (prev 64 B); recovery writes allocated 64 B "
+            f"(prev {799 * 128 - 64} B)"]
+        reads = writes = 0
+        reopened = PmemObjPool.open(region)
+        assert reads <= 2 * n_chunks + 32 and writes <= 4, (reads, writes)
+        assert len(list(reopened.heap.chunks())) == 3
+        assert check_pool(region).ok
 
     def test_corrupt_undo_log_refused_without_writing(self):
         region = VolatileRegion(1 << 20)

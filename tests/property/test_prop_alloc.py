@@ -1,10 +1,13 @@
 """Property tests: the persistent heap under arbitrary alloc/free sequences.
 
 Invariants:
+* after every operation the heap's own invariant holds (the walk covers
+  it exactly, ``prev_size`` links are exact, no two adjacent chunks are
+  free, the free index matches the media);
 * live allocations never overlap;
-* walking the heap always covers it exactly (no gaps, no overruns);
 * free + used + headers always account for the full heap;
-* data written into one allocation is never clobbered by another.
+* data written into one allocation is never clobbered by another;
+* reopening a running heap finds the same chunks and writes nothing.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import AllocError
 from repro.pmdk.alloc import HEADER_SIZE, PersistentHeap, STATE_ALLOCATED
 from repro.pmdk.pmem import VolatileRegion
+from tests.pmdk.heap_invariant import assert_heap_invariant
 
 HEAP_SIZE = 256 * 1024
 
@@ -44,6 +48,7 @@ def _replay(ops) -> tuple[PersistentHeap, dict[int, int], VolatileRegion]:
             victim = keys[arg % len(keys)]
             heap.free(victim)
             del live[victim]
+        assert_heap_invariant(heap)
     return heap, live, region
 
 
@@ -108,7 +113,10 @@ def test_data_integrity_across_operations(ops):
 @settings(max_examples=40, deadline=None)
 def test_reopen_reconstructs_identical_state(ops):
     heap, live, region = _replay(ops)
+    media = region.read(0, HEAP_SIZE)
     reopened = PersistentHeap.open(region, 0, HEAP_SIZE)
+    assert region.read(0, HEAP_SIZE) == media
+    assert list(reopened.chunks()) == list(heap.chunks())
     assert set(live) == {c.payload_offset for c in reopened.chunks()
                          if c.state == STATE_ALLOCATED}
-    assert reopened.free_bytes >= heap.free_bytes   # reopen may coalesce
+    assert reopened.free_bytes == heap.free_bytes

@@ -17,6 +17,7 @@ from repro.pmdk.containers import PersistentArray
 from repro.pmdk.crash import CrashController, CrashRegion
 from repro.pmdk.pmem import VolatileRegion
 from repro.pmdk.pool import PmemObjPool
+from tests.pmdk.heap_invariant import assert_heap_invariant
 
 POOL = 4 * 1024 * 1024
 N = 64
@@ -149,3 +150,54 @@ def test_tx_alloc_never_leaks_across_crash(crash_at, seed):
 
     recovered = PmemObjPool.open(backing)
     assert recovered.used_bytes == baseline_used
+
+
+_heap_ops = st.lists(
+    st.tuples(st.sampled_from(["alloc", "free", "tx_alloc", "tx_free"]),
+              st.integers(0, 1000)),
+    min_size=1, max_size=25,
+)
+
+
+@given(ops=_heap_ops, crash_at=st.integers(1, 80),
+       survivor_prob=st.sampled_from([0.0, 0.5, 1.0]),
+       seed=st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_clean_check_means_open_writes_nothing(ops, crash_at, survivor_prob,
+                                               seed):
+    """Whatever a crash amid heap operations leaves, a pool that
+    ``check_pool`` calls clean is one ``open`` leaves byte-identical,
+    and after ``open`` the heap holds its invariant and checks clean."""
+    from repro.pmdk.check import check_pool
+
+    backing = VolatileRegion(1 << 20)
+    region = CrashRegion(backing)
+    pool = PmemObjPool.create(region, layout="heap")
+    region.flush_all()
+    region.controller = ctrl = CrashController(
+        crash_at=crash_at, survivor_prob=survivor_prob, seed=seed)
+    ctrl.attach(region)
+    live = []
+    try:
+        for kind, arg in ops:
+            if kind == "alloc":
+                live.append(pool.alloc(64 * (1 + arg % 16)))
+            elif kind == "tx_alloc":
+                with pool.transaction() as tx:
+                    live.append(pool.tx_alloc(tx, 64 * (1 + arg % 16)))
+            elif live and kind == "free":
+                pool.free(live.pop(arg % len(live)))
+            elif live:
+                with pool.transaction() as tx:
+                    pool.tx_free(tx, live.pop(arg % len(live)))
+        region.crash(survivor_prob, ctrl.rng)
+    except CrashInjected:
+        pass
+
+    clean = check_pool(backing).ok
+    media = backing.read(0, backing.size)
+    reopened = PmemObjPool.open(backing)
+    if clean:
+        assert backing.read(0, backing.size) == media
+    assert_heap_invariant(reopened.heap)
+    assert check_pool(backing).ok
