@@ -69,15 +69,13 @@ def block_payload(key: str, size: int) -> bytes:
 
     A real decode is a deterministic function of the tokens it has
     seen; this models that by expanding the block's chained prefix hash
-    into ``size`` bytes with a SHA-256 counter stream.  Any worker
-    recomputing a block therefore produces bit-identical bytes — which
-    is what lets the recovery drills demand sha256 equality between a
-    pool-recovered run and an uninterrupted one.
+    into ``size`` bytes of SHAKE-256 output, so a shorter payload of
+    one key is a prefix of a longer one.  Any worker recomputing a
+    block therefore produces bit-identical bytes — which is what lets
+    the recovery drills demand sha256 equality between a pool-recovered
+    run and an uninterrupted one.
     """
-    seed = bytes.fromhex(key)
-    return b"".join([
-        hashlib.sha256(seed + counter.to_bytes(4, "little")).digest()
-        for counter in range((size + 31) // 32)])[:size]
+    return hashlib.shake_256(bytes.fromhex(key)).digest(size)
 
 
 @dataclass(frozen=True)

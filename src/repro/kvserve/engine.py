@@ -31,6 +31,7 @@ import hashlib
 import random
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro import faults, obs
 from repro.errors import (
@@ -161,12 +162,27 @@ class Sequence:
     def total_tokens(self) -> int:
         return self.n_prompt + self.n_decode
 
+    @cached_property
+    def tokens(self) -> tuple[int, ...]:
+        """Every token of the sequence, from two SHAKE-256 streams read
+        as little-endian u64s: the group's stream for the shared prefix,
+        the sequence's own stream from there on.
+
+        Extendable output is prefix-stable (``digest(n)`` is a prefix of
+        ``digest(m)`` for n < m), so token ``p`` is word ``p`` of its
+        scope's stream however many tokens were asked for.
+        """
+        prefix, total = self.shared_prefix_tokens, self.total_tokens
+        shared = hashlib.shake_256(f"tok:g{self.group}".encode())
+        own = hashlib.shake_256(f"tok:s{self.seq_id}".encode())
+        return (struct.unpack(f"<{prefix}Q", shared.digest(8 * prefix))
+                + struct.unpack_from(f"<{total - prefix}Q",
+                                     own.digest(8 * total), 8 * prefix))
+
     def token_at(self, position: int) -> int:
-        """The deterministic token at ``position`` (worker-independent)."""
-        scope = (f"g{self.group}" if position < self.shared_prefix_tokens
-                 else f"s{self.seq_id}")
-        h = hashlib.sha256(f"tok:{scope}:{position}".encode()).digest()
-        return int.from_bytes(h[:8], "little")
+        """The deterministic token at ``position`` (worker-independent):
+        ``tokens[position]``."""
+        return self.tokens[position]
 
 
 def _chain_key(prev_key: str | None, tokens: list) -> str:
@@ -287,10 +303,10 @@ class KvServeEngine:
         read_index = 0
         while seq.produced < seq.n_prompt:
             take = min(self.block_tokens, seq.n_prompt - seq.produced)
-            tokens = [seq.token_at(seq.produced + i) for i in range(take)]
+            tokens = seq.tokens[seq.produced:seq.produced + take]
             seq.produced += take
             if take < self.block_tokens:
-                seq.tail = tokens       # partial prompt block stays open
+                seq.tail = list(tokens)     # partial prompt block stays open
                 break
             prev = seq.block_keys[-1] if seq.block_keys else None
             key = _chain_key(prev, tokens)
@@ -504,10 +520,9 @@ class KvServeEngine:
             seq._sha.update(payload)
         # the open tail died in the worker's local memory: recompute it
         sealed = len(seq.block_keys) * self.block_tokens
-        tail_positions = list(range(sealed, seq.produced))
-        seq.tail = [seq.token_at(p) for p in tail_positions]
-        ns += len(tail_positions) * self.cost.prefill_ns_per_token
-        tokens_recomputed += len(tail_positions)
+        seq.tail = list(seq.tokens[sealed:seq.produced])
+        ns += len(seq.tail) * self.cost.prefill_ns_per_token
+        tokens_recomputed += len(seq.tail)
         worker.busy_ns += ns
         event = {
             "seq": seq.seq_id, "from_worker": dead_worker,

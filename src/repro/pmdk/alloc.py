@@ -205,13 +205,14 @@ class PersistentHeap:
                 f"heap walk ended at {pos:#x}, expected {end:#x}"
             )  # pragma: no cover - _read_header catches overruns first
 
-    def recover(self, chunks: list[ChunkInfo]) -> None:
+    def recover(self, chunks: list[ChunkInfo]) -> int:
         """Recover the heap from its chunk list (as :meth:`chunks` read
         it): write the headers :func:`recovery_walk` rewrites and rebuild
-        the free index."""
+        the free index.  Returns the number of headers rewritten."""
         rewrites, self._free = recovery_walk(chunks)
         for _, c in rewrites:
             self._write_header(c.offset, c.state, c.size, c.prev_size)
+        return len(rewrites)
 
     # ------------------------------------------------------------------
     # alloc / free

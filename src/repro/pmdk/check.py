@@ -74,6 +74,10 @@ def check_pool(region: PmemRegion, repair: bool = False) -> CheckReport:
         else:
             if rec.header_repair:
                 report.repairs.append(rec.header_repair)
+            if rec.heap_headers_rewritten:
+                n = rec.heap_headers_rewritten
+                report.repairs.append(
+                    f"{n} chunk header{'s' if n != 1 else ''} rewritten")
             if rec.action != "clean":
                 report.repairs.append(f"transaction {rec.action}")
     _inspect(region, report)

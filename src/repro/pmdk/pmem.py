@@ -313,8 +313,13 @@ class FileRegion(BufferRegion):
         if create:
             if size is None or size <= 0:
                 raise PmemError("creating a file region requires a size")
-            flags = os.O_RDWR | os.O_CREAT
-            fd = os.open(path, flags, 0o644)
+            fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+            existing = os.fstat(fd).st_size
+            if existing:
+                os.close(fd)
+                raise PmemError(
+                    f"pmem file {path!r} already exists ({existing} bytes); "
+                    "create neither resizes nor overwrites a file")
             try:
                 os.ftruncate(fd, size)
             except OSError:

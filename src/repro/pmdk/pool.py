@@ -138,6 +138,19 @@ class _Header:
             raise PoolCorruptionError("heap geometry exceeds the pool")
 
 
+def _refuse_pool(region: PmemRegion, where: str) -> None:
+    """Raise :class:`PoolError` if either header copy in ``region``
+    decodes: ``create`` never formats over a pool."""
+    if region.size < METADATA_SIZE:
+        return
+    primary, backup, _ = _Header.read_copies(region)
+    existing = primary or backup
+    if existing is not None:
+        raise PoolError(
+            f"{where} already contains a pool (layout={existing.layout!r}); "
+            "open it instead")
+
+
 class PmemObjPool:
     """A transactional persistent object pool (``pmemobj`` equivalent)."""
 
@@ -167,9 +180,14 @@ class PmemObjPool:
         ``target`` is a path (a file region is created, like
         ``pmemobj_create(path, ...)``) or an existing region.
 
+        Like ``pmemobj_create`` given a size, it never creates over an
+        existing file: a path to a file that is not empty is refused
+        before anything is resized or written.
+
         Raises:
             PoolError: layout longer than 64 UTF-8 bytes, target too
                 small, or either header copy already decodes.
+            PmemError: ``target`` names a file that is not empty.
         """
         if len(layout.encode()) > 64:
             raise PoolError(f"pool layout {layout!r} is longer than the "
@@ -178,6 +196,10 @@ class PmemObjPool:
         if owns:
             if size is None:
                 raise PoolError("creating a pool file requires a size")
+            if os.path.isfile(target) and os.path.getsize(target):
+                # say whether it holds a pool; mapping it writes nothing
+                with contextlib.closing(map_file(target)) as existing:
+                    _refuse_pool(existing, repr(target))
             region = map_file(target, size, create=True)
         else:
             region = target
@@ -199,13 +221,7 @@ class PmemObjPool:
                 f"region of {region.size} bytes too small for a pool "
                 f"(need >= {METADATA_SIZE + log_size + 64 * 1024})"
             )
-        primary, backup, _ = _Header.read_copies(region)
-        existing = primary or backup
-        if existing is not None:
-            raise PoolError(
-                f"region already contains a pool (layout={existing.layout!r}); "
-                "open it instead"
-            )
+        _refuse_pool(region, "region")
         log_size = align_up(log_size)
         heap_offset = METADATA_SIZE + log_size
         heap_size = (region.size - heap_offset) // 64 * 64
@@ -262,10 +278,11 @@ class PmemObjPool:
             if repair:
                 header.write(region)
                 obs.inc("pmdk.recovery.header_repairs")
-            heap.recover(chunks)
+            rewritten = heap.recover(chunks)
             with obs.span("pmdk.recovery"):
                 report = tx_recover(log, heap)
             report.header_repair = repair
+            report.heap_headers_rewritten = rewritten
             pool = cls(region, header, heap, owns)
             pool.last_recovery = report
             return pool

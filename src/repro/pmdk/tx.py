@@ -420,6 +420,8 @@ class RecoveryReport:
     #: the header copy open rewrote, e.g. ``"backup header restored
     #: from primary"``; ``None`` when both copies were intact and equal
     header_repair: str | None = None
+    #: chunk headers the heap's recovery walk rewrote
+    heap_headers_rewritten: int = 0
 
 
 def _roll_back(log: UndoLog, heap: PersistentHeap,

@@ -43,6 +43,14 @@ class TestPayload:
         assert len(block_payload(key, 100)) == 100
         assert block_payload(key, 64) != block_payload(_key("b"), 64)
 
+    def test_payload_is_the_prefix_stable_shake256_expansion(self):
+        key = _key("a")
+        longest = block_payload(key, BLOCK)
+        for n in (1, 31, 32, 33, 100, BLOCK):
+            assert block_payload(key, n) == \
+                hashlib.shake_256(bytes.fromhex(key)).digest(n)
+            assert block_payload(key, n) == longest[:n]
+
 
 class TestLifecycle:
     def test_offload_pools_and_drops_local_copy(self, store):

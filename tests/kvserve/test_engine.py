@@ -1,11 +1,14 @@
 """The KV serving engine: prefix sharing, determinism, kill recovery."""
 
+import hashlib
+import struct
+
 import pytest
 
 from repro import faults
 from repro.errors import KvCacheError, WorkerKilledError
 from repro.faults.plan import FaultPlan, HostDetachSpec, WorkerKillSpec
-from repro.kvserve import KvServeEngine
+from repro.kvserve import KvServeEngine, Sequence
 
 
 def _engine(**kw) -> KvServeEngine:
@@ -21,6 +24,74 @@ def _small_workload(engine, n_seqs=4, prompt=24, decode=10, prefix=16):
     for i in range(n_seqs):
         engine.add_sequence(prompt, decode, group=0,
                             shared_prefix_tokens=prefix)
+
+
+def _xof_words(scope: str, n: int) -> list[int]:
+    raw = hashlib.shake_256(f"tok:{scope}".encode()).digest(8 * n)
+    return [int.from_bytes(raw[8 * i:8 * i + 8], "little") for i in range(n)]
+
+
+def _expected_tokens(seq) -> list[int]:
+    """The group's stream for the shared prefix, the sequence's own
+    stream (read at the same positions) after it."""
+    prefix = seq.shared_prefix_tokens
+    return (_xof_words(f"g{seq.group}", prefix)
+            + _xof_words(f"s{seq.seq_id}", seq.total_tokens)[prefix:])
+
+
+def _expected_chain(tokens, block: int) -> list[str]:
+    """SHA-256 chain keys of every full block of ``tokens``."""
+    keys, prev = [], b"kv-root"
+    for start in range(0, len(tokens) - block + 1, block):
+        prev = hashlib.sha256(prev + struct.pack(
+            f"<{block}Q", *tokens[start:start + block])).digest()
+        keys.append(prev.hex())
+    return keys
+
+
+class TestTokens:
+    def test_tokens_are_the_two_scope_xof_expansion(self):
+        engine = _engine()
+        _small_workload(engine)
+        engine.add_sequence(24, 10, group=1, shared_prefix_tokens=0)
+        engine.add_sequence(16, 4, group=2, shared_prefix_tokens=16)
+        for seq in engine.sequences.values():
+            assert list(seq.tokens) == _expected_tokens(seq)
+        # a longer sequence extends the same stream
+        longer = Sequence(1, 0, 24, 90, 16)
+        assert longer.tokens[:34] == engine.sequences[1].tokens
+
+    def test_a_position_reads_the_same_first_or_last(self):
+        expected = _expected_tokens(Sequence(1, 0, 24, 10, 16))
+        for p in range(34):
+            first = Sequence(1, 0, 24, 10, 16).token_at(p)
+            seq = Sequence(1, 0, 24, 10, 16)
+            for q in range(34):
+                if q != p:
+                    seq.token_at(q)
+            assert first == seq.token_at(p) == expected[p]
+
+    def test_kill_and_resume_rebuild_the_same_chain(self):
+        engine = _engine()
+        _small_workload(engine)
+        plan = FaultPlan(faults=[WorkerKillSpec(worker=0, at_step=3)])
+        with faults.use_plan(plan):
+            report = engine.run()
+        resumed = {e["seq"] for e in report["recovery"]["events"]}
+        assert resumed
+        for seq in engine.sequences.values():
+            tokens = _expected_tokens(seq)
+            assert list(seq.tokens) == tokens
+            assert seq.block_keys == _expected_chain(tokens, 8)
+
+    def test_one_group_shares_exactly_its_prefix(self):
+        engine = _engine()
+        a, b = (engine.add_sequence(24, 10, group=0, shared_prefix_tokens=16)
+                for _ in range(2))
+        c = engine.add_sequence(24, 10, group=1, shared_prefix_tokens=16)
+        assert a.tokens[:16] == b.tokens[:16] == tuple(_xof_words("g0", 16))
+        assert all(x != y for x, y in zip(a.tokens[16:], b.tokens[16:]))
+        assert all(x != y for x, y in zip(a.tokens, c.tokens))
 
 
 class TestCleanRun:

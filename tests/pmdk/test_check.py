@@ -166,8 +166,9 @@ class TestHeapIssues:
         assert named == expected, report.summary()
 
         before = np.frombuffer(region.read(0, region.size), np.uint8)
-        PmemObjPool.open(region)
+        rec = PmemObjPool.open(region).last_recovery
         after = np.frombuffer(region.read(0, region.size), np.uint8)
         changed = np.flatnonzero(before != after)
         assert set(changed // HEADER_SIZE * HEADER_SIZE) == expected
+        assert rec.heap_headers_rewritten == len(expected)
         assert check_pool(region).ok

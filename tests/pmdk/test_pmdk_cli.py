@@ -1,10 +1,12 @@
 """The pmempool-style CLI (python -m repro.pmdk)."""
 
 import hashlib
+import os
 
 import pytest
 
 from repro.pmdk.__main__ import main
+from repro.pmdk.alloc import HEADER_SIZE, STATE_FREE, _pack_header
 from repro.pmdk.pmem import map_file
 from repro.pmdk.pool import PRIMARY_HEADER_OFF, PmemObjPool
 
@@ -53,6 +55,28 @@ class TestCreate:
         assert main(["create", pool_file, "1m"]) == 1
         assert "already contains a pool" in capsys.readouterr().err
         assert _sha256(pool_file) == before
+
+    def test_create_over_existing_pool_leaves_it_whole(self, pool_file,
+                                                        capsys):
+        pool = PmemObjPool.open(pool_file)
+        pool.write(pool.root(64), b"kept")
+        uuid = pool.uuid
+        pool.close()
+        size, before = os.path.getsize(pool_file), _sha256(pool_file)
+        assert main(["create", pool_file, "512k"]) == 1
+        assert repr(pool_file) in capsys.readouterr().err
+        assert os.path.getsize(pool_file) == size
+        assert _sha256(pool_file) == before
+        pool = PmemObjPool.open(pool_file)
+        assert pool.uuid == uuid and pool.read(pool.root_oid, 4) == b"kept"
+        pool.close()
+
+    def test_create_never_overwrites_a_file(self, tmp_path, capsys):
+        path = tmp_path / "notes.txt"
+        path.write_bytes(b"notes" * 20)
+        assert main(["create", str(path), "1m"]) == 1
+        assert "already exists" in capsys.readouterr().err
+        assert path.read_bytes() == b"notes" * 20
 
     def test_bad_size_is_a_readable_error(self, tmp_path, capsys):
         assert main(["create", str(tmp_path / "bad.pool"), "12q"]) == 1
@@ -122,6 +146,23 @@ class TestCheck:
 
         assert main(["check", pool_file, "--repair"]) == 0
         assert "repaired: transaction rolled_back" in capsys.readouterr().out
+        assert main(["check", pool_file]) == 0
+
+    def test_repair_lists_the_chunk_headers_open_rewrote(self, pool_file,
+                                                         capsys):
+        # objects whose chunk headers read FREE in place, unmerged
+        pool = PmemObjPool.open(pool_file)
+        pool.alloc(64)
+        for oid in pool.alloc_many(8, 64)[:-1]:
+            info = pool.heap._read_header(oid.offset - HEADER_SIZE)
+            pool.region.write(info.offset, _pack_header(
+                STATE_FREE, info.size, info.prev_size))
+        pool.close()
+        assert main(["check", pool_file]) == 1
+        assert capsys.readouterr().out.count("issue: chunk header at") == 2
+        assert main(["check", pool_file, "--repair"]) == 0
+        assert "repaired: 2 chunk headers rewritten" in \
+            capsys.readouterr().out
         assert main(["check", pool_file]) == 0
 
     def test_torn_header_detected_then_repaired(self, pool_file, capsys):

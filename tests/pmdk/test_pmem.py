@@ -92,6 +92,19 @@ class TestFileRegion:
         map_file(path, 12288, create=True).close()
         assert os.path.getsize(path) == 12288
 
+    def test_create_sizes_an_empty_file(self, tmp_path):
+        path = tmp_path / "r.pmem"
+        path.touch()
+        map_file(str(path), 4096, create=True).close()
+        assert os.path.getsize(path) == 4096
+
+    def test_create_refuses_a_file_that_is_not_empty(self, tmp_path):
+        path = tmp_path / "r.pmem"
+        path.write_bytes(b"data" * 1024)
+        with pytest.raises(PmemError, match="already exists"):
+            map_file(str(path), 1024, create=True)
+        assert path.read_bytes() == b"data" * 1024
+
     def test_view_aliases_mapping(self, tmp_path):
         r = map_file(str(tmp_path / "r"), 4096, create=True)
         v = r.view(0, 8)

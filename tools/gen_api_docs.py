@@ -11,6 +11,7 @@ Run:  python tools/gen_api_docs.py
 from __future__ import annotations
 
 import enum
+import functools
 import importlib
 import inspect
 import pkgutil
@@ -78,6 +79,9 @@ def _class_section(name: str, cls) -> list[str]:
         elif isinstance(member, property):
             methods.append(f"- `{mname}` *(property)* — "
                            f"{_summary_line(member.fget.__doc__)}")
+        elif isinstance(member, functools.cached_property):
+            methods.append(f"- `{mname}` *(cached property)* — "
+                           f"{_summary_line(member.func.__doc__)}")
         elif isinstance(member, classmethod):
             fn = member.__func__
             methods.append(f"- `{mname}{_signature(fn)}` *(classmethod)* — "
