@@ -27,6 +27,7 @@ from repro.errors import (
     CrashInjected,
     CxlPoisonError,
     CxlTimeoutError,
+    FaultPlanError,
     PowerLossInjected,
 )
 from repro.machine.dram import DDR4_1333
@@ -111,7 +112,11 @@ def main(argv: list[str] | None = None) -> int:
     if len(argv) != 1 or argv[0] in ("-h", "--help"):
         print(__doc__)
         return 2
-    plan = faults.FaultPlan.load(argv[0])
+    try:
+        plan = faults.FaultPlan.load(argv[0])
+    except (FaultPlanError, OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(plan.describe())
     print()
 

@@ -347,12 +347,16 @@ class FaultPlan:
     def from_doc(cls, doc: dict) -> "FaultPlan":
         if not isinstance(doc, dict):
             raise FaultPlanError("fault plan must be a JSON object")
+        raw_specs = doc.get("faults", [])
+        if not isinstance(raw_specs, list):
+            raise FaultPlanError(
+                f"'faults' must be a list, got {type(raw_specs).__name__}")
         specs: list[FaultSpec] = []
-        for i, raw in enumerate(doc.get("faults", [])):
+        for i, raw in enumerate(raw_specs):
             if not isinstance(raw, dict) or "kind" not in raw:
                 raise FaultPlanError(f"fault #{i} needs a 'kind' field")
             kind = raw["kind"]
-            spec_cls = _SPEC_KINDS.get(kind)
+            spec_cls = _SPEC_KINDS.get(kind) if isinstance(kind, str) else None
             if spec_cls is None:
                 raise UnknownFaultKindError(
                     f"fault #{i}: unknown fault kind {kind!r}; "

@@ -17,18 +17,23 @@ A :class:`SimulationPlan` captures the kernel-independent part once.
 ``(machine identity+version, placement, policy, mode, array_elements)``,
 so ``simulate_all_kernels`` and sweep drivers that revisit the same
 configuration for each of the four kernels build the topology flows a
-single time.  Plans additionally memoize solved allocations per capacity
-signature: on machines without asymmetric media every kernel sees the
-same capacities, so the max-min solve itself runs once per configuration.
+single time.  Within and across plans, threads of one class (socket,
+core fill buffers and SMT width, SMT sharers, policy, mode, working set)
+share one flow template, kept in a second LRU beside the plans, so a
+thread sweep builds each class's usage map and cap once.  Plans
+additionally memoize solved allocations per capacity signature: on
+machines without asymmetric media every kernel sees the same capacities,
+so the max-min solve itself runs once per configuration.
 
-The plan cache observes :attr:`repro.machine.topology.Machine.topology_version`;
+Both caches observe :attr:`repro.machine.topology.Machine.topology_version`;
 mutating a machine (adding nodes or resources) naturally invalidates its
-cached plans.
+cached plans and templates.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import partial
 from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
 
 from repro.calibration import DEFAULT_CALIBRATION, CalibrationProfile
@@ -46,8 +51,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with engine
 #: STREAM uses three arrays.
 N_ARRAYS = 3
 
-#: Maximum number of plans kept in the process-wide LRU.
+#: Maximum number of plans kept in the process-wide LRU (and of flow
+#: templates in theirs).
 PLAN_CACHE_MAXSIZE = 256
+
+#: one thread's flow ``(usage, cap)``; nothing mutates a usage map, so the
+#: threads of one class share theirs
+_Template = tuple[dict[str, float], float]
 
 
 def machine_calibration(machine: Machine) -> CalibrationProfile:
@@ -162,41 +172,42 @@ class SimulationPlan:
             for s in sockets_in_use
         )
 
-        flows: list[Flow] = []
         self.llc_capacities: dict[str, float] = {}
         self.snoop_clamps: dict[str, float] = {}
-
         if self.cache_resident:
             # All arrays fit in the LLC: bandwidth comes from the caches.
+            for sid in dict.fromkeys(c.socket_id for c in placement):
+                self.llc_capacities[f"s{sid}.llc"] = (
+                    machine.socket(sid).caches.llc.bandwidth_gbps)
             sharers = smt_load(placement)
-            for i, core in enumerate(placement):
-                llc = machine.socket(core.socket_id).caches.llc
-                res = f"s{core.socket_id}.llc"
-                self.llc_capacities.setdefault(res, llc.bandwidth_gbps)
-                latency = llc.latency_ns + (
-                    cal.pmdk_latency_ns if app_direct else 0.0
-                )
-                cap = thread_bandwidth_cap(core, latency,
-                                           sharers[core.core_id])
-                flows.append(Flow(f"t{i}@s{core.socket_id}c{core.core_id}",
-                                  {res: 1.0}, cap))
+            threads = [(core, sharers[core.core_id], None)
+                       for core in placement]
         else:
             threads, self.snoop_clamps = resolve_routes(machine, placement,
                                                         policy, cal)
-            for i, (core, sharers, routes) in enumerate(threads):
-                _validate_capacity(machine, routes, ws_bytes)
-                usage: dict[str, float] = {}
-                lat_parts: list[tuple[float, float]] = []
-                for frac, path in routes:
-                    lat_parts.append(
-                        (frac, path_latency_ns(path, app_direct, cal)))
-                    for res, weight in zip(path.resources,
-                                           occupancy(path, cal)):
-                        usage[res] = usage.get(res, 0.0) + frac * weight
-                cap = thread_bandwidth_cap(
-                    core, weighted_latency_ns(lat_parts), sharers)
-                flows.append(Flow(f"t{i}@s{core.socket_id}c{core.core_id}",
-                                  usage, cap))
+
+        # A thread's flow (usage, cap) depends only on its class: its core's
+        # socket, fill buffers and SMT width, its SMT sharers, and the
+        # plan's policy, mode and working set.  Each class is built once and
+        # shared with every plan of a series through the template LRU; with
+        # the cache disabled, every thread is built from scratch.
+        build = partial(_flow_template, machine, cal, ws_bytes, app_direct)
+        prefix = ((machine, machine.topology_version, self.cache_resident,
+                   policy, mode, ws_bytes) if _ENABLED else None)
+        classes: dict[tuple, _Template] = {}
+        flows: list[Flow] = []
+        for i, (core, sharers, routes) in enumerate(threads):
+            if prefix is None:
+                template = build(core, sharers, routes)
+            else:
+                cls = (core.socket_id, core.lfb_entries, core.smt, sharers)
+                template = classes.get(cls)
+                if template is None:
+                    template = classes[cls] = _lru_template(
+                        prefix + cls, build, core, sharers, routes)
+            usage, cap = template
+            flows.append(Flow(f"t{i}@s{core.socket_id}c{core.core_id}",
+                              usage, cap))
 
         self.flows: tuple[Flow, ...] = tuple(flows)
 
@@ -226,6 +237,30 @@ class SimulationPlan:
         return alloc
 
 
+def _flow_template(machine: Machine, cal: CalibrationProfile, ws_bytes: int,
+                   app_direct: bool, core: Core, sharers: int,
+                   routes: Sequence[tuple[float, AccessPath]] | None
+                   ) -> _Template:
+    """One thread's flow ``(usage, cap)``: the resources it loads and its
+    concurrency-limited rate.  ``routes`` is None when the working set is
+    cache-resident, and the thread then reads its socket's LLC."""
+    if routes is None:
+        llc = machine.socket(core.socket_id).caches.llc
+        latency = llc.latency_ns + (cal.pmdk_latency_ns if app_direct
+                                    else 0.0)
+        return ({f"s{core.socket_id}.llc": 1.0},
+                thread_bandwidth_cap(core, latency, sharers))
+    _validate_capacity(machine, routes, ws_bytes)
+    usage: dict[str, float] = {}
+    lat_parts: list[tuple[float, float]] = []
+    for frac, path in routes:
+        lat_parts.append((frac, path_latency_ns(path, app_direct, cal)))
+        for res, weight in zip(path.resources, occupancy(path, cal)):
+            usage[res] = usage.get(res, 0.0) + frac * weight
+    return usage, thread_bandwidth_cap(core, weighted_latency_ns(lat_parts),
+                                       sharers)
+
+
 def _validate_capacity(machine: Machine,
                        routes: Sequence[tuple[float, AccessPath]],
                        ws_bytes: int) -> None:
@@ -245,6 +280,24 @@ def _validate_capacity(machine: Machine,
 _PLAN_CACHE: "OrderedDict[tuple, SimulationPlan]" = OrderedDict()
 _STATS = {"hits": 0, "misses": 0}
 _ENABLED = True
+
+#: (machine, topology_version, cache_resident, policy, mode, ws_bytes,
+#: socket_id, lfb_entries, smt, sharers) -> flow template; the same key
+#: discipline and bound as ``_PLAN_CACHE``
+_TEMPLATE_CACHE: "OrderedDict[tuple, _Template]" = OrderedDict()
+
+
+def _lru_template(key: tuple, build, *thread) -> _Template:
+    """``build(*thread)``, memoized in the template LRU under ``key``.
+    A build that raises stores nothing."""
+    template = _TEMPLATE_CACHE.get(key)
+    if template is None:
+        template = _TEMPLATE_CACHE[key] = build(*thread)
+        while len(_TEMPLATE_CACHE) > PLAN_CACHE_MAXSIZE:
+            _TEMPLATE_CACHE.popitem(last=False)
+    else:
+        _TEMPLATE_CACHE.move_to_end(key)
+    return template
 
 
 def simulation_plan(machine: Machine, placement: Sequence[Core],
@@ -280,14 +333,16 @@ def plan_cache_stats() -> dict[str, int]:
 
 
 def clear_plan_cache() -> None:
-    """Drop every cached plan and reset the counters."""
+    """Drop every cached plan and flow template, and reset the counters."""
     _PLAN_CACHE.clear()
+    _TEMPLATE_CACHE.clear()
     _STATS["hits"] = _STATS["misses"] = 0
 
 
 def set_plan_cache_enabled(enabled: bool) -> bool:
-    """Toggle plan memoization (benchmarks use this to emulate the
-    pre-cache serial baseline).  Returns the previous setting."""
+    """Toggle plan and flow-template memoization (benchmarks use this to
+    emulate the pre-cache serial baseline).  Returns the previous
+    setting."""
     global _ENABLED
     prev = _ENABLED
     _ENABLED = bool(enabled)

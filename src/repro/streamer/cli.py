@@ -34,6 +34,7 @@ import argparse
 import sys
 
 from repro import faults, obs
+from repro.errors import FaultPlanError
 from repro.memsim.traffic import KERNEL_ORDER
 from repro.stream.config import StreamConfig
 from repro.streamer.compare import comparison_report
@@ -244,13 +245,18 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.log_level:
         obs.setup_logging(args.log_level)
+    if args.faults:
+        try:
+            plan = faults.FaultPlan.load(args.faults)
+        except (FaultPlanError, OSError, UnicodeDecodeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     want_metrics = args.metrics_out is not None
     want_trace = args.trace is not None
     if want_metrics or want_trace:
         obs.reset()     # one CLI invocation = one snapshot/trace
         obs.enable(metrics=want_metrics, trace=want_trace)
     if args.faults:
-        plan = faults.FaultPlan.load(args.faults)
         faults.install(plan)
         print(f"fault plan installed: {plan.describe()}", file=sys.stderr)
     try:

@@ -152,21 +152,53 @@ class TraceGen:
     def __init__(self, spec: TieringSpec) -> None:
         self.spec = spec
         self.rng = np.random.default_rng(spec.seed)
-        self._zipf_w: np.ndarray | None = None
+        self._zipf: tuple[np.ndarray, np.ndarray] | None = None
 
-    def _zipf_weights(self, hot_pages: int) -> np.ndarray:
-        if self._zipf_w is None or self._zipf_w.size != hot_pages:
+    def _zipf_table(self, hot_pages: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(cdf, guide)`` of the rank probabilities ``1/r^alpha``.
+
+        ``cdf`` is normalized exactly as ``Generator.choice`` normalizes
+        its ``p``.  ``guide`` has a power-of-two number ``k`` of buckets,
+        ``guide[j]`` counting the ``cdf`` entries ``<= j/k``: ``k``, ``j/k``
+        and ``u*k`` are exact in floating point, so ``guide[floor(u*k)]``
+        never exceeds the draw's index.
+        """
+        if self._zipf is None or self._zipf[0].size != hot_pages:
             ranks = np.arange(1, hot_pages + 1, dtype=np.float64)
             w = ranks ** -self.spec.alpha
-            self._zipf_w = w / w.sum()
-        return self._zipf_w
+            cdf = (w / w.sum()).cumsum()
+            cdf /= cdf[-1]
+            # at least four buckets per page: most draws then take at most
+            # one step past their bucket's count
+            k = 1 << (4 * hot_pages - 1).bit_length()
+            guide = cdf.searchsorted(np.arange(k) / k, side="right")
+            self._zipf = cdf, guide
+        return self._zipf
+
+    def _zipf_draw(self, size: int, hot_pages: int) -> np.ndarray:
+        """``rng.choice(hot_pages, size, p=<zipf weights>)``, exactly.
+
+        ``choice`` returns ``cdf.searchsorted(rng.random(size),
+        side="right")``: the number of ``cdf`` entries ``<= u``.  This
+        makes the same ``random`` call, starts each ``u`` at its guide
+        bucket's count and counts on while ``cdf[idx] <= u``, so it returns
+        the same indices and leaves the generator in the same state,
+        without a binary search per draw.
+        """
+        cdf, guide = self._zipf_table(hot_pages)
+        u = self.rng.random(size)
+        idx = guide[(u * guide.size).astype(np.intp)]
+        behind = np.flatnonzero(cdf[idx] <= u)
+        while behind.size:     # stops at cdf[-1] == 1.0 > u at the latest
+            idx[behind] += 1
+            behind = behind[cdf[idx[behind]] <= u[behind]]
+        return idx
 
     def _zipf_batch(self, size: int, lo: int, hot_pages: int,
                     span: int) -> np.ndarray:
         """Zipf hot set at ``[lo, lo+hot_pages)`` inside ``[lo, lo+span)``."""
         spec = self.spec
-        hot = self.rng.choice(hot_pages, size=size,
-                              p=self._zipf_weights(hot_pages))
+        hot = self._zipf_draw(size, hot_pages)
         uniform = self.rng.integers(0, span, size=size)
         take_hot = self.rng.random(size) < spec.hot_fraction
         return (lo + np.where(take_hot, hot, uniform)).astype(np.int64)

@@ -152,6 +152,18 @@ class TestJsonRoundTrip:
         with pytest.raises(FaultPlanError):
             FaultPlan.from_json("{not json")
 
+    @pytest.mark.parametrize("value,type_name", [
+        (1.5, "float"), ("ab", "str"), ({}, "dict"), (None, "NoneType"),
+    ], ids=["float", "str", "object", "null"])
+    def test_faults_must_be_a_list(self, value, type_name):
+        with pytest.raises(FaultPlanError,
+                           match=f"'faults' must be a list, got {type_name}"):
+            FaultPlan.from_doc({"faults": value})
+
+    def test_unhashable_kind_is_an_unknown_kind(self):
+        with pytest.raises(UnknownFaultKindError, match="unknown fault kind"):
+            FaultPlan.from_doc({"faults": [{"kind": ["poison"]}]})
+
     def test_describe_names_every_fault(self):
         text = self._plan().describe()
         for kind in ("poison", "link_flap", "device_timeout",

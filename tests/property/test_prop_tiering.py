@@ -13,7 +13,12 @@ Three contracts worth hammering with hypothesis:
   scalar ``PageCache`` oracle holds after the same stream;
 * **determinism** — the same spec/seed always produces the same
   decisions and the same evaluation result, which is what the sweep
-  cache's byte-identity guarantee sits on.
+  cache's byte-identity guarantee sits on;
+* **the Zipf draw is ``Generator.choice``** — :class:`TraceGen` draws
+  its hot pages through a guide table, and must return the indices
+  ``rng.choice(n, size, p=w)`` returns and leave the generator in the
+  same state.  NumPy's own ``choice`` is the oracle, so a NumPy that
+  changes it fails here instead of silently moving a trace.
 
 The per-page copy loop, which runs when a fault plan targets the
 ``migration`` site, is the oracle of the bulk remap taken without one.
@@ -30,7 +35,12 @@ from hypothesis import given, settings, strategies as st
 from repro import faults
 from repro.core.tiering import PageCache
 from repro.faults.plan import FaultPlan, MigrationAbortSpec
-from repro.tiering.evaluate import TRACE_KINDS, TieringSpec, evaluate_policy
+from repro.tiering.evaluate import (
+    TRACE_KINDS,
+    TieringSpec,
+    TraceGen,
+    evaluate_policy,
+)
 from repro.tiering.heat import HeatTracker, fold_reference
 from repro.tiering.migrate import (
     FAR,
@@ -253,3 +263,64 @@ def test_policy_evaluation_deterministic(seed, policy, trace):
     a = evaluate_policy(spec)
     b = evaluate_policy(spec)
     assert a.to_doc() == b.to_doc()
+
+
+# ---------------------------------------------------------------------------
+# the Zipf draw is Generator.choice, exactly
+# ---------------------------------------------------------------------------
+
+#: 0 (uniform), 1 and 2, then exponents whose tail underflows so the
+#: CDF repeats its last value, plus arbitrary ones
+zipf_alphas = st.sampled_from([0.0, 1.0, 2.0, 60.0, 400.0]) | st.floats(
+    0.0, 8.0, allow_nan=False)
+
+
+def _zipf_p(hot_pages: int, alpha: float) -> np.ndarray:
+    w = np.arange(1, hot_pages + 1, dtype=np.float64) ** -alpha
+    return w / w.sum()
+
+
+class _ChoiceTraceGen(TraceGen):
+    """The trace generator drawing its hot pages with ``rng.choice``."""
+
+    def _zipf_draw(self, size, hot_pages):
+        return self.rng.choice(hot_pages, size=size,
+                               p=_zipf_p(hot_pages, self.spec.alpha))
+
+
+@given(seed=st.integers(0, 2**32 - 1), hot_pages=st.integers(1, 5000),
+       alpha=zipf_alphas,
+       sizes=st.lists(st.integers(1, 4096), min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_zipf_draw_is_rng_choice(seed, hot_pages, alpha, sizes):
+    gen = TraceGen(TieringSpec(alpha=alpha, seed=seed))
+    oracle = np.random.default_rng(seed)
+    p = _zipf_p(hot_pages, alpha)
+    for size in sizes:      # later draws reuse the cached guide table
+        want = oracle.choice(hot_pages, size=size, p=p)
+        got = gen._zipf_draw(size, hot_pages)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert gen.rng.bit_generator.state == oracle.bit_generator.state
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       trace=st.sampled_from(["zipf", "mixed"]),
+       n_pages=st.integers(2, 6000),
+       near_fraction=st.floats(0.001, 0.999),
+       alpha=zipf_alphas,
+       epoch_accesses=st.integers(1, 3000),
+       hot_fraction=st.floats(0.0, 1.0))
+@settings(max_examples=80, deadline=None)
+def test_zipf_and_mixed_traces_match_rng_choice(seed, trace, n_pages,
+                                                near_fraction, alpha,
+                                                epoch_accesses,
+                                                hot_fraction):
+    spec = TieringSpec(trace=trace, n_pages=n_pages,
+                       near_fraction=near_fraction, alpha=alpha,
+                       epochs=3, epoch_accesses=epoch_accesses,
+                       hot_fraction=hot_fraction, seed=seed)
+    gen, oracle = TraceGen(spec), _ChoiceTraceGen(spec)
+    for epoch in range(spec.epochs):
+        np.testing.assert_array_equal(gen.epoch(epoch), oracle.epoch(epoch))
+    assert gen.rng.bit_generator.state == oracle.rng.bit_generator.state
