@@ -1,25 +1,29 @@
 """Compiled-kernel tier: detection, tier reporting, warm-up.
 
-The NumPy tier (the DES's vector engine, :mod:`repro.memsim.des_fast`)
-vectorizes the wide single-route regimes; the remaining floor is
-Python-loop overhead on the *narrow* hot path — the scalar DES event
-loop.  This module adds an optional third ``compiled`` tier behind the
-DES's ``auto/scalar/vector`` dispatch; its one kernel family is
-:mod:`repro.memsim.des_jit` (``"des"``).
-Full-system CXL simulators (CXL-DMSim, CXL-ClusterSim) run compiled
-event cores for exactly this reason; here the compiled tier is strictly
-optional and the pure-Python / NumPy backends remain the
-always-available reference.
+Two kernel families live here, each an optional C kernel next to an
+always-available reference that gives the same results:
 
-One provider, probed at first use: **cc** — the kernel as embedded
-C99, built with the system C compiler into a small shared library
-loaded via :mod:`ctypes`.  The ``.so`` is cached under
-``$REPRO_JIT_CACHE`` (default ``~/.cache/repro-jit``) keyed by a hash
-of the source, so compilation is once per machine.  The kernel family
-accepts the library only after its results match the scalar oracle on
-a small hand-built setup; a missing compiler, a failed build or a
-mismatch leaves the family on the interpreted tiers.  Nothing in the
-library ever *requires* the compiled tier.
+* ``"des"`` — :mod:`repro.memsim.des_jit`, the scalar DES event loop.
+  The NumPy tier (the DES's vector engine, :mod:`repro.memsim.des_fast`)
+  vectorizes the wide single-route regimes; the remaining floor is
+  Python-loop overhead on the *narrow* hot path, so the compiled loop is
+  a third tier behind the DES's ``auto/scalar/vector`` dispatch.
+  Full-system CXL simulators (CXL-DMSim, CXL-ClusterSim) run compiled
+  event cores for exactly this reason.
+* ``"crc"`` — :mod:`repro.pmdk.crc_jit`, the undo log's CRC-32 by
+  carry-less multiply folding (x86-64 with PCLMUL and SSE4.1).  It has
+  no tier to dispatch: it is used whenever it is available, otherwise
+  :func:`zlib.crc32`, and the bits are the same either way.
+
+One provider, probed at first use: **cc** — each kernel as embedded C,
+built with the system C compiler into a small shared library loaded via
+:mod:`ctypes`.  The ``.so`` is cached under ``$REPRO_JIT_CACHE``
+(default ``~/.cache/repro-jit``) keyed by a hash of the source, so
+compilation is once per machine.  Each family accepts its library only
+after the kernel matches its reference on a small self-check; a missing
+compiler, a failed build or a mismatch leaves the family on the
+reference.  Nothing in the library ever *requires* the compiled tier,
+and nothing is built or loaded at import time.
 
 The DES pins a tier per call (``des_backend=``); there is no
 process-wide force.  Each dispatch decision is reported through
@@ -163,15 +167,16 @@ def warmup() -> dict[str, str | None]:
 
     Triggers each family's lazy provider resolution (cc → pure)
     including the self-checks, so later calls never pay build latency.
-    Returns ``{family: provider_or_None}`` (today ``{"des": ...}``) and
-    publishes gauge ``compiled.available`` (1 when any family has a
-    compiled kernel).
+    Returns ``{family: provider_or_None}``, i.e. ``{"des": ..., "crc":
+    ...}``, and publishes gauge ``compiled.available`` (1 when any
+    family has a compiled kernel).
     Benchmarks call this once before timing; production callers may but
     need not — first use warms implicitly.
     """
     from repro.memsim import des_jit
+    from repro.pmdk import crc_jit
 
-    providers = {"des": des_jit.provider()}
+    providers = {"des": des_jit.provider(), "crc": crc_jit.provider()}
     obs.gauge("compiled.available",
               int(any(p is not None for p in providers.values())))
     return providers

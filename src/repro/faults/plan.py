@@ -371,10 +371,9 @@ class FaultPlan:
                     f"fault #{i} ({kind}): unknown fields {sorted(unknown)}"
                 )
             specs.append(spec_cls(**kwargs))
-        try:
-            seed = int(doc.get("seed", 0))
-        except (TypeError, ValueError) as exc:
-            raise FaultPlanError(f"bad plan seed: {doc.get('seed')!r}") from exc
+        seed = doc.get("seed", 0)
+        if not _is_int(seed):
+            raise FaultPlanError(f"plan seed must be an integer, got {seed!r}")
         return cls(seed=seed, faults=specs)
 
     @classmethod

@@ -18,6 +18,13 @@ The log's control word (tail + state + CRC) lives in a single cacheline,
 so each step of the protocol is failure-atomic under the cacheline-granular
 crash model of :mod:`repro.pmdk.crash`.
 
+Every entry carries zlib's CRC-32 of its header fields and data, as
+libpmemobj checksums each undo-log entry, snapshot included, and recovery
+refuses an entry that fails it.  The data's share goes through
+:mod:`repro.pmdk.crc_jit` (the compiled tier's ``crc`` family) when that
+kernel is available; the integer is zlib's either way, so the log's bytes
+do not depend on it.
+
 Allocation/free atomicity:
 
 * ``tx.alloc`` performs the heap allocation immediately but records an
@@ -35,6 +42,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import CrashInjected, TransactionAborted, TransactionError
+from repro.pmdk import crc_jit
 from repro.pmdk.alloc import HEADER_SIZE as _HEAP_HEADER_SIZE, PersistentHeap
 from repro.pmdk.dirty import coalesce_ranges
 from repro import obs
@@ -72,9 +80,14 @@ def _ctrl_crc(tail: int, state: int) -> int:
 
 def _entry_crc(etype: int, target: int, length: int,
                data: bytes | memoryview) -> int:
-    # streaming CRC: crc32(hdr+data) == crc32(data, crc32(hdr)), so the
-    # entry CRC covers hdr+data without ever materializing the two joined
-    return zlib.crc32(
+    """zlib's CRC-32 of the entry's header fields followed by its data.
+
+    Streaming: crc32(hdr+data) == crc32(data, crc32(hdr)), so the CRC
+    covers both without joining them.  The 20 header bytes go through
+    :func:`zlib.crc32`, the data through :func:`crc_jit.crc32
+    <repro.pmdk.crc_jit.crc32>`, which returns the same integer.
+    """
+    return crc_jit.crc32(
         data, zlib.crc32(struct.pack("<IQQ", etype, target, length)))
 
 

@@ -1,5 +1,6 @@
 """Fault plans: validation, JSON round trip, deterministic run state."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -159,6 +160,21 @@ class TestJsonRoundTrip:
         with pytest.raises(FaultPlanError,
                            match=f"'faults' must be a list, got {type_name}"):
             FaultPlan.from_doc({"faults": value})
+
+    @pytest.mark.parametrize("seed", [1.9, True, "7", None, []],
+                             ids=["float", "bool", "str", "null", "list"])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(FaultPlanError,
+                           match=f"plan seed must be an integer, got "
+                                 f"{re.escape(repr(seed))}"):
+            FaultPlan.from_doc({"seed": seed, "faults": []})
+
+    @pytest.mark.parametrize("seed", [0, 2**40])
+    def test_integer_seed_loads(self, seed):
+        assert FaultPlan.from_doc({"seed": seed, "faults": []}).seed == seed
+
+    def test_absent_seed_is_zero(self):
+        assert FaultPlan.from_doc({"faults": []}).seed == 0
 
     def test_unhashable_kind_is_an_unknown_kind(self):
         with pytest.raises(UnknownFaultKindError, match="unknown fault kind"):

@@ -18,8 +18,17 @@ CLIS = {
 }
 
 
-@pytest.mark.parametrize("plan_text", ['{"faults": 1.5}', None],
-                         ids=["faults-not-a-list", "missing-file"])
+#: plan text -> the one line expected on stderr (None: a missing file)
+BAD_PLANS = {
+    '{"faults": 1.5}': "error: 'faults' must be a list, got float",
+    '{"seed": "7", "faults": []}':
+        "error: plan seed must be an integer, got '7'",
+}
+
+
+@pytest.mark.parametrize("plan_text", [*BAD_PLANS, None],
+                         ids=["faults-not-a-list", "seed-not-an-integer",
+                              "missing-file"])
 @pytest.mark.parametrize("cli", sorted(CLIS))
 def test_bad_plan_is_one_error_line(cli, plan_text, tmp_path):
     plan = tmp_path / "plan.json"
@@ -34,4 +43,4 @@ def test_bad_plan_is_one_error_line(cli, plan_text, tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     if plan_text is not None:
-        assert lines[0] == "error: 'faults' must be a list, got float"
+        assert lines[0] == BAD_PLANS[plan_text]

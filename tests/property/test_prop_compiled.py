@@ -1,23 +1,25 @@
-"""Property tests: the compiled kernel tier vs the interpreted backends.
+"""Property tests: the compiled kernel tier vs the references it shadows.
 
-The compiled tier's one kernel family, the DES event loop, must be
-**bit-for-bit** interchangeable with the backends it shadows: on random
-small topologies, placements, policies and window lengths, the compiled
-event loop's :class:`DesResult` equals the scalar oracle's exactly, and
-so does the vector backend's wherever it runs (single-route BIND
-policies).
+Both kernel families must be **bit-for-bit** interchangeable with their
+references:
 
-The undo-log CRC has no kernel of its own (the log calls
-:func:`zlib.crc32`); a pure-Python table-driven CRC-32 pins zlib's bits
-and the streaming form the log relies on.
+* the DES event loop: on random small topologies, placements, policies
+  and window lengths, the compiled event loop's :class:`DesResult`
+  equals the scalar oracle's exactly, and so does the vector backend's
+  wherever it runs (single-route BIND policies);
+* the undo log's CRC-32: :func:`repro.pmdk.crc_jit.crc32` equals
+  :func:`zlib.crc32` on any length, seed and buffer type, and in the
+  streaming form the log relies on.  A pure-Python table-driven CRC-32
+  pins zlib's own bits.
 
-Compiled-only legs skip cleanly when no C compiler is usable in the
-environment — e.g. under ``REPRO_NO_COMPILED=1``; the scalar/vector
-assertions always run.
+Compiled-only legs skip cleanly when no C compiler (or, for the CRC, no
+x86-64 CPU with PCLMUL) is usable in the environment — e.g. under
+``REPRO_NO_COMPILED=1``; the reference assertions always run.
 """
 
 from __future__ import annotations
 
+import random
 import zlib
 
 import pytest
@@ -29,12 +31,15 @@ from repro.machine.numa import NumaPolicy, PolicyKind
 from repro.machine.presets import setup1, setup2
 from repro.memsim import des_jit
 from repro.memsim.des import simulate_stream_des
+from repro.pmdk import crc_jit
 
 _MACHINES = {"setup1": setup1().machine, "setup2": setup2().machine}
 _NODES = {"setup1": (0, 1, 2), "setup2": (0, 1)}
 
 needs_compiled_des = pytest.mark.skipif(
     not des_jit.available(), reason="no compiled DES provider")
+needs_compiled_crc = pytest.mark.skipif(
+    not crc_jit.available(), reason="no compiled CRC provider")
 
 
 # ---------------------------------------------------------------------------
@@ -150,3 +155,52 @@ def test_compiled_crc_streams_identically(data, split, seed):
     want = zlib.crc32(data, seed)
     assert crc32_py(tail, zlib.crc32(head, seed)) == want
     assert zlib.crc32(tail, crc32_py(head, seed)) == want
+
+
+# ---------------------------------------------------------------------------
+# CRC: the compiled fold emits zlib's bits
+# ---------------------------------------------------------------------------
+
+#: lengths that cross every stage of the fold, plus inputs of at least
+#: 1 MiB (the undo log's chunk size) with and without a tail
+_crc_lengths = st.one_of(
+    st.integers(0, 4200),
+    st.sampled_from([1 << 20, (1 << 20) + 13, (1 << 20) + 4096 + 7]))
+
+
+def _as(kind: str, raw: bytes, offset: int, n: int):
+    """``n`` bytes of ``raw`` as ``kind``; memoryviews start at
+    ``offset`` (1-15), so the fold also reads unaligned addresses."""
+    if kind == "memoryview":
+        return memoryview(raw)[offset:offset + n].toreadonly()
+    data = raw[:n]
+    return bytearray(data) if kind == "bytearray" else data
+
+
+def _random_bytes(n: int, key: int) -> bytes:
+    # drawn from a seeded generator, not byte by byte from Hypothesis,
+    # which would make the 1 MiB cases crawl
+    return random.Random(key).randbytes(n)
+
+
+@needs_compiled_crc
+@given(_crc_lengths, st.integers(1, 15), _seeds,
+       st.sampled_from(["bytes", "bytearray", "memoryview"]), _seeds)
+@settings(max_examples=200, deadline=None)
+def test_compiled_crc_is_zlib(n, offset, seed, kind, key):
+    data = _as(kind, _random_bytes(n + offset, key), offset, n)
+    assert crc_jit.crc32(data, seed) == zlib.crc32(data, seed)
+
+
+@needs_compiled_crc
+@given(_crc_lengths, st.floats(0.0, 1.0), _seeds, _seeds)
+@settings(max_examples=100, deadline=None)
+def test_compiled_crc_streams_like_zlib(n, cut, seed, key):
+    """The undo log's form: the CRC of the header's bytes seeds the CRC
+    of the data, and equals the CRC of the two joined."""
+    raw = _random_bytes(n, key)
+    split = int(n * cut)
+    view = memoryview(raw).toreadonly()
+    head, tail = view[:split], view[split:]
+    assert (crc_jit.crc32(tail, crc_jit.crc32(head, seed))
+            == zlib.crc32(raw, seed))

@@ -152,6 +152,32 @@ class TestTransactionalMode:
         assert times == {k: [3.0] * 3 for k in ("copy", "scale", "add",
                                                   "triad")}
 
+    def test_compiled_crc_leaves_the_log_bytes_unchanged(self, monkeypatch):
+        """The undo log's CRC through the compiled fold and through zlib
+        writes the same region, log area included, with the same flushes
+        (chunks of 4,100 bytes, so each entry also has a zlib tail)."""
+        import zlib
+
+        from repro.pmdk import crc_jit, tx
+
+        if not crc_jit.available():
+            pytest.skip("no compiled CRC provider")
+        monkeypatch.setattr(tx, "LOG_CHUNK", 4100)
+        sp = StreamPmem.create("mem://8m", StreamConfig(array_size=3000,
+                                                        ntimes=2))
+        region = sp.pool.region
+        before = region.read(0, region.size)
+
+        def run():
+            region.write(0, before)
+            region.persist()
+            flushes = sp.run_transactional().flushes
+            return region.read(0, region.size), flushes
+
+        compiled_run = run()
+        monkeypatch.setattr(crc_jit, "crc32", zlib.crc32)
+        assert run() == compiled_run
+
     def test_transactional_slower_than_direct(self, tmp_path):
         cfg = StreamConfig(array_size=2000, ntimes=4)
         sp = StreamPmem.create(f"file://{tmp_path}/tx2.pool", cfg)

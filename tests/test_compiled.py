@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import ctypes
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import compiled, obs
 from repro.errors import SimulationError
 from repro.machine.affinity import place_threads
@@ -14,6 +18,9 @@ from repro.machine.numa import NumaPolicy
 from repro.machine.presets import setup1
 from repro.memsim import des_jit
 from repro.memsim.des import _run_scalar, simulate_stream_des
+from repro.pmdk import crc_jit
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
 def _small_des(**kwargs):
@@ -87,7 +94,7 @@ class TestTierReporting:
 
     def test_warmup_reports_every_family(self):
         providers = compiled.warmup()
-        assert set(providers) == {"des"}
+        assert set(providers) == {"des", "crc"}
         for provider in providers.values():
             assert provider in (None, "cc")
 
@@ -132,6 +139,16 @@ class TestCcBuildCache:
         assert compiled.cc_build("broken", "this is not C") is None
 
 
+def _cc_build(name, source, tmp_path, monkeypatch) -> ctypes.CDLL:
+    """``source`` built through ``cc_build`` into a temporary cache."""
+    if compiled.cc_compiler() is None:
+        pytest.skip("no C compiler")
+    monkeypatch.setenv(compiled.JIT_CACHE_ENV, str(tmp_path))
+    lib = compiled.cc_build(name, source)
+    assert lib is not None
+    return lib
+
+
 class TestSelfCheck:
     """The provider is accepted only when its counts match the scalar
     oracle; a kernel off by one tie-break or one boundary must fail."""
@@ -144,12 +161,7 @@ class TestSelfCheck:
     }
 
     def _build(self, name, source, tmp_path, monkeypatch):
-        if compiled.cc_compiler() is None:
-            pytest.skip("no C compiler")
-        monkeypatch.setenv(compiled.JIT_CACHE_ENV, str(tmp_path))
-        lib = compiled.cc_build(name, source)
-        assert lib is not None
-        return des_jit._bind(lib)
+        return des_jit._bind(_cc_build(name, source, tmp_path, monkeypatch))
 
     def test_accepts_the_kernel(self, tmp_path, monkeypatch):
         fn = self._build("des", des_jit._C_SOURCE, tmp_path, monkeypatch)
@@ -162,6 +174,60 @@ class TestSelfCheck:
         source = des_jit._C_SOURCE.replace(old, new)
         fn = self._build(f"des-{mutant}", source, tmp_path, monkeypatch)
         assert not des_jit._self_check(fn)
+
+
+class TestCrcSelfCheck:
+    """The CRC kernel is accepted only when it reproduces zlib.crc32; a
+    fold off by one constant bit, one block or one mask must fail."""
+
+    MUTANTS = {
+        "fold-constant-bit": ("0x1751997d0", "0x1751997d1"),
+        "last-block-skipped": ("p < end", "p + 16 < end"),
+        "barrett-mask-dropped": ("_mm_and_si128(q, low32)", "q"),
+    }
+
+    def _build(self, name, source, tmp_path, monkeypatch):
+        fold = crc_jit._bind(_cc_build(name, source, tmp_path, monkeypatch))
+        if fold is None:
+            pytest.skip("no x86-64 CPU with PCLMUL and SSE4.1")
+        return fold
+
+    def test_accepts_the_kernel(self, tmp_path, monkeypatch):
+        fold = self._build("crc", crc_jit._C_SOURCE, tmp_path, monkeypatch)
+        assert crc_jit._self_check(fold)
+
+    @pytest.mark.parametrize("mutant", sorted(MUTANTS))
+    def test_refuses_mutant(self, mutant, tmp_path, monkeypatch):
+        old, new = self.MUTANTS[mutant]
+        assert crc_jit._C_SOURCE.count(old) == 1
+        source = crc_jit._C_SOURCE.replace(old, new)
+        fold = self._build(f"crc-{mutant}", source, tmp_path, monkeypatch)
+        assert not crc_jit._self_check(fold)
+
+    def test_self_check_inputs_stay_small(self):
+        """The check runs in every process that writes a log entry, the
+        ledger's stream-pmem child included: it must not move its RSS."""
+        inputs = crc_jit._check_inputs()
+        assert max(len(data) for data in inputs) <= 64 * 1024
+        lengths = {len(data) for data in inputs}
+        assert {64, 80, 128, 199, 4096 + 13} <= lengths
+
+
+class TestNothingAtImport:
+    def test_importing_the_log_resolves_no_kernel(self, tmp_path):
+        """Every workload imports the pmdk layer; importing it must build
+        and load nothing."""
+        code = ("import repro, repro.pmdk.tx, repro.stream.pmem_stream\n"
+                "from repro.pmdk import crc_jit\n"
+                "from repro.memsim import des_jit\n"
+                "assert not crc_jit._resolved and crc_jit._fold is None\n"
+                "assert not des_jit._resolved and des_jit._fn is None\n")
+        env = dict(os.environ, PYTHONPATH=SRC)
+        env[compiled.JIT_CACHE_ENV] = str(tmp_path / "jit")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert not (tmp_path / "jit").exists()
 
 
 class TestDetectionKillSwitch:
