@@ -12,6 +12,7 @@ Persistent Flush, and power-fail semantics.
 from __future__ import annotations
 
 import enum
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import islice
 from typing import Any, Iterable, Iterator, Mapping
@@ -217,7 +218,10 @@ class Type3Device:
         )
 
         self.memory = SparseMemory(media.capacity_bytes)
-        self._write_buffer: dict[int, bytes] = {}   # dpa -> cacheline
+        # dpa -> cacheline, oldest first; popitem(last=False) pops the
+        # oldest in O(1), where a dict's first key is found by walking
+        # past the entries popped before it
+        self._write_buffer: OrderedDict[int, bytes] = OrderedDict()
         self._lsa = bytearray(lsa_bytes)
         self._shutdown_state = ShutdownState.CLEAN
         self._poison: set[int] = set()
@@ -383,8 +387,7 @@ class Type3Device:
         for off in range(0, len(data), CACHELINE_BYTES):
             wb[dpa + off] = data[off:off + CACHELINE_BYTES]
             if len(wb) > keep:
-                addr = next(iter(wb))
-                evicted.append((addr, wb.pop(addr)))
+                evicted.append(wb.popitem(last=False))
         self._write_runs(evicted)
 
     # ------------------------------------------------------------------

@@ -337,7 +337,7 @@ class KvBlockStore:
         block.state = BlockState.POOLED
         block.payload = None
         self.counters["offloads"] += 1
-        self.heat.record([loc.page])
+        self.heat.touch(loc.page)
         obs.inc("kvserve.blocks.offloaded")
         return ns
 
@@ -357,7 +357,7 @@ class KvBlockStore:
             raise KvCacheError(
                 f"integrity failure reading block {key[:12]} from pool "
                 f"slot {block.loc}: payload digest mismatch")
-        self.heat.record([block.loc.page])
+        self.heat.touch(block.loc.page)
         return payload, ns
 
     def evict_cold(self, n: int = 1) -> list[str]:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -218,6 +219,10 @@ class Transaction:
         self._depth = 0
         self._aborted = False
         self._snapshots: list[tuple[int, int]] = []
+        # the index of _covered: the snapshots no other snapshot
+        # contains, by start; their ends then rise with their starts
+        self._snap_starts: list[int] = []
+        self._snap_ends: list[int] = []
         self._tx_allocs: list[int] = []
         self._deferred_frees: list[int] = []
         self._modified: list[tuple[int, int]] = []
@@ -293,6 +298,8 @@ class Transaction:
     def _reset(self) -> None:
         self._tail = 0
         self._snapshots.clear()
+        self._snap_starts.clear()
+        self._snap_ends.clear()
         self._tx_allocs.clear()
         self._deferred_frees.clear()
         self._modified.clear()
@@ -306,8 +313,23 @@ class Transaction:
             raise TransactionError("transaction already aborted")
 
     def _covered(self, offset: int, length: int) -> bool:
-        return any(o <= offset and offset + length <= o + n
-                   for o, n in self._snapshots)
+        """Whether one earlier snapshot holds all of the range."""
+        # the last snapshot starting at or before offset reaches furthest
+        i = bisect_right(self._snap_starts, offset)
+        return i > 0 and self._snap_ends[i - 1] >= offset + length
+
+    def _index_snapshot(self, offset: int, length: int) -> None:
+        starts, ends = self._snap_starts, self._snap_ends
+        end = offset + length
+        i = bisect_right(starts, offset)
+        if i and ends[i - 1] >= end:
+            return                  # inside an indexed snapshot
+        # drop the indexed snapshots inside this one: a run from i on
+        i = k = bisect_left(starts, offset)
+        while k < len(ends) and ends[k] <= end:
+            k += 1
+        starts[i:k] = [offset]
+        ends[i:k] = [end]
 
     def add_range(self, offset: int, length: int) -> None:
         """Snapshot ``[offset, offset+length)`` before the caller modifies it."""
@@ -346,6 +368,8 @@ class Transaction:
         obs.inc("pmdk.tx.undo_bytes", tail - start_tail)
         self._tail = tail
         self._snapshots.extend(fresh)
+        for offset, length in fresh:
+            self._index_snapshot(offset, length)
 
     def log_modified(self, offset: int, length: int) -> None:
         """Note a range modified without snapshotting (freshly allocated

@@ -18,7 +18,8 @@ NUMA policy :func:`repro.memsim.engine.simulate_stream` understands
 (exactly how ``core/tiering`` translates Memory-Mode hit rates), and is
 memoized per (machine, spec) so a 10-point thread sweep pays for one
 evaluation.  Policies evaluated on one machine share one read-only
-trace: :class:`TraceGen` reads no policy knob.
+trace (:class:`TraceGen` reads no policy knob) and one heat fold of it
+(a tracker's heat depends on the trace and ``decay`` alone).
 
 Everything is deterministic under a fixed :attr:`TieringSpec.seed`:
 same spec → same trace → same decisions → identical results, which is
@@ -232,26 +233,47 @@ class TraceGen:
 _TRACE_FIELDS = ("n_pages", "near_fraction", "trace", "epochs",
                  "epoch_accesses", "alpha", "hot_fraction", "seed")
 
-#: ``(weakref to machine, trace key, trace)``, read and written as one
-#: tuple: a thread race costs a regeneration, never a wrong trace
+#: ``(weakref to machine, trace key, trace, decay, heats)``, read and
+#: written as one tuple: a thread race costs a regeneration or a refold,
+#: never a wrong trace or heat
 _TRACE_SLOT: tuple | None = None
 
 
-def _trace(spec: TieringSpec, machine: Machine | None) -> tuple:
-    """The spec's read-only epoch batches, shared per machine."""
+def _read_only(arrays: list[np.ndarray]) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return tuple(arrays)
+
+
+def _trace(spec: TieringSpec, machine: Machine | None
+           ) -> tuple[tuple, tuple]:
+    """The spec's read-only epoch batches and the heat after each epoch.
+
+    Both are shared per machine.  A tracker's heat depends on the trace
+    and ``decay`` alone, never on the policy reading it, so the trace is
+    folded once per (trace, ``decay``).
+    """
     global _TRACE_SLOT
     key = tuple(getattr(spec, name) for name in _TRACE_FIELDS)
     slot = _TRACE_SLOT
     if (machine is not None and slot is not None
             and slot[0]() is machine and slot[1] == key):
-        return slot[2]
-    gen = TraceGen(spec)
-    trace = tuple(gen.epoch(epoch) for epoch in range(spec.epochs))
+        trace = slot[2]
+        if slot[3] == spec.decay:
+            return trace, slot[4]
+    else:
+        gen = TraceGen(spec)
+        trace = _read_only([gen.epoch(epoch) for epoch in range(spec.epochs)])
+    tracker = HeatTracker(spec.n_pages, decay=spec.decay)
+    folded = []
     for batch in trace:
-        batch.flags.writeable = False
+        tracker.record(batch)
+        tracker.end_epoch()
+        folded.append(tracker.heat.copy())
+    heats = _read_only(folded)
     if machine is not None:
-        _TRACE_SLOT = (weakref.ref(machine), key, trace)
-    return trace
+        _TRACE_SLOT = (weakref.ref(machine), key, trace, spec.decay, heats)
+    return trace, heats
 
 
 @dataclass
@@ -303,9 +325,9 @@ def evaluate_policy(spec: TieringSpec, near_ns: float | None = None,
     every migration's far-side copy through the real batched CXL
     datapath — wire accounting and the fault plane included.
 
-    Each epoch: record the batch → charge each access the latency of
-    the tier it *currently* lives in → fold the heat epoch → let the
-    policy decide → apply the migration (cost added to the bill) →
+    Each epoch: charge each access of the batch the latency of the tier
+    it *currently* lives in → let the policy decide on the heat folded
+    through this epoch → apply the migration (cost added to the bill) →
     audit conservation.
     """
     if machine is not None:
@@ -318,7 +340,6 @@ def evaluate_policy(spec: TieringSpec, near_ns: float | None = None,
     cap = spec.near_capacity_pages
     policy = make_policy(spec.policy, n, cap, **_policy_kwargs(spec))
     state = TierState(n, cap, placement=policy.initial_placement())
-    tracker = HeatTracker(n, decay=spec.decay)
     engine = MigrationEngine(state, page_bytes=spec.page_bytes,
                              link_gbps=spec.link_gbps,
                              remap_ns=spec.remap_ns, port=port,
@@ -330,17 +351,15 @@ def evaluate_policy(spec: TieringSpec, near_ns: float | None = None,
     with obs.span("tiering.evaluate",
                   meta={"policy": spec.policy, "trace": spec.trace,
                         "pages": n, "epochs": spec.epochs}):
-        trace = _trace(spec, machine)
+        trace, heats = _trace(spec, machine)
         for epoch in range(spec.epochs):
             with obs.span("tiering.epoch", meta={"epoch": epoch}):
                 batch = trace[epoch]
-                tracker.record(batch)
                 hits = int(np.count_nonzero(state.placement[batch] == NEAR))
                 miss = batch.size - hits
                 epoch_ns = hits * near_ns + miss * far_ns
                 near_hits += hits
-                tracker.end_epoch()
-                decision = policy.decide(tracker.heat, batch, state, epoch)
+                decision = policy.decide(heats[epoch], batch, state, epoch)
                 report = engine.apply(decision)
                 state.check_conservation()
                 epoch_ns += report.move_ns

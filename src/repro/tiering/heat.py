@@ -31,6 +31,7 @@ from repro.errors import TieringError
 __all__ = [
     "HeatTracker",
     "fold_reference",
+    "hottest_pages",
 ]
 
 
@@ -40,6 +41,26 @@ def _page_ids(pages) -> np.ndarray:
     if arr.size and arr.dtype.kind not in "iu":
         raise TieringError(f"page ids must be integers, got {arr.dtype}")
     return arr.astype(np.int64, copy=False)
+
+
+def hottest_pages(heat: np.ndarray, k: int) -> np.ndarray:
+    """The ``k`` hottest page ids of ``heat``, heat-descending, ties
+    broken by ascending page id.
+
+    Equal to ``np.lexsort((np.arange(heat.size), -heat))[:k]`` without
+    sorting the whole footprint: only the pages at least as hot as the
+    ``k``-th hottest (found by partition) are sorted, stably, so ties
+    keep their ascending ids.
+    """
+    n = heat.size
+    if k <= 0:
+        return np.empty(0, dtype=np.int64)
+    if k < n:
+        pages = np.flatnonzero(heat >= np.partition(heat, n - k)[n - k])
+    else:
+        pages = np.arange(n)
+    order = pages[np.argsort(-heat[pages], kind="stable")]
+    return order[:k].astype(np.int64, copy=False)
 
 
 def fold_reference(heat: np.ndarray, pages, decay: float) -> np.ndarray:
@@ -103,6 +124,19 @@ class HeatTracker:
         self.total_accesses += arr.size
         self._counts += np.bincount(arr, minlength=self.n_pages)
 
+    def touch(self, page: int) -> None:
+        """``record([page])`` for one page id, without building a batch.
+
+        A plain ``int`` in ``[0, n_pages)`` is counted in place; any
+        other value goes through :meth:`record`, so it raises exactly as
+        ``record([page])`` does.
+        """
+        if type(page) is int and 0 <= page < self.n_pages:
+            self._counts[page] += 1
+            self.total_accesses += 1
+        else:
+            self.record((page,))
+
     def end_epoch(self) -> np.ndarray:
         """Fold the open epoch: decay old heat, add the fresh counts.
 
@@ -126,10 +160,7 @@ class HeatTracker:
     def hottest(self, k: int) -> np.ndarray:
         """The ``k`` hottest page ids, heat-descending, ties broken by
         ascending page id."""
-        if k <= 0:
-            return np.empty(0, dtype=np.int64)
-        order = np.lexsort((np.arange(self.n_pages), -self.heat))
-        return order[:min(k, self.n_pages)].astype(np.int64)
+        return hottest_pages(self.heat, k)
 
     def describe(self) -> str:
         return (f"heat tracker: {self.n_pages} pages, decay {self.decay}, "

@@ -3,9 +3,10 @@
 A :class:`TierState` is the page table of a two-tier (near DDR / far
 CXL) footprint: every page lives in **exactly one** tier at all times —
 the conservation invariant the property suite and the fault-plane chaos
-tests hammer.  The state keeps a redundant pair of page sets alongside
-the placement array so the invariant is an actual cross-check, not a
-tautology of the representation.
+tests hammer.  The state keeps a redundant pair of boolean tier masks
+alongside the placement array, each written on its own, so the
+invariant is an actual cross-check, not a tautology of the
+representation.
 
 A :class:`MigrationEngine` applies one :class:`MigrationDecision` per
 epoch.  Each moved page costs:
@@ -109,8 +110,9 @@ class TierState:
     """Placement of ``n_pages`` across the two tiers.
 
     The placement array is the fast query surface (``placement[page]``
-    is :data:`NEAR` or :data:`FAR`); the two page sets are the redundant
-    page-table mirror that :meth:`check_conservation` audits against it.
+    is :data:`NEAR` or :data:`FAR`); the two boolean masks
+    ``near_mask``/``far_mask`` are the redundant page-table mirror that
+    :meth:`check_conservation` audits against it.
     """
 
     def __init__(self, n_pages: int, near_capacity_pages: int,
@@ -133,59 +135,69 @@ class TierState:
                 raise TieringError("placement entries must be NEAR or FAR")
             placement = placement.astype(np.int8)
         self.placement = placement
-        self.near_pages: set[int] = set(
-            np.flatnonzero(placement == NEAR).tolist())
-        self.far_pages: set[int] = set(
-            np.flatnonzero(placement == FAR).tolist())
-        if len(self.near_pages) > near_capacity_pages:
+        self.near_mask = placement == NEAR
+        self.far_mask = placement == FAR
+        if self.near_count > near_capacity_pages:
             raise TieringError(
-                f"initial placement holds {len(self.near_pages)} near pages; "
+                f"initial placement holds {self.near_count} near pages; "
                 f"capacity is {near_capacity_pages}")
 
     @property
+    def near_pages(self) -> frozenset[int]:
+        """The near tier's page ids, read from the near mask."""
+        return frozenset(np.flatnonzero(self.near_mask).tolist())
+
+    @property
+    def far_pages(self) -> frozenset[int]:
+        """The far tier's page ids, read from the far mask."""
+        return frozenset(np.flatnonzero(self.far_mask).tolist())
+
+    @property
     def near_count(self) -> int:
-        return len(self.near_pages)
+        return int(np.count_nonzero(self.near_mask))
 
     @property
     def near_free(self) -> int:
-        return self.near_capacity_pages - len(self.near_pages)
+        return self.near_capacity_pages - self.near_count
 
     def tier_of(self, page: int) -> int:
         return int(self.placement[page])
 
     def _remap(self, demoted: np.ndarray, promoted: np.ndarray) -> None:
-        """Remap pages across tiers; the placement array and each set
-        mirror are updated on their own, so they can be audited."""
+        """Remap pages across tiers; the placement array and each mask
+        mirror are written on their own, so they can be audited."""
         self.placement[demoted] = FAR
         self.placement[promoted] = NEAR
-        down, up = demoted.tolist(), promoted.tolist()
-        self.near_pages.difference_update(down)
-        self.far_pages.update(down)
-        self.far_pages.difference_update(up)
-        self.near_pages.update(up)
+        self.near_mask[demoted] = False
+        self.far_mask[demoted] = True
+        self.far_mask[promoted] = False
+        self.near_mask[promoted] = True
 
     def check_conservation(self) -> None:
         """Every page in exactly one tier; capacity respected.
 
         Raises:
-            TieringError: a page is lost, duplicated, the set mirrors
+            TieringError: a page is lost, duplicated, the mask mirrors
                 disagree with the placement array, or the near tier
                 overflows its capacity.
         """
-        if self.near_pages & self.far_pages:
+        near, far = self.near_mask, self.far_mask
+        both = near & far
+        if both.any():
             raise TieringError(
                 f"pages duplicated across tiers: "
-                f"{sorted(self.near_pages & self.far_pages)[:8]}")
-        if len(self.near_pages) + len(self.far_pages) != self.n_pages:
+                f"{np.flatnonzero(both)[:8].tolist()}")
+        n_near = int(np.count_nonzero(near))
+        n_far = int(np.count_nonzero(far))
+        if n_near + n_far != self.n_pages:
             raise TieringError(
-                f"page count mismatch: {len(self.near_pages)} near + "
-                f"{len(self.far_pages)} far != {self.n_pages}")
-        near_from_placement = np.flatnonzero(self.placement == NEAR)
-        if set(near_from_placement.tolist()) != self.near_pages:
-            raise TieringError("placement array and near set disagree")
-        if len(self.near_pages) > self.near_capacity_pages:
+                f"page count mismatch: {n_near} near + {n_far} far "
+                f"!= {self.n_pages}")
+        if not np.array_equal(self.placement == NEAR, near):
+            raise TieringError("placement array and near mask disagree")
+        if n_near > self.near_capacity_pages:
             raise TieringError(
-                f"near tier overflows: {len(self.near_pages)} > "
+                f"near tier overflows: {n_near} > "
                 f"{self.near_capacity_pages}")
 
     def near_fraction_of(self, pages: np.ndarray) -> float:

@@ -36,6 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import TieringError
+from repro.tiering.heat import hottest_pages
 from repro.tiering.migrate import (
     FAR,
     NEAR,
@@ -278,11 +279,13 @@ class BandwidthSpill(TieringPolicy):
         total = float(heat.sum())
         if total <= 0.0:
             return desired, desired          # no evidence: nothing moves
-        order = np.lexsort((np.arange(self.n_pages), -heat))
+        # only the capacity's worth of hottest pages can be desired; the
+        # prefix sums of that head are the full sort's, bit for bit
+        order = hottest_pages(heat, self.near_capacity_pages)
         cum = np.cumsum(heat[order])
         # smallest prefix whose heat reaches the near bandwidth share
         want = int(np.searchsorted(cum, self.near_share * total) + 1)
-        desired[order[:min(want, self.near_capacity_pages)]] = True
+        desired[order[:want]] = True
         desired &= heat > 0.0
         near = state.placement == NEAR
         return desired & ~near, near & ~desired

@@ -14,6 +14,12 @@ Three contracts worth hammering with hypothesis:
 * **determinism** — the same spec/seed always produces the same
   decisions and the same evaluation result, which is what the sweep
   cache's byte-identity guarantee sits on;
+* **partial orders are the full sort's prefix** —
+  :func:`~repro.tiering.heat.hottest_pages` and the spill policy that
+  uses it must pick exactly what a lexsort of the whole footprint
+  picks, ties, zeros and out-of-range ``k`` included;
+* **``touch(p)`` is ``record([p])``** — on counts, access totals,
+  folded heat and the error raised for a bad id;
 * **the Zipf draw is ``Generator.choice``** — :class:`TraceGen` draws
   its hot pages through a guide table, and must return the indices
   ``rng.choice(n, size, p=w)`` returns and leave the generator in the
@@ -30,7 +36,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import faults
 from repro.core.tiering import PageCache
@@ -41,7 +47,8 @@ from repro.tiering.evaluate import (
     TraceGen,
     evaluate_policy,
 )
-from repro.tiering.heat import HeatTracker, fold_reference
+from repro.errors import TieringError
+from repro.tiering.heat import HeatTracker, fold_reference, hottest_pages
 from repro.tiering.migrate import (
     FAR,
     NEAR,
@@ -49,7 +56,12 @@ from repro.tiering.migrate import (
     MigrationEngine,
     TierState,
 )
-from repro.tiering.policy import POLICIES, LruCache, make_policy
+from repro.tiering.policy import (
+    POLICIES,
+    BandwidthSpill,
+    LruCache,
+    make_policy,
+)
 
 # ---------------------------------------------------------------------------
 # vector heat fold ≡ per-element reference
@@ -75,6 +87,103 @@ def test_heat_scalar_vector_bit_identical(batches, decay):
         assert np.array_equal(counts, np.bincount(arr, minlength=97))
         # bitwise, not approximate: same two roundings per element
         assert tracker.heat.tobytes() == reference.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# touch(p) ≡ record([p])
+# ---------------------------------------------------------------------------
+
+TOUCH_PAGES = 37
+
+#: valid and out-of-range ints, NumPy ints, and ids ``record`` refuses
+touch_ids = st.one_of(
+    st.integers(-3, TOUCH_PAGES + 3),
+    st.integers(-2**70, 2**70),
+    st.integers(0, TOUCH_PAGES + 3).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.booleans(),
+    st.floats(-2.0, TOUCH_PAGES + 2.0, allow_nan=False),
+)
+
+
+def _raised(call) -> str | None:
+    try:
+        call()
+    except TieringError as exc:
+        return str(exc)
+    return None
+
+
+@given(pages=st.lists(touch_ids, max_size=40),
+       decay=st.floats(0.0, 0.999, allow_nan=False))
+@example(pages=[0, TOUCH_PAGES - 1, TOUCH_PAGES, -1, np.int64(TOUCH_PAGES),
+                True, 3.0, 2**63, 5, 5, 5], decay=0.5)
+@settings(max_examples=100, deadline=None)
+def test_touch_is_record_of_one_page(pages, decay):
+    touched = HeatTracker(TOUCH_PAGES, decay=decay)
+    recorded = HeatTracker(TOUCH_PAGES, decay=decay)
+    for i, page in enumerate(pages):
+        assert _raised(lambda: touched.touch(page)) == \
+            _raised(lambda: recorded.record([page]))
+        assert touched.total_accesses == recorded.total_accesses
+        if i % 7 == 6:
+            assert np.array_equal(touched.end_epoch(), recorded.end_epoch())
+    assert np.array_equal(touched.end_epoch(), recorded.end_epoch())
+    assert touched.heat.tobytes() == recorded.heat.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# hottest prefix ≡ the full lexsort
+# ---------------------------------------------------------------------------
+
+#: heats with many ties (a few levels), arbitrary heats, all zero, all equal
+heats = st.integers(1, 300).flatmap(lambda n: st.one_of(
+    st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=n, max_size=n),
+    st.lists(st.floats(0.0, 1e6, allow_nan=False), min_size=n, max_size=n),
+    st.just([0.0] * n),
+    st.just([1.5] * n),
+)).map(lambda h: np.asarray(h, dtype=np.float64))
+
+
+def _spill_reference(policy: BandwidthSpill, heat: np.ndarray,
+                     state: TierState) -> tuple[np.ndarray, np.ndarray]:
+    """``BandwidthSpill.candidates`` by a lexsort of the whole footprint."""
+    desired = np.zeros(policy.n_pages, dtype=bool)
+    total = float(heat.sum())
+    if total <= 0.0:
+        return desired, desired
+    order = np.lexsort((np.arange(policy.n_pages), -heat))
+    cum = np.cumsum(heat[order])
+    want = int(np.searchsorted(cum, policy.near_share * total) + 1)
+    desired[order[:min(want, policy.near_capacity_pages)]] = True
+    desired &= heat > 0.0
+    near = state.placement == NEAR
+    return desired & ~near, near & ~desired
+
+
+@given(heat=heats, data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_hottest_pages_is_the_lexsort_prefix(heat, data):
+    k = data.draw(st.integers(-1, heat.size + 2))
+    got = hottest_pages(heat, k)
+    assert got.dtype == np.int64
+    want = np.lexsort((np.arange(heat.size), -heat))[:max(k, 0)]
+    assert got.tolist() == want.tolist()
+
+
+@given(heat=heats, data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_spill_candidates_match_the_full_sort(heat, data):
+    n = heat.size
+    policy = BandwidthSpill(n, data.draw(st.integers(0, n + 2)),
+                            near_gbps=data.draw(
+                                st.sampled_from([33.0, 1.0, 1e6])))
+    placement = data.draw(st.lists(st.sampled_from([NEAR, FAR]),
+                                   min_size=n, max_size=n))
+    state = TierState(n, n, placement=np.asarray(placement, dtype=np.int8))
+    got = policy.candidates(heat, np.empty(0, dtype=np.int64), state)
+    want = _spill_reference(policy, heat, state)
+    assert [m.tolist() for m in got] == [m.tolist() for m in want]
 
 
 # ---------------------------------------------------------------------------

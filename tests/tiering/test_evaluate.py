@@ -27,6 +27,7 @@ from repro.tiering.evaluate import (
     effective_sweep_policy,
     evaluate_policy,
 )
+from repro.tiering.heat import HeatTracker
 from repro.tiering.policy import POLICIES
 
 SMALL = TieringSpec(n_pages=256, epochs=4, epoch_accesses=512)
@@ -226,12 +227,14 @@ class TestSharedTrace:
 
     def test_shared_trace_is_read_only(self):
         machine = setup1().machine
-        trace = evaluate._trace(SMALL, machine)
-        assert evaluate._trace(replace(SMALL, policy="lru", decay=0.1),
-                               machine) is trace
-        assert evaluate._trace(replace(SMALL, seed=99), machine) \
+        trace, heats = evaluate._trace(SMALL, machine)
+        lru = evaluate._trace(replace(SMALL, policy="lru"), machine)
+        assert lru[0] is trace and lru[1] is heats
+        cooler = evaluate._trace(replace(SMALL, decay=0.1), machine)
+        assert cooler[0] is trace and cooler[1] is not heats
+        assert evaluate._trace(replace(SMALL, seed=99), machine)[0] \
             is not trace
-        for batch in trace:
+        for batch in (*trace, *heats, *cooler[1]):
             with pytest.raises(ValueError, match="read-only"):
                 batch[0] = 1
 
@@ -252,9 +255,27 @@ class TestSharedTrace:
         # the slot holds the last machine's trace, by a weak reference
         assert evaluate._TRACE_SLOT[0]() is machines[-1]
 
+    def test_one_heat_fold_per_trace_and_decay(self, monkeypatch):
+        folds = []
+        end_epoch = HeatTracker.end_epoch
+
+        def counted(tracker):
+            folds.append(tracker.decay)
+            return end_epoch(tracker)
+
+        monkeypatch.setattr(HeatTracker, "end_epoch", counted)
+        machine = setup1().machine
+        for name in sorted(POLICIES):
+            effective_sweep_policy(machine, replace(SMALL, policy=name))
+        assert folds == [SMALL.decay] * SMALL.epochs
+        # another decay refolds the same trace
+        effective_sweep_policy(machine, replace(SMALL, decay=0.1))
+        assert folds == [SMALL.decay] * SMALL.epochs + [0.1] * SMALL.epochs
+
     def test_threads_racing_on_the_slot_each_get_their_own_trace(self):
-        specs = [replace(SMALL, trace=trace, policy=policy)
-                 for trace in ("zipf", "chase") for policy in ("lru", "tpp")]
+        specs = [replace(SMALL, trace=trace, policy=policy, decay=decay)
+                 for trace in ("zipf", "chase") for policy in ("lru", "tpp")
+                 for decay in (0.5, 0.1)]
         expected = [evaluate_policy(spec, machine=setup1().machine).to_doc()
                     for spec in specs]
         machine = setup1().machine

@@ -91,9 +91,21 @@ class TestTierState:
 
     def test_conservation_catches_duplicated_page(self):
         s = _state(near=(0,))
-        s.far_pages.add(0)
+        s.far_mask[0] = True           # page 0 in both tiers
         with pytest.raises(TieringError, match="duplicated"):
             s.check_conservation()
+
+    def test_conservation_catches_page_in_neither_tier(self):
+        s = _state(near=(0,))
+        s.far_mask[1] = False
+        with pytest.raises(TieringError, match="page count mismatch"):
+            s.check_conservation()
+
+    def test_page_sets_are_read_only(self):
+        s = _state(near=(0,))
+        with pytest.raises(AttributeError):
+            s.far_pages.add(0)
+        s.check_conservation()
 
     def test_near_fraction_of_batch(self):
         s = _state(near=(0, 1))
